@@ -158,14 +158,14 @@ def _cmd_evolve(args) -> int:
     from .evolution import minimal_solution
     from .grids import build_grid
     from .operators import assemble_operator
-    from .runstore import RunStore
+    from .runstore import NUMERICS_EPOCH, RunStore, load_current
     from .scenario import build_u0
 
     scn = _load_scenario_with_overrides(args)
     store = RunStore(_store_root(args))
     outdir = store.path("trajectories", scn.run_id())
     report_path = os.path.join(outdir, "report.json")
-    if os.path.exists(report_path) and not args.force:
+    if not args.force and load_current(report_path) is not None:
         print(f"cached: {outdir}")
         return 0
     os.makedirs(outdir, exist_ok=True)
@@ -194,6 +194,7 @@ def _cmd_evolve(args) -> int:
         "files": [f"state_{i:03d}.csv" for i in range(len(traj.times))],
         "scheme": traj.scheme,
         "report": _jsonable(rep),
+        "numerics": NUMERICS_EPOCH,
     }
     with open(report_path, "w") as fh:
         json.dump(rep_out, fh, sort_keys=True, indent=2)
@@ -224,7 +225,7 @@ def _cmd_kernel(args) -> int:
     n = grid.n
     for i in range(n):
         for j in range(i, n):
-            rows.append(f"{i},{j},{ker.P[i, j]!r}")
+            rows.append(f"{i},{j},{float(ker.P[i, j])!r}")
     with open(base + ".csv", "w") as fh:
         fh.write("\n".join(rows) + "\n")
     header = {

@@ -16,7 +16,13 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .errors import ConfigError, ContractError
-from .evolution import KernelMatrix, Trajectory, evolve, heat_kernel
+from .evolution import (
+    KernelMatrix,
+    Trajectory,
+    default_truncation_schedule,
+    evolve,
+    heat_kernel,
+)
 from .grids import Grid, build_grid
 from .operators import DiscreteOperator, FormEvaluator, assemble_operator
 from .specfun import FractionalParams, beta_of_c
@@ -552,7 +558,7 @@ def blowup_diagnostic(
     ks = (
         np.atleast_1d(np.asarray(k_schedule, dtype=float))
         if k_schedule is not None
-        else _probe_schedule(finest_op)
+        else default_truncation_schedule(finest_op)
     )
     origin = int(np.argmin(finest_op.grid.radii))
     probes = []
@@ -560,7 +566,8 @@ def blowup_diagnostic(
         trk = evolve(finest_op.with_truncation(float(k)), u0, [t0], scheme=scheme)
         probes.append(float(trk.states[-1][origin]))
     probes_arr = np.array(probes)
-    growing = bool(np.all(np.diff(probes_arr) > 0.0))
+    # a single level (max V <= 1 on this grid) cannot show growth
+    growing = bool(probes_arr.size >= 2 and np.all(np.diff(probes_arr) > 0.0))
     lam_decreasing = bool(np.all(np.diff(lam_mins) < 0.0))
     gaps_growing = bool(np.all(np.diff(gaps) > 0.0)) if len(gaps) >= 2 else lam_decreasing
     return BlowupReport(
@@ -578,15 +585,6 @@ def blowup_diagnostic(
         blow_up=bool(lam_decreasing and gaps_growing and growing),
         detail={"t0": t0, "probe_node": origin},
     )
-
-
-def _probe_schedule(op: DiscreteOperator) -> np.ndarray:
-    k_sat = float(np.max(op.V))
-    levels = [1.0]
-    while levels[-1] * 4.0 < k_sat:
-        levels.append(levels[-1] * 4.0)
-    levels.append(k_sat)
-    return np.array(levels)
 
 
 def _default_bump(grid: Grid) -> np.ndarray:

@@ -1,11 +1,25 @@
-"""Semigroup evolution, heat kernels, monotone truncation limits, Duhamel check.
+"""The propagator layer: evolution, heat kernels, truncation limits, Duhamel check.
 
-Three propagation schemes are provided.  ``expm`` (dense matrix exponential)
-is the reference and is exact in time up to the expm algorithm itself;
-``cn`` (Crank-Nicolson) and ``ie`` (implicit Euler) step with a capped dt and
-exist so that independent integrators can cross-check each other.  CN is
-second order and agrees with expm to ~1e-6 on the default cap; IE is first
-order and is only used to confirm the convergence order.
+Every application of the semigroup exp(-tH) in the package goes through this
+module, by one of two exact paths:
+
+* Trajectories (``evolve`` with scheme ``expm``, hence every level of
+  ``minimal_solution`` and the blow-up probe) apply the exponential action
+  exp(-tH) u0 per output time with the truncated-Taylor method of Al-Mohy &
+  Higham (SIAM J. Sci. Comput. 33, 2011; ``scipy.sparse.linalg.expm_multiply``).
+  No n x n exponential is formed.
+* Full kernels (``heat_kernel``) and the propagators of the Duhamel check use
+  the symmetric eigendecomposition H = Q diag(lam) Q^T (Moler & Van Loan,
+  SIAM Rev. 45, 2003), solved once per operator and cached as
+  ``DiscreteOperator.spectrum``; each further kernel time costs one product.
+
+Because the Duhamel check builds its propagators from the eigenbases while
+the trajectory comes from the exponential action, the check stays
+independent of the path it checks.  ``cn`` (Crank-Nicolson) and ``ie``
+(implicit Euler) step with a capped dt and exist so that independent
+integrators can cross-check each other.  CN is second order and agrees with
+expm to ~1e-6 on the default cap; IE is first order and is only used to
+confirm the convergence order.
 """
 
 from __future__ import annotations
@@ -13,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg import expm  # noqa: F401  unused; bench/spans.py traces this name
+from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError, ContractError, InvariantViolation
 from .operators import DiscreteOperator
@@ -147,13 +163,9 @@ def evolve(
     if scheme == "expm":
         if richardson:
             raise ConfigError("richardson refinement applies to stepping schemes only")
-        states = []
-        for t in ts:
-            if t == 0.0:
-                states.append(u0.copy())
-            else:
-                states.append(expm(-float(t) * op.H) @ u0)
-        states = np.array(states)
+        states = np.array(
+            [u0.copy() if t == 0.0 else expm_multiply(-float(t) * op.H, u0) for t in ts]
+        )
     else:
         states = _march(op.H, u0, ts, scheme, step_cap)
         if richardson:
@@ -166,10 +178,16 @@ def evolve(
 
 
 def heat_kernel(op: DiscreteOperator, t: float) -> KernelMatrix:
-    """Kernel density at time t > 0: P = exp(-t H) / h^d."""
+    """Kernel density at time t > 0: P = exp(-t H) / h^d.
+
+    Built as (Q * exp(-t lam)) Q^T / h^d from the operator's cached spectrum,
+    so several times on one operator share a single eigen-solve.
+    """
     if not (t > 0.0):
         raise ContractError(f"kernel time must be positive, got {t}")
-    P = expm(-float(t) * op.H) / op.grid.cell_volume
+    lam, Q = op.spectrum
+    P = (Q * np.exp(-float(t) * lam)) @ Q.T
+    P /= op.grid.cell_volume
     return KernelMatrix(operator=op, t=float(t), P=P)
 
 
@@ -277,15 +295,23 @@ def duhamel_residual(
 ) -> dict:
     """Relative defect of u(t) = e^{-tL0}u0 + int_0^t e^{-(t-s)L0} W u(s) ds.
 
-    The integral uses composite Simpson on n_quad (odd) uniform points per
-    output time; all propagator powers reuse a single per-time step matrix so
-    the only error is the Simpson time discretization, which is O(dt^2) here
-    because the integrand's higher derivatives involve the same semigroups.
-    Returns per-time residuals keyed by time.
+    The integral uses composite Simpson on n_quad (odd) uniform nodes s_j per
+    output time.  Its propagators come from the two cached eigenbases, not
+    from the path that produced the trajectory: with H = Q_H diag(lam_H) Q_H^T
+    and L0 = Q_0 diag(lam_0) Q_0^T,
+
+        u(s_j) = Q_H (e^{-lam_H s_j} * Q_H^T u0)
+        acc    = Q_0 [(Q_0^T W u(s_j)) * e^{-lam_0 (t - s_j)}] . simpson weights
+        free   = Q_0 (e^{-lam_0 t} * Q_0^T u0)
+
+    so the only error is the Simpson time discretization, which is O(dt^2)
+    here because the integrand's higher derivatives involve the same
+    semigroups.  Returns per-time residuals keyed by time.
     """
     if n_quad < 33 or n_quad % 2 == 0:
         raise ConfigError(f"n_quad must be odd and >= 33, got {n_quad}")
-    if free_op.grid is not traj.operator.grid and free_op.n != traj.operator.n:
+    g, g0 = traj.operator.grid, free_op.grid
+    if (g0.dim, g0.bounds, g0.h) != (g.dim, g.bounds, g.h):
         raise ContractError("free operator must live on the trajectory grid")
     if float(np.max(np.abs(free_op.W))) != 0.0:
         raise ContractError("free operator must have zero potential part")
@@ -293,24 +319,23 @@ def duhamel_residual(
     u0 = traj.states[0] if traj.times[0] == 0.0 else None
     if u0 is None:
         raise ContractError("duhamel check needs the trajectory to start at t = 0")
+    lam_h, Q_h = traj.operator.spectrum
+    lam_0, Q_0 = free_op.spectrum
+    u0_h = Q_h.T @ u0
+    u0_0 = Q_0.T @ u0
+    coef = np.ones(n_quad)
+    coef[1:-1:2] = 4.0
+    coef[2:-1:2] = 2.0
     out = {}
     for t, u_t in zip(traj.times, traj.states):
         if t == 0.0:
             continue
         ds = float(t) / (n_quad - 1)
-        E0 = expm(-ds * free_op.H)
-        Eh = expm(-ds * traj.operator.H)
-        coef = np.ones(n_quad)
-        coef[1:-1:2] = 4.0
-        coef[2:-1:2] = 2.0
-        coef *= ds / 3.0
-        u = u0.copy()
-        acc = coef[0] * (W * u)
-        free = u0.copy()
-        for j in range(1, n_quad):
-            u = Eh @ u
-            free = E0 @ free
-            acc = E0 @ acc + coef[j] * (W * u)
+        s = ds * np.arange(n_quad)
+        U = Q_h @ (np.exp(-np.outer(lam_h, s)) * u0_h[:, None])
+        WU_0 = Q_0.T @ (W[:, None] * U)
+        acc = Q_0 @ ((WU_0 * np.exp(-np.outer(lam_0, float(t) - s))) @ (coef * ds / 3.0))
+        free = Q_0 @ (np.exp(-lam_0 * float(t)) * u0_0)
         resid = u_t - free - acc
         out[float(t)] = float(np.linalg.norm(resid) / np.linalg.norm(u_t))
     return out

@@ -25,10 +25,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import eigh
 from scipy.special import betainc
 
 from .errors import ConfigError, ContractError, ParameterDomainError
@@ -245,6 +246,15 @@ class DiscreteOperator:
     def W(self) -> np.ndarray:
         """Truncated potential actually subtracted from L0."""
         return self.V if self.k is None else np.minimum(self.V, self.k)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, Q) with H = Q diag(lam) Q^T, computed on first use.
+
+        Cached per instance: ``with_truncation`` builds a new operator, so a
+        truncated copy solves its own eigenproblem.
+        """
+        return eigh(self.H, driver="evd")
 
     def with_truncation(self, k: float | None) -> "DiscreteOperator":
         """Same jump part and killing, different potential cutoff."""

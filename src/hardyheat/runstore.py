@@ -8,8 +8,9 @@ Layout under the store root:
 
 where <id> is the first 16 hex digits of the sha256 of the canonical scenario
 JSON.  Re-running an identical (scenario, suite) pair returns the stored
-report unchanged unless forced.  Reports carry no timestamps, so a rerun with
-the same seed and thread count is bit-identical.
+report unchanged unless forced, or unless the report was computed under a
+different numerics epoch (its ``numerics`` field).  Reports carry no
+timestamps, so a rerun with the same seed and thread count is bit-identical.
 """
 
 from __future__ import annotations
@@ -20,9 +21,25 @@ import os
 from .errors import ConfigError
 from .scenario import Scenario
 
-__all__ = ["RunStore"]
+__all__ = ["RunStore", "NUMERICS_EPOCH", "load_current"]
 
 _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
+
+# Raised whenever a change to the numerics may move report values, so that a
+# store filled by older code is recomputed rather than served.
+#   1  dense matrix exponential propagator (reports carry no stamp)
+#   2  exponential action for trajectories, cached eigendecomposition for
+#      kernels and the Duhamel check
+NUMERICS_EPOCH = 2
+
+
+def load_current(path: str) -> dict | None:
+    """The JSON report at ``path``, or None if absent or from another epoch."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        report = json.load(fh)
+    return report if report.get("numerics") == NUMERICS_EPOCH else None
 
 
 class RunStore:
@@ -40,11 +57,7 @@ class RunStore:
         return self.path("reports", f"{scn.run_id()}.{suite}.json")
 
     def cached_report(self, scn: Scenario, suite: str) -> dict | None:
-        p = self._report_path(scn, suite)
-        if os.path.exists(p):
-            with open(p) as fh:
-                return json.load(fh)
-        return None
+        return load_current(self._report_path(scn, suite))
 
     def save_report(self, scn: Scenario, suite: str, report: dict) -> str:
         spath = self.path("scenarios", f"{scn.run_id()}.json")
@@ -66,5 +79,6 @@ class RunStore:
         from .suites import run_suite
 
         report = run_suite(scn, suite)
+        report["numerics"] = NUMERICS_EPOCH
         self.save_report(scn, suite, report)
         return report, False

@@ -306,6 +306,19 @@ def test_blowup_diagnostic_supercritical():
     assert rep.blow_up
 
 
+def test_blowup_probe_schedule_increases_for_shallow_potential():
+    # on this coarse grid max V < 1, so the only probe level is max V itself
+    c = 1.1 * CSTAR
+    rep = blowup_diagnostic(P1, c, (-0.8, 0.8), [0.4, 0.2, 0.1])
+    vmax = c * 0.05 ** (-P1.alpha)
+    assert vmax < 1.0
+    assert np.all(np.diff(rep.probe_k) > 0.0)
+    assert_allclose(rep.probe_k, [vmax])
+    # one level cannot show the probe growing
+    assert rep.probe_growth == 1.0
+    assert not rep.blow_up
+
+
 def test_blowup_diagnostic_validation():
     with pytest.raises(ConfigError):
         blowup_diagnostic(P1, 0.5 * CSTAR, (-1.0, 1.0), [0.04, 0.02, 0.01])

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh
 
 from hardyheat.errors import ConfigError, ContractError, InvariantViolation
+from hardyheat.estimators import t_ref
 from hardyheat.evolution import (
     default_truncation_schedule,
     duhamel_residual,
@@ -17,7 +18,10 @@ from hardyheat.grids import build_grid
 from hardyheat.operators import assemble_operator
 from hardyheat.specfun import FractionalParams, hardy_constant
 
+import oracles
+
 P1 = FractionalParams(1, 0.5)
+P2 = FractionalParams(2, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +235,78 @@ def test_duhamel_contracts(hardy_op, free_op):
         duhamel_residual(traj, hardy_op, n_quad=65)  # potential not zero
     with pytest.raises(ContractError):
         duhamel_residual(traj, free_op, n_quad=65)  # wrong grid
+    shifted = assemble_operator(build_grid((-0.8, 1.2), 0.01), P1, c=0.0)
+    assert shifted.n == traj.operator.n
+    with pytest.raises(ContractError):
+        duhamel_residual(traj, shifted, n_quad=65)  # same n, other domain
     late = evolve(hardy_op, u0, [0.1, 0.5])
     with pytest.raises(ContractError):
         duhamel_residual(late, free, n_quad=65)
+
+
+# ---------------------------------------------------------------------------
+# the propagator paths against the dense matrix exponential
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["d1", "d2"])
+def oracle_case(request):
+    """(operator, free operator, initial state, t_ref) on a small grid."""
+    if request.param == "d1":
+        grid, params = build_grid((-1.0, 1.0), 0.01), P1
+    else:
+        grid, params = build_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.125), P2
+    op = assemble_operator(grid, params, c=0.5 * hardy_constant(params), k=None)
+    free = assemble_operator(grid, params, c=0.0)
+    u0 = (grid.radii <= 0.4).astype(float)
+    return op, free, u0, t_ref(op)
+
+
+ORACLE_FACTORS = (0.01, 0.1, 0.5)
+
+
+def test_evolve_matches_dense_propagator(oracle_case):
+    op, _, u0, tr = oracle_case
+    times = [f * tr for f in ORACLE_FACTORS]
+    traj = evolve(op, u0, times)
+    for t, state in zip(times, traj.states):
+        ref = oracles.dense_propagator(op.H, t) @ u0
+        assert np.linalg.norm(state - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("factor", ORACLE_FACTORS)
+def test_heat_kernel_matches_dense_propagator(oracle_case, factor):
+    op, _, _, tr = oracle_case
+    t = factor * tr
+    P = heat_kernel(op, t).P
+    ref = oracles.dense_propagator(op.H, t) / op.grid.cell_volume
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(P - ref)) <= 1e-12 * scale
+    big = ref > 1e-12 * scale
+    assert np.max(np.abs(P[big] - ref[big]) / ref[big]) <= 1e-6
+    assert np.min(P) > 0.0
+
+
+def test_duhamel_matches_dense_step_recursion(oracle_case):
+    op, free, u0, tr = oracle_case
+    times = [0.0] + [f * tr for f in ORACLE_FACTORS]
+    traj = evolve(op, u0, times)
+    for n_quad in (65, 129):
+        got = duhamel_residual(traj, free, n_quad=n_quad)
+        ref = oracles.duhamel_residual_dense(
+            traj.times, traj.states, op.H, free.H, op.W, n_quad
+        )
+        assert set(got) == set(ref)
+        for t in ref:
+            assert abs(got[t] - ref[t]) <= 1e-13
+
+
+def test_spectrum_cached_per_operator(hardy_op):
+    lam, Q = hardy_op.spectrum
+    assert hardy_op.spectrum[0] is lam
+    assert_allclose((Q * lam) @ Q.T, hardy_op.H, rtol=0, atol=1e-12 * np.max(np.abs(hardy_op.H)))
+    trunc = hardy_op.with_truncation(0.5 * float(np.max(hardy_op.V)))
+    lam_k, Q_k = trunc.spectrum
+    assert lam_k is not lam and Q_k is not Q
+    # a lower cutoff subtracts less potential, so the spectrum moves up
+    assert lam_k[0] > lam[0]
+    assert_allclose((Q_k * lam_k) @ Q_k.T, trunc.H, rtol=0, atol=1e-12 * np.max(np.abs(trunc.H)))

@@ -11,8 +11,10 @@ import pytest
 from hardyheat.cli import main
 from hardyheat.errors import ConfigError
 from hardyheat.grids import build_grid
-from hardyheat.operators import load_operator
-from hardyheat.runstore import RunStore
+from hardyheat.estimators import t_ref
+from hardyheat.evolution import heat_kernel
+from hardyheat.operators import assemble_operator, load_operator
+from hardyheat.runstore import NUMERICS_EPOCH, RunStore
 from hardyheat.scenario import (
     build_u0,
     load_scenario,
@@ -316,6 +318,27 @@ class TestRunStore:
         assert not cached
         assert open(rpath, "rb").read() == first
 
+    @pytest.mark.parametrize("stamp", [None, NUMERICS_EPOCH - 1])
+    def test_report_from_other_numerics_epoch_recomputed(self, tmp_path, stamp):
+        store = RunStore(str(tmp_path / "store"))
+        scn = scenario_from_dict(base_raw())
+        report, _ = store.run(scn, "constants")
+        assert report["numerics"] == NUMERICS_EPOCH
+        rpath = store.path("reports", f"{scn.run_id()}.constants.json")
+        stale = dict(report)
+        if stamp is None:
+            del stale["numerics"]
+        else:
+            stale["numerics"] = stamp
+        with open(rpath, "w") as fh:
+            json.dump(stale, fh)
+        assert store.cached_report(scn, "constants") is None
+        again, cached = store.run(scn, "constants")
+        assert not cached
+        assert again == report
+        with open(rpath) as fh:
+            assert json.load(fh)["numerics"] == NUMERICS_EPOCH
+
     def test_scenario_blob_saved_alongside(self, tmp_path):
         store = RunStore(str(tmp_path / "store"))
         scn = scenario_from_dict(base_raw())
@@ -465,6 +488,19 @@ class TestCli:
         assert header["t_factor"] == 0.5
         assert header["t_absolute"] > 0.0
 
+    def test_kernel_csv_values_round_trip(self, tmp_path, store_root, capsys):
+        path = write_scenario(tmp_path, "small.json", small_raw())
+        assert main(["--out", store_root, "kernel", "--scenario", path, "--t", "0.5"]) == 0
+        scn = load_scenario(path)
+        base = os.path.join(store_root, "kernels", f"{scn.run_id()}-t0.5")
+        grid = build_grid(scn.domain_spec(), scn.h_levels[-1])
+        op = assemble_operator(grid, scn.params, c=scn.c, k=None)
+        P = heat_kernel(op, 0.5 * t_ref(op)).P
+        lines = open(base + ".csv").read().splitlines()
+        for line in lines[1:]:
+            si, sj, sv = line.split(",")
+            assert float(sv) == P[int(si), int(sj)], line
+
     def test_kernel_rejects_nonpositive_time(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "small.json", small_raw())
         rc = main(["--out", store_root, "kernel", "--scenario", path, "--t", "0"])
@@ -488,3 +524,20 @@ class TestCli:
         rc = main(["--out", store_root, "evolve", "--scenario", path])
         assert rc == 0
         assert "cached:" in capsys.readouterr().out
+
+    def test_evolve_recomputes_unstamped_report(self, tmp_path, store_root, capsys):
+        path = write_scenario(tmp_path, "small.json", small_raw())
+        assert main(["--out", store_root, "evolve", "--scenario", path]) == 0
+        outdir = os.path.join(store_root, "trajectories", load_scenario(path).run_id())
+        report_path = os.path.join(outdir, "report.json")
+        with open(report_path) as fh:
+            rep = json.load(fh)
+        assert rep["numerics"] == NUMERICS_EPOCH
+        del rep["numerics"]
+        with open(report_path, "w") as fh:
+            json.dump(rep, fh)
+        capsys.readouterr()
+        assert main(["--out", store_root, "evolve", "--scenario", path]) == 0
+        assert "cached:" not in capsys.readouterr().out
+        with open(report_path) as fh:
+            assert json.load(fh)["numerics"] == NUMERICS_EPOCH
