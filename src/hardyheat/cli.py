@@ -158,7 +158,7 @@ def _cmd_evolve(args) -> int:
     from .evolution import minimal_solution
     from .grids import build_grid
     from .operators import assemble_operator
-    from .runstore import NUMERICS_EPOCH, RunStore, load_current
+    from .runstore import NUMERICS_EPOCH, RunStore, load_current, write_json
     from .scenario import build_u0
 
     scn = _load_scenario_with_overrides(args)
@@ -196,9 +196,7 @@ def _cmd_evolve(args) -> int:
         "report": _jsonable(rep),
         "numerics": NUMERICS_EPOCH,
     }
-    with open(report_path, "w") as fh:
-        json.dump(rep_out, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(report_path, rep_out)
     print(f"wrote {outdir}")
     return 0
 
@@ -208,7 +206,7 @@ def _cmd_kernel(args) -> int:
     from .evolution import heat_kernel
     from .grids import build_grid
     from .operators import assemble_operator
-    from .runstore import RunStore
+    from .runstore import RunStore, write_json
 
     scn = _load_scenario_with_overrides(args)
     if args.t <= 0:
@@ -236,9 +234,7 @@ def _cmd_kernel(args) -> int:
         "h": grid.h,
         "convention": "entries are exp(-tH)_ij / h^d (density)",
     }
-    with open(base + ".json", "w") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(base + ".json", header)
     print(f"wrote {base}.csv")
     return 0
 

@@ -11,6 +11,9 @@ JSON.  Re-running an identical (scenario, suite) pair returns the stored
 report unchanged unless forced, or unless the report was computed under a
 different numerics epoch (its ``numerics`` field).  Reports carry no
 timestamps, so a rerun with the same seed and thread count is bit-identical.
+Reports are written to a temporary file and renamed into place, so a killed
+run leaves the previous report or none, never a truncated one; a report that
+does not parse is treated as missing.
 """
 
 from __future__ import annotations
@@ -30,16 +33,31 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #   1  dense matrix exponential propagator (reports carry no stamp)
 #   2  exponential action for trajectories, cached eigendecomposition for
 #      kernels and the Duhamel check
-NUMERICS_EPOCH = 2
+#   3  closed-form assembly: 2-d killing term from incomplete beta values,
+#      1-d exterior tail from Gauss hypergeometric values (no quadrature)
+NUMERICS_EPOCH = 3
 
 
 def load_current(path: str) -> dict | None:
-    """The JSON report at ``path``, or None if absent or from another epoch."""
-    if not os.path.exists(path):
+    """The JSON report at ``path``, or None if absent, unreadable or from
+    another epoch."""
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+    except (FileNotFoundError, ValueError):  # ValueError: not JSON (e.g. truncated)
         return None
-    with open(path) as fh:
-        report = json.load(fh)
-    return report if report.get("numerics") == NUMERICS_EPOCH else None
+    if isinstance(report, dict) and report.get("numerics") == NUMERICS_EPOCH:
+        return report
+    return None
+
+
+def write_json(path: str, obj) -> None:
+    """Write ``obj`` as sorted, indented JSON atomically (temp file, then rename)."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    os.replace(tmp, path)
 
 
 class RunStore:
@@ -60,14 +78,9 @@ class RunStore:
         return load_current(self._report_path(scn, suite))
 
     def save_report(self, scn: Scenario, suite: str, report: dict) -> str:
-        spath = self.path("scenarios", f"{scn.run_id()}.json")
-        blob = json.dumps(scn.to_dict(), sort_keys=True, indent=2)
-        with open(spath, "w") as fh:
-            fh.write(blob + "\n")
+        write_json(self.path("scenarios", f"{scn.run_id()}.json"), scn.to_dict())
         rpath = self._report_path(scn, suite)
-        with open(rpath, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(rpath, report)
         return rpath
 
     def run(self, scn: Scenario, suite: str, force: bool = False) -> tuple[dict, bool]:

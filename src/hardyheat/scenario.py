@@ -121,7 +121,7 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
         raise ConfigError(f"missing scenario key: {missing[0]!r}")
 
     d = raw["d"]
-    if not isinstance(d, int) or d not in (1, 2):
+    if type(d) is not int or d not in (1, 2):  # bool is an int subclass
         raise _type_error("d", "1 or 2", d)
     alpha = raw["alpha"]
     if not isinstance(alpha, (int, float)) or not (0.0 < alpha < min(2, d)):
@@ -207,7 +207,7 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     if scheme not in ("expm", "cn", "ie"):
         raise _type_error("scheme", '"expm", "cn" or "ie"', scheme)
     seed = raw.get("seed", _OPTIONAL["seed"])
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise _type_error("seed", "an integer", seed)
     ihw = raw.get("inner_half_width", _OPTIONAL["inner_half_width"])
     if ihw is not None and (not isinstance(ihw, (int, float)) or ihw <= 0):

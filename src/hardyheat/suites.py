@@ -194,13 +194,12 @@ def _run_operator(scn: Scenario) -> list[dict]:
             tr = t_ref(op)
             ker = heat_kernel(op, 0.1 * tr)
             epss.append(weighted_row_mass(ker, w)["eps"])
-    grid0 = build_grid(scn.domain_spec(), scn.h_levels[-1])
-    op0 = assemble_operator(grid0, p, c=0.0)
+    # the loop ends on the finest grid, so op is the untruncated operator there
+    op0 = assemble_operator(op.grid, p, c=0.0)
     lam_free = lambda_min(op0)
     checks.append(_check("free_bottom_positive", lam_free, "> 0", "strict", lam_free > 0.0))
     if scn.c > 0.0:
-        opc = assemble_operator(grid0, p, c=scn.c, k=None)
-        lam_c = lambda_min(opc)
+        lam_c = lambda_min(op)
         checks.append(
             _check("potential_lowers_bottom", lam_c, f"< {lam_free:.6g}", "strict", lam_c < lam_free)
         )

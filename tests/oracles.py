@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 from scipy.linalg import expm
+from scipy.special import betainc
 
 mp.mp.dps = 40
 
@@ -118,6 +119,75 @@ def killing_2d_polar(pt, rect, alpha: float) -> float:
     return A / alpha * total
 
 
+def killing_2d_strip_quad(pt, rect, alpha: float) -> float:
+    """Exterior-mass rate in a rectangle by the retired strip quadrature.
+
+    The complement is two half-planes (closed form) and two strips; across a
+    strip the inner integral is a cos-power tail, along it one adaptive
+    ``quad``.  scipy's default tolerance limits this to about 4e-9 relative.
+    """
+    (a1, b1), (a2, b2) = rect
+    x0, y0 = pt
+    full = math.sqrt(math.pi) * math.gamma(0.5 * (1.0 + alpha)) / math.gamma(1.0 + 0.5 * alpha)
+
+    def strip(s):
+        def inner(u):
+            au = abs(u)
+            if au < 1e-14 * max(1.0, s):
+                return s ** (-1.0 - alpha) / (1.0 + alpha)
+            w2 = (s / au) ** 2
+            tail = 0.5 * full * (1.0 - betainc(0.5, 0.5 * (alpha + 1.0), w2 / (1.0 + w2)))
+            return au ** (-1.0 - alpha) * tail
+
+        val, _ = integrate.quad(inner, a1 - x0, b1 - x0, points=[0.0], limit=200)
+        return val
+
+    half = full / alpha
+    out = half * ((x0 - a1) ** (-alpha) + (b1 - x0) ** (-alpha))
+    return mp_intensity(2, alpha) * (out + strip(y0 - a2) + strip(b2 - y0))
+
+
+def mp_killing_2d(pt, rect, alpha: float) -> float:
+    """Exterior-mass rate in a rectangle, polar form in 40-digit arithmetic.
+
+    (A/alpha) * integral of rho(theta)**-alpha, split by face: through a face
+    at distance delta, rho = delta/cos(phi), and each angular piece is a
+    tanh-sinh quadrature of cos(phi)**alpha.
+    """
+    # mpf(float) keeps the exact binary value; a decimal repr would move a
+    # point 1e-6 from a face by a relative 1e-11 of its distance
+    (a1, b1), (a2, b2) = (tuple(mp.mpf(float(v)) for v in ab) for ab in rect)
+    x0, y0 = (mp.mpf(float(v)) for v in pt)
+    al = mp.mpf(float(alpha))
+    faces = ((x0 - a1, y0 - a2, b2 - y0), (b1 - x0, y0 - a2, b2 - y0),
+             (y0 - a2, x0 - a1, b1 - x0), (b2 - y0, x0 - a1, b1 - x0))
+    total = mp.mpf(0)
+    for delta, s1, s2 in faces:
+        for s in (s1, s2):
+            total += delta ** (-al) * mp.quad(lambda th: mp.cos(th) ** al, [0, mp.atan(s / delta)])
+    return float(mp.mpf(mp_intensity(2, alpha)) / al * total)
+
+
+def jump_matrix_2d_broadcast(nodes, h: float, A: float, alpha: float,
+                             w_axis: float, w_diag: float) -> np.ndarray:
+    """2-d jump matrix by the retired (n, n, 2) node-difference broadcast.
+
+    Midpoint weights A h^2 |x_i - x_j|^(-2-alpha) from the node coordinates;
+    the axis and diagonal neighbour weights are passed in.
+    """
+    diff = nodes[:, None, :] - nodes[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    np.fill_diagonal(dist, 1.0)
+    J = A * h**2 * dist ** (-2.0 - alpha)
+    np.fill_diagonal(J, 0.0)
+    off = np.abs(np.rint(diff / h).astype(int))
+    cheb = np.max(off, axis=2)
+    taxi = np.sum(off, axis=2)
+    J[(cheb == 1) & (taxi == 1)] = w_axis
+    J[(cheb == 1) & (taxi == 2)] = w_diag
+    return J
+
+
 def cell_weight_1d_quad(alpha: float) -> float:
     """Dimensionless node-to-adjacent-cell kernel integral, spacing 1."""
     val, _ = integrate.quad(lambda u: u ** (-1.0 - alpha), 0.5, 1.5, epsabs=1e-13, epsrel=1e-13)
@@ -140,6 +210,24 @@ def exterior_tail_quad(x0: float, a: float, b: float, alpha: float, beta: float)
     left, _ = integrate.quad(f, -np.inf, a, limit=400)
     right, _ = integrate.quad(f, b, np.inf, limit=400)
     return A * (left + right)
+
+
+def mp_exterior_tail(x0: float, a: float, b: float, alpha: float, beta: float) -> float:
+    """Weighted exterior tail in 40-digit arithmetic, one half-line at a time.
+
+    y = x0 + (e - x0) * v**(-1/s) with s = alpha + beta maps the half-line
+    beyond the end e to v in (0, 1), where the integrand
+    (1 + x0 v**(1/s) / (e - x0))**(-beta) is bounded; the left half-line is the
+    right one of the mirrored problem.
+    """
+    x0, a, b, al, be = (mp.mpf(float(v)) for v in (x0, a, b, alpha, beta))
+    s = al + be
+
+    def side(x, e):
+        f = lambda v: (1 + x * v ** (1 / s) / (e - x)) ** (-be)
+        return (e - x) ** (-s) / s * mp.quad(f, [0, 1])
+
+    return float(mp.mpf(mp_intensity(1, alpha)) * (side(x0, b) + side(-x0, -a)))
 
 
 def dense_propagator(H: np.ndarray, t: float) -> np.ndarray:

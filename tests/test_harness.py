@@ -91,7 +91,7 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="must be >= 0"):
             scenario_from_dict(base_raw(c=-0.1))
 
-    @pytest.mark.parametrize("d", [0, 3, "1"])
+    @pytest.mark.parametrize("d", [0, 3, "1", True])
     def test_dimension_rejected(self, d):
         with pytest.raises(ConfigError, match="'d'"):
             scenario_from_dict(base_raw(d=d))
@@ -157,6 +157,8 @@ class TestScenarioParsing:
             scenario_from_dict(base_raw(scheme="rk4"))
         with pytest.raises(ConfigError, match="'seed'"):
             scenario_from_dict(base_raw(seed=1.5))
+        with pytest.raises(ConfigError, match="'seed'"):
+            scenario_from_dict(base_raw(seed=True))
 
     def test_optional_positivity_checks(self):
         with pytest.raises(ConfigError, match="'inner_half_width'"):
@@ -318,7 +320,7 @@ class TestRunStore:
         assert not cached
         assert open(rpath, "rb").read() == first
 
-    @pytest.mark.parametrize("stamp", [None, NUMERICS_EPOCH - 1])
+    @pytest.mark.parametrize("stamp", [None, 1, 2])
     def test_report_from_other_numerics_epoch_recomputed(self, tmp_path, stamp):
         store = RunStore(str(tmp_path / "store"))
         scn = scenario_from_dict(base_raw())
@@ -338,6 +340,28 @@ class TestRunStore:
         assert again == report
         with open(rpath) as fh:
             assert json.load(fh)["numerics"] == NUMERICS_EPOCH
+
+    def test_interrupted_save_keeps_previous_report(self, tmp_path, monkeypatch):
+        store = RunStore(str(tmp_path / "store"))
+        scn = scenario_from_dict(base_raw())
+        report, _ = store.run(scn, "constants")
+        rpath = store.path("reports", f"{scn.run_id()}.constants.json")
+        first = open(rpath, "rb").read()
+
+        real_dump = json.dump
+
+        def dump_then_die(obj, fh, **kw):
+            if "checks" not in obj:  # the scenario blob goes through
+                return real_dump(obj, fh, **kw)
+            fh.write('{"checks": [')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", dump_then_die)
+        with pytest.raises(KeyboardInterrupt):
+            store.save_report(scn, "constants", report)
+        monkeypatch.undo()
+        assert open(rpath, "rb").read() == first
+        assert store.cached_report(scn, "constants") == report
 
     def test_scenario_blob_saved_alongside(self, tmp_path):
         store = RunStore(str(tmp_path / "store"))
@@ -363,6 +387,35 @@ def small_raw():
 
 
 class TestCli:
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        import subprocess
+        import sys
+
+        import hardyheat
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hardyheat.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, hardyheat.cli, hardyheat.suites; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_verify_recomputes_truncated_report(self, tmp_path, store_root, capsys):
+        path = write_scenario(tmp_path, "ok.json", base_raw())
+        assert main(["--out", store_root, "verify", "--suite", "constants", "--scenario", path]) == 0
+        rpath = os.path.join(store_root, "reports", f"{load_scenario(path).run_id()}.constants.json")
+        with open(rpath, "r+") as fh:
+            fh.truncate(40)
+        capsys.readouterr()
+        assert main(["--out", store_root, "verify", "--suite", "constants", "--scenario", path]) == 0
+        assert "(cached report" not in capsys.readouterr().out
+        with open(rpath) as fh:
+            assert json.load(fh)["numerics"] == NUMERICS_EPOCH
+
     def test_constants_emits_json(self, capsys):
         rc = main(["constants", "--d", "1", "--alpha", "0.5", "--c", "0.5*cstar"])
         assert rc == 0

@@ -61,6 +61,33 @@ def test_killing_2d_against_polar_quadrature():
         assert_allclose(got, ref, rtol=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_killing_2d_matches_mpmath(alpha):
+    rect = ((-1.0, 1.0), (-1.0, 1.0))
+    eps = 1e-6
+    pts = np.array([
+        (1.0 - eps, 0.3), (-1.0 + eps, -0.2), (0.1, 1.0 - eps), (-0.4, -1.0 + eps),
+        (-1.0 + eps, 1.0 - eps),  # 1e-6 from two faces
+        (0.975, 0.975), (-0.975, -0.975), (0.975, -0.975),  # corner nodes, h = 0.05
+        (0.525, 0.925),  # the retired quadrature's worst node at alpha = 1
+        (0.0, 0.0),
+    ])
+    got = killing_term(pts, rect, FractionalParams(2, alpha))
+    want = [oracles.mp_killing_2d(p, rect, alpha) for p in pts]
+    assert_allclose(got, want, rtol=1e-11)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_killing_2d_within_retired_quadrature(alpha):
+    # the per-node quad path used before the closed form, on grid nodes
+    rect = ((-1.0, 1.0), (-1.0, 1.0))
+    nodes = build_grid(rect, 0.05).nodes
+    pts = np.vstack([nodes[::37], [(0.525, 0.925)]])
+    got = killing_term(pts, rect, FractionalParams(2, alpha))
+    old = [oracles.killing_2d_strip_quad(p, rect, alpha) for p in pts]
+    assert_allclose(got, old, rtol=1e-8)
+
+
 def test_killing_grows_toward_boundary():
     xs = np.array([0.0, 0.5, 0.9, 0.99])
     vals = np.asarray(killing_term(xs, (-1.0, 1.0), P1))
@@ -73,6 +100,16 @@ def test_exterior_tail_against_quadrature():
             got = float(exterior_power_tail(np.array([x0]), (-1.0, 1.0), P1, beta)[0])
             ref = oracles.exterior_tail_quad(x0, -1.0, 1.0, P1.alpha, beta)
             assert_allclose(got, ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+@pytest.mark.parametrize("beta", [1e-6, 0.5, 1.0 - 1e-6])
+def test_exterior_tail_matches_mpmath(alpha, beta):
+    a, b = -0.7, 1.3
+    xs = np.array([a + 1e-6, a + 1e-3, -0.2, 0.45, b - 1e-3, b - 1e-6])
+    got = exterior_power_tail(xs, (a, b), FractionalParams(1, alpha), beta)
+    want = [oracles.mp_exterior_tail(x, a, b, alpha, beta) for x in xs]
+    assert_allclose(got, want, rtol=1e-12)
 
 
 def test_exterior_tail_rejects_bad_exponent():
@@ -161,6 +198,25 @@ def test_assembly_structure_2d():
     want_di = A * h ** (-P2.alpha) * oracles.cell_weight_2d_quad(P2.alpha, 1, 1)
     assert_allclose(op.J[ax_mask], want_ax, rtol=1e-9)
     assert_allclose(op.J[di_mask], want_di, rtol=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize(
+    "dom, h", [([(-1.0, 1.0), (-0.6, 1.4)], 0.1), ([(-0.5, 1.5), (-1.0, 1.5)], 0.125)]
+)
+def test_jump_matrix_2d_matches_broadcast(alpha, dom, h):
+    p = FractionalParams(2, alpha)
+    grid = build_grid(dom, h)
+    op = assemble_operator(grid, p)
+    scale = op.intensity * h ** (-alpha)
+    ref = oracles.jump_matrix_2d_broadcast(
+        grid.nodes, h, op.intensity, alpha,
+        scale * _near_weight_2d(alpha, 1, 0), scale * _near_weight_2d(alpha, 1, 1),
+    )
+    assert np.array_equal(op.J, op.J.T)
+    nonzero = ref != 0.0
+    assert np.array_equal(op.J != 0.0, nonzero)
+    assert_allclose(op.J[nonzero], ref[nonzero], rtol=1e-14, atol=0)
 
 
 def test_potential_and_truncation():
