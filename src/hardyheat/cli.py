@@ -157,7 +157,7 @@ def _cmd_evolve(args) -> int:
     from .estimators import t_ref
     from .evolution import minimal_solution
     from .grids import build_grid
-    from .operators import assemble_operator
+    from .operators import assemble_operator, write_csv
     from .runstore import NUMERICS_EPOCH, RunStore, load_current, write_json
     from .scenario import build_u0
 
@@ -180,14 +180,10 @@ def _cmd_evolve(args) -> int:
 
         traj = _evolve(op, u0, times, scheme=scn.scheme)
         rep = {"mode": "free", "converged": True, "converged_by": "no potential"}
-    coords = grid.nodes if grid.dim > 1 else grid.nodes[:, None]
+    coords = grid.nodes.reshape(grid.n, -1).T
     head = ",".join(f"x{i + 1}" for i in range(grid.dim)) + ",u"
-    for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-        rows = [head]
-        for pt, val in zip(coords, state):
-            rows.append(",".join(repr(float(v)) for v in pt) + f",{float(val)!r}")
-        with open(os.path.join(outdir, f"state_{idx:03d}.csv"), "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+    for idx, state in enumerate(traj.states):
+        write_csv(os.path.join(outdir, f"state_{idx:03d}.csv"), head, [(*coords, state)])
     rep_out = {
         "scenario": scn.to_dict(),
         "times": [float(t) for t in traj.times],
@@ -205,7 +201,7 @@ def _cmd_kernel(args) -> int:
     from .estimators import t_ref
     from .evolution import heat_kernel
     from .grids import build_grid
-    from .operators import assemble_operator
+    from .operators import assemble_operator, triangle_blocks, write_csv
     from .runstore import RunStore, write_json
 
     scn = _load_scenario_with_overrides(args)
@@ -219,18 +215,12 @@ def _cmd_kernel(args) -> int:
     t_abs = args.t * t_ref(op)
     ker = heat_kernel(op, t_abs)
     base = store.path("kernels", f"{scn.run_id()}-t{args.t:g}")
-    rows = ["i,j,value"]
-    n = grid.n
-    for i in range(n):
-        for j in range(i, n):
-            rows.append(f"{i},{j},{float(ker.P[i, j])!r}")
-    with open(base + ".csv", "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_csv(base + ".csv", "i,j,value", triangle_blocks(ker.P))
     header = {
         "scenario": scn.to_dict(),
         "t_factor": args.t,
         "t_absolute": t_abs,
-        "n": n,
+        "n": grid.n,
         "h": grid.h,
         "convention": "entries are exp(-tH)_ij / h^d (density)",
     }

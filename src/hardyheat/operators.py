@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, islice
 
 import numpy as np
 from scipy.linalg import eigh
@@ -46,6 +47,7 @@ __all__ = [
     "form_value",
     "save_operator",
     "load_operator",
+    "write_csv",
 ]
 
 
@@ -390,31 +392,51 @@ def form_value(evaluator: FormEvaluator, f: np.ndarray, variant: str) -> float:
 # ---------------------------------------------------------------------------
 
 _FORMAT_VERSION = 1
+_BLOCK_ROWS = 1 << 15  # CSV rows formatted, or parsed, at a time
+
+
+def write_csv(path: str, header: str, blocks) -> str:
+    """Write ``header``, then blocks of columns as rows of reprs, to ``path``; return its sha256."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in chain([header + "\n"], map(_format_block, blocks)):
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def _format_block(cols) -> str:
+    # one % for the block; repr of a Python int is its decimal
+    flat = tuple(chain.from_iterable(zip(*(col.tolist() for col in cols))))
+    return (",".join(["%r"] * len(cols)) + "\n") * len(cols[0]) % flat
+
+
+def triangle_blocks(M: np.ndarray, skip_zeros: bool = False):
+    """Upper-triangle (i, j, M[i, j]) blocks, by rows; ``skip_zeros`` drops zeros off the diagonal."""
+    cols = np.arange(len(M))
+    step = max(1, _BLOCK_ROWS // len(M))
+    for i0 in range(0, len(M), step):
+        block, rows = M[i0:i0 + step], cols[i0:i0 + step, None]
+        keep = cols >= rows
+        if skip_zeros:
+            keep &= (block != 0.0) | (cols == rows)
+        i, j = np.nonzero(keep)
+        yield i + i0, j, block[keep]
 
 
 def save_operator(op: DiscreteOperator, base: str) -> tuple[str, str]:
     """Write <base>.csv (upper-triangle i,j,value of H) and <base>.json.
 
-    Floats are written with shortest round-trip repr, so a reload reproduces
-    H bit for bit.  The JSON header records the grid, the physical constants
-    and a sha256 checksum of the CSV payload.
+    Zero entries off the diagonal are omitted.  The JSON header records the
+    grid, the physical constants and the sha256 of the CSV bytes.
     """
     csv_path = base + ".csv"
     json_path = base + ".json"
-    n = op.n
-    rows = ["i,j,value"]
-    H = op.H
-    for i in range(n):
-        for j in range(i, n):
-            v = float(H[i, j])
-            if v != 0.0 or i == j:
-                rows.append(f"{i},{j},{v!r}")
-    payload = ("\n".join(rows) + "\n").encode()
-    with open(csv_path, "wb") as fh:
-        fh.write(payload)
+    sha = write_csv(csv_path, "i,j,value", triangle_blocks(op.H, skip_zeros=True))
     header = {
         "format_version": _FORMAT_VERSION,
-        "n": n,
+        "n": op.n,
         "d": op.params.d,
         "alpha": op.params.alpha,
         "c": op.c,
@@ -422,7 +444,7 @@ def save_operator(op: DiscreteOperator, base: str) -> tuple[str, str]:
         "h": op.grid.h,
         "bounds": [list(p) for p in op.grid.bounds],
         "intensity": op.intensity,
-        "sha256": hashlib.sha256(payload).hexdigest(),
+        "sha256": sha,
     }
     with open(json_path, "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
@@ -431,24 +453,36 @@ def save_operator(op: DiscreteOperator, base: str) -> tuple[str, str]:
 
 
 def load_operator(base: str) -> tuple[dict, np.ndarray]:
-    """Read an operator artifact back; verifies the checksum and symmetry."""
+    """Read an artifact back as (header, H); each row is mirrored, so H is symmetric.
+
+    ConfigError unless every row is i,j,value with 0 <= i <= j < n, each
+    diagonal entry appears once and the CSV bytes match the header's sha256.
+    """
     with open(base + ".json") as fh:
         header = json.load(fh)
     if header.get("format_version") != _FORMAT_VERSION:
         raise ConfigError(f"unsupported operator format {header.get('format_version')}")
-    with open(base + ".csv", "rb") as fh:
-        payload = fh.read()
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header["sha256"]:
-        raise ConfigError("operator artifact checksum mismatch; file corrupted?")
     n = header["n"]
     H = np.zeros((n, n))
-    lines = payload.decode().strip().split("\n")
-    if lines[0] != "i,j,value":
-        raise ConfigError("operator CSV missing the i,j,value header row")
-    for line in lines[1:]:
-        si, sj, sv = line.split(",")
-        i, j, v = int(si), int(sj), float(sv)
-        H[i, j] = v
-        H[j, i] = v
+    diag = np.zeros(n, dtype=np.int64)
+    with open(base + ".csv", "rb") as fh:
+        if fh.readline() != b"i,j,value\n":
+            raise ConfigError("operator CSV missing the i,j,value header row")
+        digest = hashlib.sha256(b"i,j,value\n")
+        while lines := list(islice(fh, _BLOCK_ROWS)):
+            digest.update(b"".join(lines))
+            try:
+                rows = np.loadtxt(lines, delimiter=",", dtype="i8,i8,f8", comments=None, ndmin=1)
+            except ValueError as exc:
+                raise ConfigError(f"malformed operator CSV row: {exc}") from None
+            i, j, v = rows["f0"], rows["f1"], rows["f2"]
+            # loadtxt skips blank lines: a count mismatch is a blank row
+            if len(rows) != len(lines) or np.any(j < i) or i.min() < 0 or j.max() >= n:
+                raise ConfigError(f"operator CSV rows must be i,j,value with 0 <= i <= j < {n}")
+            diag += np.bincount(i[i == j], minlength=n)
+            H[i, j] = H[j, i] = v
+    if digest.hexdigest() != header["sha256"]:
+        raise ConfigError("operator artifact checksum mismatch; file corrupted?")
+    if np.any(diag != 1):
+        raise ConfigError("operator CSV needs exactly one diagonal row per node")
     return header, H

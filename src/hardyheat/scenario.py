@@ -106,6 +106,10 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _is_number(v) -> bool:  # JSON true/false are bools, and bool is an int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _type_error(key, want, got):
     return ConfigError(f"scenario key {key!r} must be {want}, got {got!r}")
 
@@ -124,13 +128,13 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     if type(d) is not int or d not in (1, 2):  # bool is an int subclass
         raise _type_error("d", "1 or 2", d)
     alpha = raw["alpha"]
-    if not isinstance(alpha, (int, float)) or not (0.0 < alpha < min(2, d)):
+    if not _is_number(alpha) or not (0.0 < alpha < min(2, d)):
         raise _type_error("alpha", f"a number in (0, {min(2, d)})", alpha)
     params = FractionalParams(d=d, alpha=float(alpha))
     c_star = hardy_constant(params)
 
     c_spec = raw["c"]
-    if isinstance(c_spec, (int, float)):
+    if _is_number(c_spec):
         c = float(c_spec)
     elif isinstance(c_spec, str):
         m = _CSTAR_RE.match(c_spec)
@@ -145,7 +149,7 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     dom = raw["domain"]
     want_len = 2 * d
     if not isinstance(dom, list) or len(dom) != want_len or not all(
-        isinstance(v, (int, float)) for v in dom
+        _is_number(v) for v in dom
     ):
         raise _type_error("domain", f"a list of {want_len} numbers", dom)
     pairs = [(float(dom[2 * i]), float(dom[2 * i + 1])) for i in range(d)]
@@ -154,10 +158,10 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
             raise ConfigError(f"domain must contain 0 strictly inside, got {dom}")
 
     hs = raw["h"]
-    if isinstance(hs, (int, float)):
+    if _is_number(hs):
         hs = [hs]
     if not isinstance(hs, list) or not hs or not all(
-        isinstance(v, (int, float)) and v > 0 for v in hs
+        _is_number(v) and v > 0 for v in hs
     ):
         raise _type_error("h", "a list of positive spacings", raw["h"])
     hs = [float(v) for v in hs]
@@ -177,7 +181,7 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
         raise _type_error("times", "a nonempty list", tlist)
     factors = []
     for item in tlist:
-        if isinstance(item, (int, float)):
+        if _is_number(item):
             factors.append(float(item))
         elif isinstance(item, str):
             m = _TREF_RE.match(item)
@@ -196,7 +200,7 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     ks = raw.get("k", _OPTIONAL["k"])
     if ks is not None:
         if not isinstance(ks, list) or not all(
-            isinstance(v, (int, float)) and v > 0 for v in ks
+            _is_number(v) and v > 0 for v in ks
         ):
             raise _type_error("k", "a list of positive levels", ks)
         ks = tuple(float(v) for v in ks)
@@ -210,10 +214,10 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     if type(seed) is not int:
         raise _type_error("seed", "an integer", seed)
     ihw = raw.get("inner_half_width", _OPTIONAL["inner_half_width"])
-    if ihw is not None and (not isinstance(ihw, (int, float)) or ihw <= 0):
+    if ihw is not None and (not _is_number(ihw) or ihw <= 0):
         raise _type_error("inner_half_width", "a positive number", ihw)
     t0f = raw.get("t0_factor", _OPTIONAL["t0_factor"])
-    if not isinstance(t0f, (int, float)) or t0f <= 0:
+    if not _is_number(t0f) or t0f <= 0:
         raise _type_error("t0_factor", "a positive number", t0f)
 
     scn = Scenario(

@@ -54,12 +54,9 @@ def run_suite(scn: Scenario, suite: str) -> dict:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
     validate_for_suite(scn, suite)
-    if suite == "all":
-        c_star = hardy_constant(scn.params)
+    if suite == "all":  # subcritical only: validate_for_suite rejects c > c*
         parts = ["constants", "operator", "kernel", "sharp", "lp"]
-        if scn.c > c_star * (1.0 + 1e-12):
-            parts = ["constants", "blowup"]
-        elif len(scn.h_levels) < 3:
+        if len(scn.h_levels) < 3:
             parts.remove("lp")
         checks = []
         for part in parts:
@@ -70,7 +67,6 @@ def run_suite(scn: Scenario, suite: str) -> dict:
             )
     else:
         checks = _RUNNERS[suite](scn)
-    threads = None
     import os
 
     threads = os.environ.get("OMP_NUM_THREADS")

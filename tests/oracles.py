@@ -263,3 +263,52 @@ def duhamel_residual_dense(times, states, H, L0, W, n_quad: int) -> dict:
         resid = u_t - free - acc
         out[float(t)] = float(np.linalg.norm(resid) / np.linalg.norm(u_t))
     return out
+
+
+# ---------------------------------------------------------------------------
+# artifact CSVs, one element at a time (the writers and reader before the
+# block-streamed ones in hardyheat.operators)
+# ---------------------------------------------------------------------------
+
+def operator_csv_loop(H: np.ndarray) -> bytes:
+    """Upper triangle of H as i,j,value rows; zeros off the diagonal skipped."""
+    n = H.shape[0]
+    rows = ["i,j,value"]
+    for i in range(n):
+        for j in range(i, n):
+            v = float(H[i, j])
+            if v != 0.0 or i == j:
+                rows.append(f"{i},{j},{v!r}")
+    return ("\n".join(rows) + "\n").encode()
+
+
+def kernel_csv_loop(P: np.ndarray) -> bytes:
+    """Upper triangle of P as i,j,value rows, zeros included."""
+    n = P.shape[0]
+    rows = ["i,j,value"]
+    for i in range(n):
+        for j in range(i, n):
+            rows.append(f"{i},{j},{float(P[i, j])!r}")
+    return ("\n".join(rows) + "\n").encode()
+
+
+def state_csv_loop(nodes: np.ndarray, state: np.ndarray) -> bytes:
+    """One x1[,x2],u row per node."""
+    coords = nodes if nodes.ndim > 1 else nodes[:, None]
+    rows = [",".join(f"x{i + 1}" for i in range(coords.shape[1])) + ",u"]
+    for pt, val in zip(coords, state):
+        rows.append(",".join(repr(float(v)) for v in pt) + f",{float(val)!r}")
+    return ("\n".join(rows) + "\n").encode()
+
+
+def operator_from_csv_loop(payload: bytes, n: int) -> np.ndarray:
+    """Parse i,j,value rows line by line and mirror them into a symmetric H."""
+    H = np.zeros((n, n))
+    lines = payload.decode().strip().split("\n")
+    assert lines[0] == "i,j,value"
+    for line in lines[1:]:
+        si, sj, sv = line.split(",")
+        i, j, v = int(si), int(sj), float(sv)
+        H[i, j] = v
+        H[j, i] = v
+    return H

@@ -23,6 +23,8 @@ from hardyheat.scenario import (
 )
 from hardyheat.specfun import FractionalParams, hardy_constant
 
+import oracles
+
 C_STAR = hardy_constant(FractionalParams(d=1, alpha=0.5))
 
 
@@ -159,6 +161,18 @@ class TestScenarioParsing:
             scenario_from_dict(base_raw(seed=1.5))
         with pytest.raises(ConfigError, match="'seed'"):
             scenario_from_dict(base_raw(seed=True))
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", True), ("c", True), ("c", False), ("domain", [-1.0, True]),
+        ("h", True), ("h", [True]), ("times", [True]), ("k", [True]),
+        ("inner_half_width", True), ("t0_factor", True),
+    ])
+    def test_real_valued_keys_reject_booleans(self, key, value):
+        raw = base_raw(**{key: value})
+        if key == "alpha":  # alpha = 1.0 is admissible only for d = 2
+            raw.update(d=2, domain=[-1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            scenario_from_dict(raw)
 
     def test_optional_positivity_checks(self):
         with pytest.raises(ConfigError, match="'inner_half_width'"):
@@ -481,6 +495,13 @@ class TestCli:
         assert rc == 2
         assert "unknown suite" in capsys.readouterr().err
 
+    def test_verify_all_supercritical_exits_2(self, tmp_path, store_root, capsys):
+        # the supercritical case is the blowup suite; "all" is subcritical only
+        path = write_scenario(tmp_path, "super.json", base_raw(c="2*cstar", h=[0.1, 0.05]))
+        rc = main(["--out", store_root, "verify", "--suite", "all", "--scenario", path])
+        assert rc == 2
+        assert "suite 'all' requires c <= c*" in capsys.readouterr().err
+
     def test_verify_seed_override_changes_run_id(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "ok.json", base_raw())
         rc = main([
@@ -553,6 +574,21 @@ class TestCli:
         for line in lines[1:]:
             si, sj, sv = line.split(",")
             assert float(sv) == P[int(si), int(sj)], line
+        with open(base + ".csv", "rb") as fh:
+            assert fh.read() == oracles.kernel_csv_loop(P)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_evolve_state_csv_matches_loop_oracle(self, tmp_path, store_root, capsys, d):
+        raw = small_raw() if d == 1 else base_raw(
+            d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[0.25], u0="bump")
+        path = write_scenario(tmp_path, "small.json", raw)
+        assert main(["--out", store_root, "evolve", "--scenario", path]) == 0
+        scn = load_scenario(path)
+        grid = build_grid(scn.domain_spec(), scn.h_levels[-1])
+        csv_path = os.path.join(store_root, "trajectories", scn.run_id(), "state_001.csv")
+        u = np.loadtxt(csv_path, delimiter=",", skiprows=1)[:, -1]
+        with open(csv_path, "rb") as fh:
+            assert fh.read() == oracles.state_csv_loop(grid.nodes, u)
 
     def test_kernel_rejects_nonpositive_time(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "small.json", small_raw())

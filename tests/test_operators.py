@@ -1,5 +1,10 @@
 """Assembly of the dense nonlocal operator and its quadratic forms."""
 
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,8 @@ from hardyheat.operators import (
     killing_term,
     load_operator,
     save_operator,
+    triangle_blocks,
+    write_csv,
 )
 from hardyheat.specfun import (
     FractionalParams,
@@ -422,8 +429,6 @@ def test_operator_checksum_guard(tmp_path):
 
 
 def test_operator_format_version_guard(tmp_path):
-    import json
-
     grid = build_grid((-1.0, 1.0), 0.25)
     op = assemble_operator(grid, P1)
     base = str(tmp_path / "op")
@@ -432,4 +437,112 @@ def test_operator_format_version_guard(tmp_path):
     header["format_version"] = 99
     json.dump(header, open(json_path, "w"))
     with pytest.raises(ConfigError):
+        load_operator(base)
+
+
+def _synthetic_operator():
+    """A 1-d operator whose H holds 1e-05, 1e+16, 5e-324, -0.0 and skipped zeros."""
+    op = assemble_operator(build_grid((-1.0, 1.0), 0.25), P1)
+    H = np.zeros((op.n, op.n))
+    np.fill_diagonal(H, [1e-05, 1e+16, -0.0, 5e-324, 2.5, -3.0, 0.1, 1.0 / 3.0])
+    for i, j, v in [(0, 1, 5e-324), (0, 7, 1e+16), (2, 5, 1e-05), (3, 4, -1e-300)]:
+        H[i, j] = H[j, i] = v
+    return dataclasses.replace(op, H=H)
+
+
+def _operator_case(name):
+    if name == "d1_partial_block":
+        # 300 nodes: 109 matrix rows per block, 45150 CSV rows (two read blocks)
+        return assemble_operator(build_grid((-1.0, 1.0), 2.0 / 300), P1, c=0.5 * hardy_constant(P1))
+    if name == "d2_n400":
+        return assemble_operator(build_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.1), P2, c=0.3 * hardy_constant(P2))
+    if name == "truncated":
+        return assemble_operator(build_grid((-1.0, 1.0), 0.05), P1, c=0.5 * hardy_constant(P1), k=4.0)
+    return _synthetic_operator()
+
+
+@pytest.mark.parametrize("name", ["d1_partial_block", "d2_n400", "truncated", "synthetic"])
+def test_operator_csv_matches_loop_oracle(tmp_path, name):
+    op = _operator_case(name)
+    base = str(tmp_path / "op")
+    csv_path, json_path = save_operator(op, base)
+    payload = Path(csv_path).read_bytes()
+    assert payload == oracles.operator_csv_loop(op.H)
+    assert json.loads(Path(json_path).read_text())["sha256"] == hashlib.sha256(payload).hexdigest()
+    _, H = load_operator(base)
+    assert np.array_equal(H.view(np.int64), op.H.view(np.int64))
+    assert np.array_equal(H.view(np.int64), oracles.operator_from_csv_loop(payload, op.n).view(np.int64))
+
+
+def test_operator_csv_small_blocks(tmp_path, monkeypatch):
+    # blocks of 7 rows: every block boundary falls inside a matrix row
+    import hardyheat.operators as ops
+
+    monkeypatch.setattr(ops, "_BLOCK_ROWS", 7)
+    op = _synthetic_operator()
+    base = str(tmp_path / "op")
+    csv_path, _ = save_operator(op, base)
+    assert Path(csv_path).read_bytes() == oracles.operator_csv_loop(op.H)
+    _, H = load_operator(base)
+    assert np.array_equal(H.view(np.int64), op.H.view(np.int64))
+
+
+def test_kernel_and_state_csv_match_loop_oracles(tmp_path):
+    grid = build_grid((-1.0, 1.0), 2.0 / 300)
+    op = assemble_operator(grid, P1, c=0.5 * hardy_constant(P1))
+    P = heat_kernel(op, 0.05).P
+    P[0, -1] = -0.0  # zeros are kept in kernel CSVs
+    path = tmp_path / "kernel.csv"
+    write_csv(str(path), "i,j,value", triangle_blocks(P))
+    assert path.read_bytes() == oracles.kernel_csv_loop(P)
+    for g in (grid, build_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.1)):
+        u = np.exp(-g.radii) * 1e-7
+        path = tmp_path / f"state{g.dim}.csv"
+        head = "x1,u" if g.dim == 1 else "x1,x2,u"
+        write_csv(str(path), head, [(*g.nodes.reshape(g.n, -1).T, u)])
+        assert path.read_bytes() == oracles.state_csv_loop(g.nodes, u)
+
+
+def _write_raw_artifact(tmp_path, n, body: bytes) -> str:
+    """An operator artifact for n nodes with the given CSV rows and a matching checksum."""
+    op = assemble_operator(build_grid((-1.0, 1.0), 2.0 / n), P1)
+    base = str(tmp_path / "op")
+    save_operator(op, base)
+    payload = b"i,j,value\n" + body
+    (tmp_path / "op.csv").write_bytes(payload)
+    header = json.loads((tmp_path / "op.json").read_text())
+    header["sha256"] = hashlib.sha256(payload).hexdigest()
+    (tmp_path / "op.json").write_text(json.dumps(header))
+    return base
+
+
+@pytest.mark.parametrize("body, match", [
+    (b"0,0,1.0\n0,1\n1,1,1.0\n", "malformed"),
+    (b"0,0,1.0\n0,1,2.0,3.0\n1,1,1.0\n", "malformed"),
+    (b"0,0,1.0\n\n1,1,1.0\n", "must be i,j,value"),
+], ids=["two_fields", "four_fields", "blank_row"])
+def test_load_operator_rejects_wrong_field_count(tmp_path, body, match):
+    base = _write_raw_artifact(tmp_path, 2, body)
+    with pytest.raises(ConfigError, match=match):
+        load_operator(base)
+
+
+@pytest.mark.parametrize("row", [b"-1,0,5.0\n", b"0,2,5.0\n"], ids=["negative", "past_n"])
+def test_load_operator_rejects_index_out_of_range(tmp_path, row):
+    base = _write_raw_artifact(tmp_path, 2, b"0,0,1.0\n" + row + b"1,1,1.0\n")
+    with pytest.raises(ConfigError, match="0 <= i <= j < 2"):
+        load_operator(base)
+
+
+def test_load_operator_rejects_row_below_diagonal(tmp_path):
+    base = _write_raw_artifact(tmp_path, 2, b"0,0,1.0\n1,0,5.0\n1,1,1.0\n")
+    with pytest.raises(ConfigError, match="0 <= i <= j < 2"):
+        load_operator(base)
+
+
+@pytest.mark.parametrize("body", [b"0,0,1.0\n", b"0,0,1.0\n0,0,1.0\n1,1,1.0\n"],
+                         ids=["missing", "repeated"])
+def test_load_operator_needs_each_diagonal_row_once(tmp_path, body):
+    base = _write_raw_artifact(tmp_path, 2, body)
+    with pytest.raises(ConfigError, match="diagonal row"):
         load_operator(base)
