@@ -20,14 +20,12 @@ from .errors import (
     ParameterDomainError,
 )
 from .specfun import (
-    ExponentMap,
     FractionalParams,
     beta_of_c,
     gamma,
     hardy_constant,
     intensity_constant,
     multiplier,
-    weight,
 )
 from .grids import Grid, build_grid
 from .operators import (
@@ -35,7 +33,6 @@ from .operators import (
     FormEvaluator,
     assemble_operator,
     exterior_power_tail,
-    form_value,
     killing_term,
     load_operator,
     save_operator,
@@ -58,13 +55,11 @@ __all__ = [
     "InvariantViolation",
     "ParameterDomainError",
     "FractionalParams",
-    "ExponentMap",
     "gamma",
     "intensity_constant",
     "hardy_constant",
     "multiplier",
     "beta_of_c",
-    "weight",
     "Grid",
     "build_grid",
     "DiscreteOperator",
@@ -72,7 +67,6 @@ __all__ = [
     "assemble_operator",
     "killing_term",
     "exterior_power_tail",
-    "form_value",
     "save_operator",
     "load_operator",
     "Trajectory",

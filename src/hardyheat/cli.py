@@ -80,26 +80,8 @@ def _store_root(args) -> str:
     return os.environ.get("HARDYHEAT_OUT", "./hardyheat-runs")
 
 
-def _parse_coupling(spec, params) -> float:
-    from .errors import ConfigError
-    from .specfun import hardy_constant
-
-    if spec is None:
-        raise ConfigError("coupling required")
-    try:
-        return float(spec)
-    except (TypeError, ValueError):
-        pass
-    s = str(spec).strip()
-    if s.endswith("*cstar"):
-        try:
-            return float(s[: -len("*cstar")].rstrip().rstrip("*").strip()) * hardy_constant(params)
-        except ValueError:
-            pass
-    raise ConfigError(f'bad coupling {spec!r}; use a number or "F*cstar"')
-
-
 def _cmd_constants(args) -> int:
+    from .scenario import parse_coupling
     from .specfun import FractionalParams, beta_of_c, hardy_constant, intensity_constant
 
     params = FractionalParams(d=args.d, alpha=args.alpha)
@@ -111,7 +93,7 @@ def _cmd_constants(args) -> int:
         "beta_star": params.beta_star,
     }
     if args.c is not None:
-        c = _parse_coupling(args.c, params)
+        c = parse_coupling(args.c, params)
         out["c"] = c
         out["beta"] = beta_of_c(c, params)
     print(json.dumps(out, sort_keys=True, indent=2))
@@ -122,13 +104,14 @@ def _cmd_assemble(args) -> int:
     from .grids import build_grid
     from .operators import assemble_operator, save_operator
     from .runstore import RunStore
+    from .scenario import parse_coupling
     from .specfun import FractionalParams
 
     params = FractionalParams(d=args.d, alpha=args.alpha)
     vals = [float(v) for v in args.domain.split(",")]
     domain = vals if len(vals) == 2 else [vals[0:2], vals[2:4]]
     grid = build_grid(domain, args.h)
-    c = _parse_coupling(args.c, params)
+    c = parse_coupling(args.c, params)
     op = assemble_operator(grid, params, c=c, k=args.k)
     store = RunStore(_store_root(args))
     name = args.name or f"op-d{args.d}-a{args.alpha:g}-h{args.h:g}-c{c:.6g}"

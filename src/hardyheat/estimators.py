@@ -18,7 +18,6 @@ from scipy.linalg import eigvalsh
 from .errors import ConfigError, ContractError
 from .evolution import (
     KernelMatrix,
-    Trajectory,
     default_truncation_schedule,
     evolve,
     heat_kernel,
@@ -39,7 +38,6 @@ __all__ = [
     "weighted_l1_bound",
     "weighted_row_mass",
     "sobolev_quotient",
-    "weak_form_residual",
     "blowup_diagnostic",
     "BlowupReport",
 ]
@@ -63,7 +61,7 @@ def t_ref(op: DiscreteOperator) -> float:
 # ---------------------------------------------------------------------------
 
 def _inner_mask(grid: Grid, inner_half_width: float) -> np.ndarray:
-    lim = min(min(-a, b) for a, b in grid.bounds)
+    lim = grid.inradius
     if not (0.0 < inner_half_width < lim):
         raise ConfigError(
             f"comparison box half-width {inner_half_width} must sit strictly "
@@ -199,28 +197,18 @@ def singularity_exponent(
 ) -> ExponentFit:
     """Least-squares slope of log u against log |x| on a radial window.
 
-    The default window (2h, 0.1 * half-width) keeps clear of both the
-    innermost cells (where the discretization smears the profile) and the
-    boundary decay.  With a ``target`` the verdict checks
+    The window and its node count are ``Grid.slope_window``'s; by default it
+    is (2h, 0.1 * half-width).  With a ``target`` the verdict checks
     |slope - target| <= max(0.05, 2 * stderr).
     """
     uv = np.asarray(u, dtype=float)
     if uv.shape != (grid.n,):
         raise ContractError(f"profile must have shape ({grid.n},), got {uv.shape}")
-    r = grid.radii
-    lo, hi = window if window is not None else (2.0 * grid.h, 0.1 * grid.half_width)
-    if not (0.0 < lo < hi):
-        raise ConfigError(f"bad radial window ({lo}, {hi})")
-    mask = (r >= lo * (1.0 - 1e-12)) & (r <= hi * (1.0 + 1e-12))
+    lo, hi, mask = grid.slope_window(window)
     n_in = int(np.sum(mask))
-    if n_in < 6:
-        raise ContractError(
-            f"radial window ({lo:g}, {hi:g}) holds {n_in} nodes; need >= 6 "
-            "(refine the grid or widen the window)"
-        )
     if np.any(uv[mask] <= 0.0):
         raise ContractError("profile must be strictly positive on the fit window")
-    lx = np.log(r[mask])
+    lx = np.log(grid.radii[mask])
     ly = np.log(uv[mask])
     coef, cov = np.polyfit(lx, ly, 1, cov=True)
     slope = float(coef[0])
@@ -372,7 +360,7 @@ def sobolev_quotient(
     w2 = grid.radii ** (-2.0 * beta)
     hd = grid.cell_volume
     rng = np.random.default_rng(seed)
-    interior = _interior_band_mask(grid)
+    interior = grid.face_distance >= 0.25 * grid.half_width
     if gammas is None:
         gammas = np.linspace(0.1 * beta, 0.95 * beta, 8)
     samples: list[tuple[str, np.ndarray]] = []
@@ -406,75 +394,6 @@ def sobolev_quotient(
         "best_label": best_label,
         "quotients_max": best,
         "quotients_median": float(np.median(quotients)),
-    }
-
-
-def _interior_band_mask(grid: Grid) -> np.ndarray:
-    pts = grid.nodes if grid.dim > 1 else grid.nodes[:, None]
-    dist = np.inf * np.ones(grid.n)
-    for ax, (a, b) in enumerate(grid.bounds):
-        dist = np.minimum(dist, np.minimum(pts[:, ax] - a, b - pts[:, ax]))
-    return dist >= 0.25 * grid.half_width
-
-
-# ---------------------------------------------------------------------------
-# weak form residual
-# ---------------------------------------------------------------------------
-
-def weak_form_residual(traj: Trajectory, phi) -> dict:
-    """Defect of the space-discrete weak identity for a test function phi.
-
-    phi(nodes, t) must vanish on the outermost cell layer and on the cells
-    adjacent to the origin at every mesh time (checked; violation is a config
-    error since such a phi is outside the admissible class).  Time integrals
-    use the trapezoid rule on the trajectory's own (uniform) mesh and the
-    time derivative of phi uses second-order differences, so the residual
-    shrinks like dt^2.
-    """
-    op = traj.operator
-    ts = traj.times
-    if ts[0] != 0.0 or ts.size < 3:
-        raise ContractError("weak-form check needs a trajectory from t=0 with >=3 times")
-    dts = np.diff(ts)
-    if not np.allclose(dts, dts[0], rtol=1e-9):
-        raise ContractError("weak-form check needs a uniform time mesh")
-    dt = float(dts[0])
-    grid = op.grid
-    pts = grid.nodes if grid.dim > 1 else grid.nodes[:, None]
-    edge = np.zeros(grid.n, dtype=bool)
-    for ax, (a, b) in enumerate(grid.bounds):
-        edge |= (pts[:, ax] - a) <= grid.h * (0.5 + 1e-9)
-        edge |= (b - pts[:, ax]) <= grid.h * (0.5 + 1e-9)
-    near0 = grid.radii <= grid.h * (1.0 + 1e-9) * np.sqrt(grid.dim)
-    phi_vals = np.array([np.asarray(phi(grid.nodes, float(t)), dtype=float) for t in ts])
-    if phi_vals.shape != traj.states.shape:
-        raise ContractError("phi must return one value per node")
-    if np.any(np.abs(phi_vals[:, edge]) > 0.0) or np.any(np.abs(phi_vals[:, near0]) > 0.0):
-        raise ConfigError(
-            "test function must vanish on the boundary cell layer and on the "
-            "cells adjacent to the origin"
-        )
-    phi_s = np.gradient(phi_vals, dt, axis=0, edge_order=2)
-    hd = grid.cell_volume
-    u = traj.states
-    boundary_term = hd * (u[-1] @ phi_vals[-1] - u[0] @ phi_vals[0])
-    integrand_a = np.array(
-        [hd * (u[j] @ (-phi_s[j] + op.L0 @ phi_vals[j])) for j in range(ts.size)]
-    )
-    integrand_b = np.array(
-        [hd * np.sum(u[j] * phi_vals[j] * op.W) for j in range(ts.size)]
-    )
-    t_a = float(np.trapezoid(integrand_a, ts))
-    t_b = float(np.trapezoid(integrand_b, ts))
-    resid = boundary_term + t_a - t_b
-    scale = max(abs(boundary_term), abs(t_a), abs(t_b), 1e-300)
-    return {
-        "residual": abs(resid),
-        "relative": abs(resid) / scale,
-        "boundary_term": boundary_term,
-        "generator_term": t_a,
-        "potential_term": t_b,
-        "dt": dt,
     }
 
 
@@ -537,7 +456,7 @@ def blowup_diagnostic(
         grid = build_grid(domain, h)
         op = assemble_operator(grid, params, c=c, k=None)
         lam_mins.append(lambda_min(op))
-        r0 = 0.5 * min(min(-a, b) for a, b in grid.bounds)
+        r0 = 0.5 * grid.inradius
         ball = grid.radii <= r0
         mech.append(
             float(

@@ -24,7 +24,7 @@ confirm the convergence order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm  # noqa: F401  unused; bench/spans.py traces this name
@@ -55,13 +55,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     scheme: str
-    meta: dict = field(default_factory=dict)
-
-    def state_at(self, t: float) -> np.ndarray:
-        idx = np.nonzero(np.isclose(self.times, t, rtol=1e-12, atol=1e-15))[0]
-        if idx.size == 0:
-            raise ContractError(f"time {t} not in trajectory times {self.times}")
-        return self.states[idx[0]]
 
 
 @dataclass
@@ -148,33 +141,19 @@ def evolve(
     times,
     scheme: str = "expm",
     step_cap: int = _DEFAULT_STEP_CAP,
-    richardson: bool = False,
 ) -> Trajectory:
-    """Propagate u0 through exp(-t H) at the requested output times.
-
-    ``richardson`` (stepping schemes only) reruns with halved steps and
-    stores the per-time extrapolation gap in ``meta['richardson_gap']``.
-    """
+    """Propagate u0 through exp(-t H) at the requested output times."""
     if scheme not in _SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {_SCHEMES}")
     ts = _check_times(times)
     u0 = _check_u0(u0, op.n)
-    meta: dict = {"step_cap": step_cap}
     if scheme == "expm":
-        if richardson:
-            raise ConfigError("richardson refinement applies to stepping schemes only")
         states = np.array(
             [u0.copy() if t == 0.0 else expm_multiply(-float(t) * op.H, u0) for t in ts]
         )
     else:
         states = _march(op.H, u0, ts, scheme, step_cap)
-        if richardson:
-            fine = _march(op.H, u0, ts, scheme, 2 * step_cap)
-            meta["richardson_gap"] = np.max(np.abs(fine - states), axis=1)
-            order = 2.0 if scheme == "cn" else 1.0
-            states = fine + (fine - states) / (2.0**order - 1.0)
-            meta["richardson_order"] = order
-    return Trajectory(operator=op, times=ts, states=states, scheme=scheme, meta=meta)
+    return Trajectory(operator=op, times=ts, states=states, scheme=scheme)
 
 
 def heat_kernel(op: DiscreteOperator, t: float) -> KernelMatrix:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 
 __all__ = ["Grid", "build_grid"]
 
@@ -45,6 +45,39 @@ class Grid:
     def half_width(self) -> float:
         """Largest distance from the origin to a boundary face."""
         return max(max(abs(a), abs(b)) for a, b in self.bounds)
+
+    @property
+    def inradius(self) -> float:
+        """Smallest distance from the origin to a boundary face."""
+        return min(min(-a, b) for a, b in self.bounds)
+
+    @property
+    def face_distance(self) -> np.ndarray:
+        """Distance from each node to the nearest boundary face."""
+        pts = self.nodes.reshape(self.n, self.dim)
+        lo, hi = np.array(self.bounds).T
+        return np.min(np.minimum(pts - lo, hi - pts), axis=1)
+
+    def slope_window(self, window=None) -> tuple[float, float, np.ndarray]:
+        """(lo, hi, mask of the nodes with lo <= |x| <= hi) for a radial slope fit.
+
+        The default window (2h, 0.1 * half-width) keeps clear of both the
+        innermost cells (where the discretization smears the profile) and the
+        boundary decay.  ConfigError unless 0 < lo < hi; ContractError when
+        fewer than 6 nodes fall inside.
+        """
+        lo, hi = window if window is not None else (2.0 * self.h, 0.1 * self.half_width)
+        if not (0.0 < lo < hi):
+            raise ConfigError(f"bad radial window ({lo}, {hi})")
+        r = self.radii
+        mask = (r >= lo * (1.0 - 1e-12)) & (r <= hi * (1.0 + 1e-12))
+        n_in = int(np.sum(mask))
+        if n_in < 6:
+            raise ContractError(
+                f"radial window ({lo:g}, {hi:g}) holds {n_in} nodes; need >= 6 "
+                "(refine the grid or widen the window)"
+            )
+        return lo, hi, mask
 
 
 def _axis_centers(a: float, b: float, h: float, axis: int) -> np.ndarray:
@@ -109,10 +142,10 @@ def build_grid(domain, h: float) -> Grid:
         raise ConfigError(
             f"{nodes.shape[0]} nodes exceeds the dense-assembly limit of {_MAX_DENSE_NODES}"
         )
-    radii = np.abs(nodes) if dim == 1 else np.sqrt(np.sum(nodes**2, axis=1))
-    if radii.min() < 0.5 * h * (1.0 - 1e-12):
+    grid = Grid(dim=dim, bounds=tuple(pairs), h=float(h), nodes=nodes)
+    if grid.radii.min() < 0.5 * h * (1.0 - 1e-12):
         raise ConfigError(
             "a grid node falls on (or nearly on) the origin; shift the domain or "
             "change h so cell centers avoid 0"
         )
-    return Grid(dim=dim, bounds=tuple(pairs), h=float(h), nodes=nodes)
+    return grid

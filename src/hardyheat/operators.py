@@ -35,7 +35,7 @@ from scipy.linalg import eigh
 from scipy.special import betainc, betaincc, hyp2f1
 
 from .errors import ConfigError, ContractError, ParameterDomainError
-from .grids import Grid, build_grid
+from .grids import _MAX_DENSE_NODES, Grid
 from .specfun import FractionalParams, beta_of_c, gamma, intensity_constant
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "assemble_operator",
     "killing_term",
     "exterior_power_tail",
-    "form_value",
     "save_operator",
     "load_operator",
     "write_csv",
@@ -355,8 +354,7 @@ class FormEvaluator:
         op = self.op
         w, _ = self._weight_data()
         beta = beta_of_c(op.c, op.params)
-        rho = _nearest_exterior_radius(op.grid)
-        w_ext_max = rho ** (-beta)
+        w_ext_max = op.grid.inradius ** (-beta)
         hd = op.grid.cell_volume
         return float(hd * np.sum(f * f * w * op.kappa * np.abs(w - w_ext_max)))
 
@@ -367,24 +365,6 @@ class FormEvaluator:
                 f"form argument must have shape ({self.op.n},), got {arr.shape}"
             )
         return arr
-
-
-def _nearest_exterior_radius(grid: Grid) -> float:
-    if grid.dim == 1:
-        a, b = grid.bounds[0]
-        return min(-a, b)
-    return min(min(-a, b) for a, b in grid.bounds)
-
-
-def form_value(evaluator: FormEvaluator, f: np.ndarray, variant: str) -> float:
-    """Dispatch by name: 'plain', 'hardy' or 'weighted'."""
-    if variant == "plain":
-        return evaluator.plain(f)
-    if variant == "hardy":
-        return evaluator.hardy(f)
-    if variant == "weighted":
-        return evaluator.weighted(f)
-    raise ConfigError(f"unknown form variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +435,26 @@ def save_operator(op: DiscreteOperator, base: str) -> tuple[str, str]:
 def load_operator(base: str) -> tuple[dict, np.ndarray]:
     """Read an artifact back as (header, H); each row is mirrored, so H is symmetric.
 
-    ConfigError unless every row is i,j,value with 0 <= i <= j < n, each
-    diagonal entry appears once and the CSV bytes match the header's sha256.
+    ConfigError unless the header is a JSON object with an integer n and a
+    sha256 string, every row is i,j,value with 0 <= i <= j < n, each diagonal
+    entry appears once and the CSV bytes match the header's sha256.
     """
-    with open(base + ".json") as fh:
-        header = json.load(fh)
+    with open(base + ".json", "rb") as fh:
+        try:
+            header = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"operator header is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ConfigError("operator header must be a JSON object")
     if header.get("format_version") != _FORMAT_VERSION:
         raise ConfigError(f"unsupported operator format {header.get('format_version')}")
-    n = header["n"]
+    n = header.get("n")
+    if type(n) is not int or not 0 < n <= _MAX_DENSE_NODES:  # bool is an int subclass
+        raise ConfigError(
+            f"operator header n must be an integer in [1, {_MAX_DENSE_NODES}], got {n!r}"
+        )
+    if not isinstance(header.get("sha256"), str):
+        raise ConfigError("operator header needs the sha256 of the CSV as a string")
     H = np.zeros((n, n))
     diag = np.zeros(n, dtype=np.int64)
     with open(base + ".csv", "rb") as fh:

@@ -5,7 +5,7 @@ hand-editable and diff-friendly.  Keys:
 
     d        int, 1 or 2                                   (required)
     alpha    float in (0, min(2, d))                       (required)
-    c        float, or string "F*cstar" with F a float     (required)
+    c        float, or string "F" or "F*cstar", F a float  (required)
     domain   [a, b] for d=1, [a1, b1, a2, b2] for d=2      (required)
     h        list of grid spacings, coarse to fine         (required)
     u0       "ball:R" | "bump" | "bump:S" | "point" | "csv:PATH"  (required)
@@ -19,7 +19,10 @@ hand-editable and diff-friendly.  Keys:
 
 Unknown keys are rejected with a message listing them; missing required keys
 are rejected naming the field.  Couplings written as fractions of the
-critical value are resolved through the exponent map before any run.
+critical value are resolved before any run, by the same rule as the CLI's
+--c flag (``parse_coupling``).  ``validate_for_suite`` holds the suites'
+rules on a scenario, so a scenario that breaks one is rejected before
+anything is assembled.
 """
 
 from __future__ import annotations
@@ -31,10 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
+from .grids import build_grid
 from .specfun import FractionalParams, hardy_constant
 
-__all__ = ["Scenario", "load_scenario", "scenario_from_dict", "build_u0"]
+__all__ = [
+    "Scenario",
+    "load_scenario",
+    "scenario_from_dict",
+    "build_u0",
+    "parse_coupling",
+    "SUITES",
+]
 
 _REQUIRED = ("d", "alpha", "c", "domain", "h", "u0", "times")
 _OPTIONAL = {
@@ -45,8 +56,9 @@ _OPTIONAL = {
     "inner_half_width": None,
     "t0_factor": 0.1,
 }
-_SUITES = ("constants", "operator", "kernel", "sharp", "lp", "blowup", "all")
-_CSTAR_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*\*\s*cstar\s*$")
+SUITES = ("constants", "operator", "kernel", "sharp", "lp", "blowup", "all")
+_ALL_PARTS = ("constants", "operator", "kernel", "sharp", "lp")
+_COUPLING_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(\*\s*cstar\s*)?$")
 _TREF_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*\*\s*tref\s*$")
 
 
@@ -114,6 +126,32 @@ def _type_error(key, want, got):
     return ConfigError(f"scenario key {key!r} must be {want}, got {got!r}")
 
 
+def _factor(m) -> float | None:
+    """F of a matched "F..." spec string; None without a match or when F is no float."""
+    try:
+        return float(m.group(1)) if m else None
+    except ValueError:
+        return None
+
+
+def parse_coupling(spec, params: FractionalParams) -> float:
+    """Resolve a coupling: a number, or a string "F" or "F*cstar" (F times c*).
+
+    The one coupling rule of scenario files and the command line.
+    """
+    if _is_number(spec):
+        c = float(spec)
+    else:
+        m = _COUPLING_RE.match(spec) if isinstance(spec, str) else None
+        f = _factor(m)
+        if f is None:
+            raise ConfigError(f"bad coupling 'c' = {spec!r}; use a number or \"F*cstar\"")
+        c = f * hardy_constant(params) if m.group(2) else f
+    if not (0.0 <= c < np.inf):
+        raise ConfigError(f"coupling c must be >= 0 and finite, resolved to {c:g}")
+    return c
+
+
 def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a flat JSON object")
@@ -130,21 +168,8 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     alpha = raw["alpha"]
     if not _is_number(alpha) or not (0.0 < alpha < min(2, d)):
         raise _type_error("alpha", f"a number in (0, {min(2, d)})", alpha)
-    params = FractionalParams(d=d, alpha=float(alpha))
-    c_star = hardy_constant(params)
-
     c_spec = raw["c"]
-    if _is_number(c_spec):
-        c = float(c_spec)
-    elif isinstance(c_spec, str):
-        m = _CSTAR_RE.match(c_spec)
-        if m is None:
-            raise _type_error("c", 'a number or "F*cstar"', c_spec)
-        c = float(m.group(1)) * c_star
-    else:
-        raise _type_error("c", 'a number or "F*cstar"', c_spec)
-    if c < 0.0:
-        raise ConfigError(f"coupling c must be >= 0, resolved to {c:g}")
+    c = parse_coupling(c_spec, FractionalParams(d=d, alpha=float(alpha)))
 
     dom = raw["domain"]
     want_len = 2 * d
@@ -184,12 +209,12 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
         if _is_number(item):
             factors.append(float(item))
         elif isinstance(item, str):
-            m = _TREF_RE.match(item)
-            if m is None:
+            f = _factor(_TREF_RE.match(item))
+            if f is None:
                 raise _type_error("times", 'numbers or "F*tref" strings', item)
             if times_unit == "absolute":
                 raise ConfigError('"F*tref" time entries require times_unit "tref"')
-            factors.append(float(m.group(1)))
+            factors.append(f)
         else:
             raise _type_error("times", 'numbers or "F*tref" strings', item)
     if any(f <= 0 for f in factors) or any(
@@ -262,24 +287,40 @@ def _validate_u0_spec(spec: str) -> None:
     )
 
 
+def all_parts(scn: Scenario) -> tuple[str, ...]:
+    """The suites that 'all' runs on ``scn``: lp only from 3 grid levels on."""
+    return tuple(p for p in _ALL_PARTS if p != "lp" or len(scn.h_levels) >= 3)
+
+
 def validate_for_suite(scn: Scenario, suite: str) -> None:
-    """Cross-field rules that depend on which suite will consume the scenario."""
-    if suite not in _SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; choose from {_SUITES}")
+    """Every rule ``suite`` places on a scenario; 'all' adds those of its parts."""
+    if suite not in SUITES:
+        raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
     c_star = hardy_constant(scn.params)
     tol = 1.0 + 1e-12
-    if suite in ("sharp", "kernel", "lp", "all") and scn.c > c_star * tol:
-        raise ConfigError(
-            f"suite {suite!r} requires c <= c* ({c_star:.6g}), got c = {scn.c:.6g}"
-        )
-    if suite in ("sharp", "lp") and scn.c <= 0.0:
-        raise ConfigError(f"suite {suite!r} requires a positive coupling")
-    if suite == "blowup" and scn.c <= c_star * tol:
-        raise ConfigError(
-            f"suite 'blowup' requires c > c* ({c_star:.6g}), got c = {scn.c:.6g}"
-        )
-    if suite in ("operator", "lp", "blowup") and len(scn.h_levels) < 2:
-        raise ConfigError(f"suite {suite!r} needs at least 2 grid levels")
+    names = ("all", *all_parts(scn)) if suite == "all" else (suite,)
+    for name in names:
+        if name in ("sharp", "kernel", "lp", "all") and scn.c > c_star * tol:
+            raise ConfigError(
+                f"suite {name!r} requires c <= c* ({c_star:.6g}), got c = {scn.c:.6g}"
+            )
+        if name in ("sharp", "lp") and scn.c <= 0.0:
+            raise ConfigError(f"suite {name!r} requires a positive coupling")
+        if name == "blowup" and scn.c <= c_star * tol:
+            raise ConfigError(
+                f"suite 'blowup' requires c > c* ({c_star:.6g}), got c = {scn.c:.6g}"
+            )
+        levels = {"operator": 2, "lp": 3, "blowup": 3}.get(name, 1)
+        if len(scn.h_levels) < levels:
+            raise ConfigError(f"suite {name!r} needs at least {levels} grid levels")
+        if name in ("sharp", "lp"):  # both fit the profile slope on the finest grid
+            grid = build_grid(scn.domain_spec(), scn.h_levels[-1])
+            try:
+                grid.slope_window()
+            except (ConfigError, ContractError) as exc:  # window empty or too few nodes
+                raise ConfigError(
+                    f"suite {name!r} fits a slope on the finest grid (h = {grid.h:g}): {exc}"
+                ) from None
 
 
 def load_scenario(path: str, suite: str | None = None) -> Scenario:

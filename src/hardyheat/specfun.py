@@ -23,22 +23,17 @@ coupling c in (0, c_star] has a unique matching exponent beta(c) in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import InvariantViolation, ParameterDomainError
 
 __all__ = [
     "FractionalParams",
-    "HardyConstants",
-    "ExponentMap",
     "gamma",
     "intensity_constant",
     "hardy_constant",
     "multiplier",
     "beta_of_c",
-    "weight",
 ]
 
 # Lanczos coefficients, g = 7, n = 9.  Good to ~15 significant digits in
@@ -187,91 +182,3 @@ def beta_of_c(c: float, params: FractionalParams) -> float:
             f"alpha={params.alpha})"
         )
     return beta
-
-
-def weight(x, c: float, params: FractionalParams):
-    """Harmonic profile w_c(x) = |x|**(-beta(c)); rejects the singular point x = 0.
-
-    Accepts a scalar, a length-d point or an (n, d) array of points; 1-d input
-    arrays are treated as n scalar points when d = 1.
-    """
-    beta = beta_of_c(c, params)
-    r = _radii(x, params.d)
-    if np.any(r == 0.0):
-        raise ParameterDomainError("the harmonic profile is singular at x = 0")
-    return r ** (-beta)
-
-
-def _radii(x, d: int):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return np.abs(arr)
-    if d == 1:
-        return np.abs(arr)
-    if arr.shape[-1] != d:
-        raise ParameterDomainError(
-            f"points must have {d} coordinates, got shape {arr.shape}"
-        )
-    return np.sqrt(np.sum(arr * arr, axis=-1))
-
-
-@dataclass(frozen=True)
-class HardyConstants:
-    """Bundle of the two closed-form constants for one (d, alpha).
-
-    Construction cross-checks c_star against the multiplier evaluated at
-    beta_star; the two expressions are independent, so agreement to 1e-10
-    relative guards both implementations at once.
-    """
-
-    params: FractionalParams
-    intensity: float
-    c_star: float
-
-    @classmethod
-    def from_params(cls, params: FractionalParams) -> "HardyConstants":
-        a = intensity_constant(params)
-        cstar = hardy_constant(params)
-        lam = multiplier(params.beta_star, params)
-        if abs(lam - cstar) > 1e-10 * cstar:
-            raise InvariantViolation(
-                f"c_star cross-check failed for d={params.d}, alpha={params.alpha}: "
-                f"{cstar!r} vs multiplier {lam!r}"
-            )
-        return cls(params=params, intensity=a, c_star=cstar)
-
-
-@dataclass
-class ExponentMap:
-    """Facade caching the coupling -> exponent inversion for one (d, alpha).
-
-    The cache only ever gains entries (each deterministic), so concurrent
-    readers are safe; the map behaves as immutable after construction.
-    """
-
-    params: FractionalParams
-    beta_star: float = field(init=False)
-    c_star: float = field(init=False)
-    _beta_cache: dict = field(init=False, default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.beta_star = self.params.beta_star
-        self.c_star = hardy_constant(self.params)
-
-    def multiplier(self, beta: float) -> float:
-        return multiplier(beta, self.params)
-
-    def beta_of_c(self, c: float) -> float:
-        key = float(c)
-        hit = self._beta_cache.get(key)
-        if hit is None:
-            hit = beta_of_c(key, self.params)
-            self._beta_cache[key] = hit
-        return hit
-
-    def weight(self, x, c: float):
-        beta = self.beta_of_c(c)
-        r = _radii(x, self.params.d)
-        if np.any(r == 0.0):
-            raise ParameterDomainError("the harmonic profile is singular at x = 0")
-        return r ** (-beta)

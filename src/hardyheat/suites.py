@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation
+from .errors import InvariantViolation
 from .estimators import (
     blowup_diagnostic,
     critical_envelope_exponent,
@@ -32,12 +32,10 @@ from .estimators import (
 from .evolution import duhamel_residual, evolve, heat_kernel, minimal_solution
 from .grids import build_grid
 from .operators import FormEvaluator, assemble_operator, exterior_power_tail
-from .scenario import Scenario, build_u0, validate_for_suite
+from .scenario import Scenario, all_parts, build_u0, validate_for_suite
 from .specfun import beta_of_c, hardy_constant, multiplier
 
-__all__ = ["run_suite", "SUITES"]
-
-SUITES = ("constants", "operator", "kernel", "sharp", "lp", "blowup", "all")
+__all__ = ["run_suite"]
 
 
 def _check(name, measured, expected, tolerance, ok) -> dict:
@@ -51,20 +49,13 @@ def _check(name, measured, expected, tolerance, ok) -> dict:
 
 
 def run_suite(scn: Scenario, suite: str) -> dict:
-    if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    validate_for_suite(scn, suite)
-    if suite == "all":  # subcritical only: validate_for_suite rejects c > c*
-        parts = ["constants", "operator", "kernel", "sharp", "lp"]
-        if len(scn.h_levels) < 3:
-            parts.remove("lp")
-        checks = []
-        for part in parts:
-            validate_for_suite(scn, part)
-            sub = _RUNNERS[part](scn)
-            checks.extend(
-                dict(c, name=f"{part}.{c['name']}") for c in sub
-            )
+    validate_for_suite(scn, suite)  # for 'all', also the rules of each part
+    if suite == "all":
+        checks = [
+            dict(c, name=f"{part}.{c['name']}")
+            for part in all_parts(scn)
+            for c in _RUNNERS[part](scn)
+        ]
     else:
         checks = _RUNNERS[suite](scn)
     import os
@@ -113,16 +104,12 @@ def _run_constants(scn: Scenario) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _harmonicity_defect(op, beta: float) -> float:
-    """RMS relative defect of L0 acting on |x|^-beta over the probe band."""
+    """RMS relative defect of L0 acting on |x|^-beta over the probe band (1-d, as the tail)."""
     grid = op.grid
     r = grid.radii
     w = r ** (-beta)
     target = multiplier(beta, op.params) * r ** (-beta - op.params.alpha)
-    dom = grid.bounds[0] if grid.dim == 1 else grid.bounds
-    if op.params.d == 1:
-        tail = np.asarray(exterior_power_tail(grid.nodes, dom, op.params, beta))
-    else:
-        raise ConfigError("harmonicity probe implemented for d = 1 scenarios")
+    tail = np.asarray(exterior_power_tail(grid.nodes, grid.bounds[0], op.params, beta))
     lhs = op.L0 @ w
     rhs = target + tail
     band = _probe_band(grid)
@@ -131,12 +118,8 @@ def _harmonicity_defect(op, beta: float) -> float:
 
 
 def _probe_band(grid) -> np.ndarray:
-    R = min(min(-a, b) for a, b in grid.bounds)
-    pts = grid.nodes if grid.dim > 1 else grid.nodes[:, None]
-    dist = np.inf * np.ones(grid.n)
-    for ax, (a, b) in enumerate(grid.bounds):
-        dist = np.minimum(dist, np.minimum(pts[:, ax] - a, b - pts[:, ax]))
-    return (grid.radii >= 0.25 * R) & (dist >= 0.25 * R)
+    R = grid.inradius
+    return (grid.radii >= 0.25 * R) & (grid.face_distance >= 0.25 * R)
 
 
 def _interior_vectors(grid, seed: int, count: int) -> list[np.ndarray]:
@@ -145,7 +128,7 @@ def _interior_vectors(grid, seed: int, count: int) -> list[np.ndarray]:
     band = _probe_band(grid)
     out = []
     r = grid.radii
-    R = min(min(-a, b) for a, b in grid.bounds)
+    R = grid.inradius
     for _ in range(count):
         centre = rng.uniform(0.35 * R, 0.6 * R) * rng.choice([-1.0, 1.0])
         width = rng.uniform(0.05 * R, 0.12 * R)
@@ -270,7 +253,7 @@ def _run_kernel(scn: Scenario) -> list[dict]:
         checks.append(_check("chapman_kolmogorov", ck, 0.0, "rel 1e-8", ck <= 1e-8))
     ihw = scn.inner_half_width
     if ihw is None:
-        ihw = 0.5 * min(min(-a, b) for a, b in grid.bounds)
+        ihw = 0.5 * grid.inradius
     sand = kernel_sandwich(kernels, w, ihw)
     checks.append(
         _check("sandwich_lower_positive", sand["c_lower"], "> 0", "strict", sand["c_lower"] > 0.0)
@@ -319,7 +302,7 @@ def _run_kernel(scn: Scenario) -> list[dict]:
         checks.append(
             _check("free_row_mass_submarkov", mass, "<= 1", "abs 1e-12", mass <= 1.0 + 1e-12)
         )
-    R = min(min(-a, b) for a, b in grid.bounds)
+    R = grid.inradius
     radii = [0.2 * R, 0.1 * R, 0.05 * R, 4 * grid.h, 2 * grid.h]
     u0s = [(grid.radii <= r).astype(float) for r in radii if np.any(grid.radii <= r)]
     wl1 = weighted_l1_bound(kernels[len(kernels) // 2], w, u0s)
@@ -405,8 +388,6 @@ def _run_sharp(scn: Scenario) -> list[dict]:
 
 def _run_lp(scn: Scenario) -> list[dict]:
     p = scn.params
-    if len(scn.h_levels) < 3:
-        raise ConfigError("lp suite needs at least 3 grid levels")
     beta = beta_of_c(scn.c, p)
     profiles = []
     for h in scn.h_levels:

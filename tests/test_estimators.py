@@ -15,11 +15,10 @@ from hardyheat.estimators import (
     sobolev_quotient,
     t_ref,
     ultracontractive_envelope,
-    weak_form_residual,
     weighted_l1_bound,
     weighted_row_mass,
 )
-from hardyheat.evolution import evolve, heat_kernel
+from hardyheat.evolution import heat_kernel
 from hardyheat.grids import build_grid
 from hardyheat.operators import FormEvaluator, assemble_operator
 from hardyheat.specfun import FractionalParams, beta_of_c, hardy_constant
@@ -240,53 +239,6 @@ def test_sobolev_quotient_includes_near_singular_family(half_op):
     labels = [s for s in rep.get("flagged", [])]
     assert rep["n_samples"] >= 5 + 8  # random bumps plus the power family
     assert rep["best_label"]
-
-
-# ---------------------------------------------------------------------------
-# weak-form residual
-# ---------------------------------------------------------------------------
-
-def _phi_factory(grid):
-    r = np.abs(grid.nodes)
-    prof = np.where(
-        (r > 0.1) & (r < 0.8),
-        np.exp(-1.0 / np.maximum(1e-300, (r - 0.1) * (0.8 - r))),
-        0.0,
-    )
-    prof = prof / prof.max()
-
-    def phi(nodes, t):
-        return prof * (1.0 + 0.5 * np.sin(3.0 * t))
-
-    return phi
-
-
-def test_weak_form_residual_small_and_quadratic(half_op):
-    grid = half_op.grid
-    u0 = np.exp(-((grid.nodes / 0.3) ** 2))
-    rels = []
-    for nt in (21, 41):
-        times = np.linspace(0.0, 0.5, nt)
-        traj = evolve(half_op, u0, times)
-        rep = weak_form_residual(traj, _phi_factory(grid))
-        rels.append(rep["relative"])
-    assert rels[0] <= 2e-3
-    assert rels[1] <= 0.35 * rels[0]  # second-order time differencing
-
-
-def test_weak_form_rejects_bad_test_function(half_op):
-    grid = half_op.grid
-    u0 = np.exp(-((grid.nodes / 0.3) ** 2))
-    times = np.linspace(0.0, 0.4, 5)
-    traj = evolve(half_op, u0, times)
-    ones = lambda nodes, t: np.ones(grid.n)
-    with pytest.raises(ConfigError):
-        weak_form_residual(traj, ones)
-    with pytest.raises(ContractError):
-        weak_form_residual(evolve(half_op, u0, [0.1, 0.2, 0.3]), _phi_factory(grid))
-    uneven = evolve(half_op, u0, [0.0, 0.1, 0.4])
-    with pytest.raises(ContractError):
-        weak_form_residual(uneven, _phi_factory(grid))
 
 
 # ---------------------------------------------------------------------------

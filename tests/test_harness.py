@@ -16,6 +16,7 @@ from hardyheat.evolution import heat_kernel
 from hardyheat.operators import assemble_operator, load_operator
 from hardyheat.runstore import NUMERICS_EPOCH, RunStore
 from hardyheat.scenario import (
+    all_parts,
     build_u0,
     load_scenario,
     scenario_from_dict,
@@ -233,6 +234,43 @@ class TestSuiteRules:
         with pytest.raises(ConfigError, match="at least 2 grid levels"):
             validate_for_suite(scn, "operator")
 
+    def test_all_applies_the_rules_of_its_parts(self):
+        with pytest.raises(ConfigError, match="'sharp' requires a positive coupling"):
+            scenario_from_dict(base_raw(c=0, h=[0.01, 0.005, 0.0025]), suite="all")
+        two_levels = scenario_from_dict(base_raw(h=[0.01, 0.005]), suite="all")
+        assert "lp" not in all_parts(two_levels)
+        assert "lp" in all_parts(scenario_from_dict(base_raw(h=[0.01, 0.005, 0.0025])))
+
+    @pytest.mark.parametrize("suite, c", [("lp", "0.5*cstar"), ("blowup", "2*cstar")])
+    def test_lp_and_blowup_need_three_levels_at_parse_time(self, suite, c):
+        with pytest.raises(ConfigError, match=f"suite '{suite}' needs at least 3 grid levels"):
+            scenario_from_dict(base_raw(c=c, h=[0.01, 0.005]), suite=suite)
+        scenario_from_dict(base_raw(c=c, h=[0.02, 0.01, 0.005]), suite=suite)
+
+    @pytest.mark.parametrize("d, alpha, domain, suite", [
+        (1, 0.5, [-1.0, 1.0], "sharp"),
+        (2, 1.0, [-1.0, 1.0, -1.0, 1.0], "sharp"),
+        (2, 1.0, [-1.0, 1.0, -1.0, 1.0], "all"),
+    ], ids=["d1_sharp", "d2_sharp", "d2_all"])
+    def test_slope_window_must_fit_the_finest_grid(self, d, alpha, domain, suite):
+        raw = base_raw(d=d, alpha=alpha, domain=domain, h=[0.1, 0.05])
+        with pytest.raises(ConfigError, match="bad radial window"):
+            scenario_from_dict(raw, suite=suite)
+        scenario_from_dict(raw, suite="operator")
+
+    def test_off_centre_planar_box_holds_the_slope_window(self):
+        raw = base_raw(d=2, alpha=1.0, domain=[-0.5, 1.5, -0.5, 1.5], h=[0.1, 0.05])
+        scenario_from_dict(raw, suite="sharp")
+        with pytest.raises(ConfigError, match="holds 4 nodes; need >= 6"):
+            scenario_from_dict(dict(raw, domain=[-1.0, 1.0, -1.0, 1.0], h=[1 / 24]), suite="sharp")
+
+    @pytest.mark.parametrize("name, suite", [
+        ("verify-1d-all", "all"), ("verify-2d-operator", "operator"), ("artifacts-1d", None),
+    ])
+    def test_bench_scenarios_parse_for_their_suites(self, name, suite):
+        here = os.path.dirname(os.path.abspath(__file__))
+        load_scenario(os.path.join(here, "..", "bench", "scenarios", f"{name}.json"), suite=suite)
+
     def test_unknown_suite(self):
         scn = scenario_from_dict(base_raw())
         with pytest.raises(ConfigError, match="unknown suite"):
@@ -438,6 +476,22 @@ class TestCli:
         assert out["c"] == pytest.approx(0.5 * C_STAR, rel=1e-15)
         assert 0.0 < out["beta"] < out["beta_star"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("spec", [0.25, "0.5*cstar", "0.5 * cstar", "half", "half*cstar"])
+    def test_cli_coupling_follows_the_scenario_rule(self, store_root, capsys, spec):
+        rc = main([
+            "--out", store_root, "assemble", "--d", "1", "--alpha", "0.5",
+            "--domain=-1,1", "--h", "0.5", "--c", str(spec),
+        ])
+        out, err = capsys.readouterr()
+        if "half" in str(spec):
+            assert rc == 2 and "bad coupling" in err
+            with pytest.raises(ConfigError, match="'c'"):
+                scenario_from_dict(base_raw(c=spec))
+        else:
+            assert rc == 0
+            with open(out.split()[-1]) as fh:  # "wrote <header>.json"
+                assert json.load(fh)["c"] == scenario_from_dict(base_raw(c=spec)).c
+
     def test_constants_bad_coupling_is_config_error(self, capsys):
         rc = main(["constants", "--d", "1", "--alpha", "0.5", "--c", "half"])
         assert rc == 2
@@ -501,6 +555,20 @@ class TestCli:
         rc = main(["--out", store_root, "verify", "--suite", "all", "--scenario", path])
         assert rc == 2
         assert "suite 'all' requires c <= c*" in capsys.readouterr().err
+
+    def test_verify_all_without_coupling_exits_2_before_assembly(
+        self, tmp_path, store_root, capsys, monkeypatch
+    ):
+        import hardyheat.suites
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("an operator was assembled")
+
+        monkeypatch.setattr(hardyheat.suites, "assemble_operator", no_assembly)
+        path = write_scenario(tmp_path, "free.json", base_raw(c=0, h=[0.01, 0.005, 0.0025]))
+        rc = main(["--out", store_root, "verify", "--suite", "all", "--scenario", path])
+        assert rc == 2
+        assert "requires a positive coupling" in capsys.readouterr().err
 
     def test_verify_seed_override_changes_run_id(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "ok.json", base_raw())

@@ -20,7 +20,6 @@ from hardyheat.operators import (
     _near_weight_2d,
     assemble_operator,
     exterior_power_tail,
-    form_value,
     killing_term,
     load_operator,
     save_operator,
@@ -376,19 +375,6 @@ def test_exterior_gap_bound_nonnegative():
     assert ev.exterior_gap_bound(_bump(grid)) >= 0.0
 
 
-def test_form_value_dispatch():
-    grid = build_grid((-1.0, 1.0), 0.1)
-    c = 0.5 * hardy_constant(P1)
-    op = assemble_operator(grid, P1, c=c)
-    ev = FormEvaluator(op)
-    f = _bump(grid)
-    assert form_value(ev, f, "plain") == ev.plain(f)
-    assert form_value(ev, f, "hardy") == ev.hardy(f)
-    assert form_value(ev, f, "weighted") == ev.weighted(f)
-    with pytest.raises(ConfigError):
-        form_value(ev, f, "mystery")
-
-
 def test_form_shape_check():
     grid = build_grid((-1.0, 1.0), 0.1)
     op = assemble_operator(grid, P1)
@@ -514,6 +500,24 @@ def _write_raw_artifact(tmp_path, n, body: bytes) -> str:
     header["sha256"] = hashlib.sha256(payload).hexdigest()
     (tmp_path / "op.json").write_text(json.dumps(header))
     return base
+
+
+@pytest.mark.parametrize("header, match", [
+    (b"{not json", "not valid JSON"),
+    (b"[1, 2]", "JSON object"),
+    (b'{"format_version": 1, "n": "4", "sha256": "0"}', "integer"),
+    (b'{"format_version": 1, "n": true, "sha256": "0"}', "integer"),
+    (b'{"format_version": 1, "n": 5000, "sha256": "0"}', "integer"),
+    (b'{"format_version": 1, "n": 4}', "sha256"),
+    (b'{"format_version": 1, "n": 4, "sha256": 7}', "sha256"),
+], ids=["not_json", "not_object", "string_n", "bool_n", "n_past_dense_limit",
+        "missing_sha256", "numeric_sha256"])
+def test_load_operator_rejects_bad_header(tmp_path, header, match):
+    base = str(tmp_path / "op")
+    save_operator(assemble_operator(build_grid((-1.0, 1.0), 0.5), P1), base)
+    (tmp_path / "op.json").write_bytes(header)
+    with pytest.raises(ConfigError, match=match):
+        load_operator(base)
 
 
 @pytest.mark.parametrize("body, match", [

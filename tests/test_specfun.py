@@ -1,6 +1,5 @@
 """Closed-form constants against high-precision and integral references."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +7,12 @@ from numpy.testing import assert_allclose
 
 from hardyheat.errors import ParameterDomainError
 from hardyheat.specfun import (
-    ExponentMap,
     FractionalParams,
-    HardyConstants,
     beta_of_c,
     gamma,
     hardy_constant,
     intensity_constant,
     multiplier,
-    weight,
 )
 
 import oracles
@@ -164,40 +160,3 @@ def test_params_validation():
         FractionalParams(2, 2.0)
     with pytest.raises(ParameterDomainError):
         FractionalParams(1, 0.0)
-
-
-def test_weight_profile():
-    p = FractionalParams(1, 0.5)
-    c = 0.5 * hardy_constant(p)
-    beta = beta_of_c(c, p)
-    xs = np.array([0.25, -0.5, 1.0])
-    assert_allclose(weight(xs, c, p), np.abs(xs) ** (-beta))
-    with pytest.raises(ParameterDomainError):
-        weight(np.array([0.0, 0.5]), c, p)
-
-
-def test_weight_2d_points():
-    p = FractionalParams(2, 0.5)
-    c = 0.5 * hardy_constant(p)
-    beta = beta_of_c(c, p)
-    pts = np.array([[0.3, 0.4], [-1.0, 0.0]])
-    assert_allclose(weight(pts, c, p), np.array([0.5, 1.0]) ** (-beta))
-
-
-def test_constants_bundle_cross_checks():
-    p = FractionalParams(1, 0.5)
-    bundle = HardyConstants.from_params(p)
-    assert_allclose(bundle.intensity, intensity_constant(p), rtol=0)
-    assert_allclose(bundle.c_star, hardy_constant(p), rtol=0)
-
-
-def test_exponent_map_caches():
-    p = FractionalParams(1, 0.5)
-    emap = ExponentMap(p)
-    c = 0.5 * emap.c_star
-    b1 = emap.beta_of_c(c)
-    b2 = emap.beta_of_c(c)
-    assert b1 == b2 == beta_of_c(c, p)
-    assert emap.multiplier(b1) == pytest.approx(c, rel=1e-10)
-    xs = np.array([0.5, 0.25])
-    assert_allclose(emap.weight(xs, c), xs ** (-b1))
