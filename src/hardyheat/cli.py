@@ -101,6 +101,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
+    from .errors import ConfigError
     from .grids import build_grid
     from .operators import assemble_operator, save_operator
     from .runstore import RunStore
@@ -108,7 +109,12 @@ def _cmd_assemble(args) -> int:
     from .specfun import FractionalParams
 
     params = FractionalParams(d=args.d, alpha=args.alpha)
-    vals = [float(v) for v in args.domain.split(",")]
+    try:
+        vals = [float(v) for v in args.domain.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) not in (2, 4):
+        raise ConfigError(f"--domain must be 2 or 4 comma-separated numbers, got {args.domain!r}")
     domain = vals if len(vals) == 2 else [vals[0:2], vals[2:4]]
     grid = build_grid(domain, args.h)
     c = parse_coupling(args.c, params)

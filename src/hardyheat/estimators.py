@@ -60,21 +60,13 @@ def t_ref(op: DiscreteOperator) -> float:
 # kernel comparisons
 # ---------------------------------------------------------------------------
 
-def _inner_mask(grid: Grid, inner_half_width: float) -> np.ndarray:
-    lim = grid.inradius
-    if not (0.0 < inner_half_width < lim):
-        raise ConfigError(
-            f"comparison box half-width {inner_half_width} must sit strictly "
-            f"inside the domain (limit {lim})"
-        )
-    pts = grid.nodes if grid.dim > 1 else grid.nodes[:, None]
-    return np.max(np.abs(pts), axis=1) <= inner_half_width * (1.0 + 1e-12)
-
-
 def kernel_sandwich(
-    kernels: list[KernelMatrix], w: np.ndarray, inner_half_width: float
+    kernels: list[KernelMatrix], w: np.ndarray, inner_half_width: float | None = None
 ) -> dict:
     """Two-sided comparison of p_t against w(x) w(y) on an inner box.
+
+    The box is ``Grid.inner_box(inner_half_width)``: by default half the
+    inradius, strictly inside the domain and holding at least 2 nodes.
 
     For each kernel the ratio field R = p_t / (w w) is reduced to its min
     (the lower comparison constant at that t), max, and spread max/min.  The
@@ -85,9 +77,7 @@ def kernel_sandwich(
     grid = kernels[0].operator.grid
     d = kernels[0].operator.params.d
     alpha = kernels[0].operator.params.alpha
-    mask = _inner_mask(grid, inner_half_width)
-    if int(np.sum(mask)) < 2:
-        raise ConfigError("comparison box contains fewer than 2 nodes")
+    inner_half_width, mask = grid.inner_box(inner_half_width)
     wm = np.asarray(w, dtype=float)[mask]
     ww = np.outer(wm, wm)
     per_t = []

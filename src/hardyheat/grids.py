@@ -58,6 +58,25 @@ class Grid:
         lo, hi = np.array(self.bounds).T
         return np.min(np.minimum(pts - lo, hi - pts), axis=1)
 
+    def inner_box(self, half_width: float | None = None) -> tuple[float, np.ndarray]:
+        """(half_width, mask of the nodes with max_i |x_i| <= half_width) for kernel comparisons.
+
+        The default half-width is half the inradius.  ConfigError unless the
+        cube sits strictly inside the domain and holds at least 2 nodes.
+        """
+        lim = self.inradius
+        hw = 0.5 * lim if half_width is None else half_width
+        if not (0.0 < hw < lim):
+            raise ConfigError(
+                f"comparison box half-width {hw:g} must sit strictly inside the domain "
+                f"(inradius {lim:g})"
+            )
+        pts = self.nodes.reshape(self.n, self.dim)
+        mask = np.max(np.abs(pts), axis=1) <= hw * (1.0 + 1e-12)
+        if int(np.sum(mask)) < 2:
+            raise ConfigError(f"comparison box of half-width {hw:g} holds fewer than 2 nodes")
+        return hw, mask
+
     def slope_window(self, window=None) -> tuple[float, float, np.ndarray]:
         """(lo, hi, mask of the nodes with lo <= |x| <= hi) for a radial slope fit.
 
@@ -84,6 +103,13 @@ def _axis_centers(a: float, b: float, h: float, axis: int) -> np.ndarray:
     extent = b - a
     if extent <= 0:
         raise ConfigError(f"axis {axis}: empty interval ({a}, {b})")
+    # the one dense-node limit (a 2-d axis is capped lower, by _MAX_CELLS_PER_AXIS_2D);
+    # checked before dividing (inf) or allocating
+    if extent >= (_MAX_DENSE_NODES + 1) * h:
+        raise ConfigError(
+            f"axis {axis}: spacing h={h} puts more than {_MAX_DENSE_NODES} nodes on "
+            f"({a}, {b}), past the dense-assembly limit"
+        )
     n = int(round(extent / h))
     if n < 2 or abs(n * h - extent) > 1e-9 * extent:
         raise ConfigError(
@@ -138,10 +164,6 @@ def build_grid(domain, h: float) -> Grid:
         xs, ys = np.meshgrid(axes[0], axes[1], indexing="ij")
         nodes = np.column_stack([xs.ravel(), ys.ravel()])
 
-    if nodes.shape[0] > _MAX_DENSE_NODES:
-        raise ConfigError(
-            f"{nodes.shape[0]} nodes exceeds the dense-assembly limit of {_MAX_DENSE_NODES}"
-        )
     grid = Grid(dim=dim, bounds=tuple(pairs), h=float(h), nodes=nodes)
     if grid.radii.min() < 0.5 * h * (1.0 - 1e-12):
         raise ConfigError(

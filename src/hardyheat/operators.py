@@ -376,7 +376,12 @@ _BLOCK_ROWS = 1 << 15  # CSV rows formatted, or parsed, at a time
 
 
 def write_csv(path: str, header: str, blocks) -> str:
-    """Write ``header``, then blocks of columns as rows of reprs, to ``path``; return its sha256."""
+    """Write ``header``, then blocks of columns as rows of reprs, to ``path``; return its sha256.
+
+    Each block is formatted at once by ``_format_block``, which reprs every
+    distinct value of a column once and gathers the strings; the bytes are
+    those of one repr per entry.
+    """
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for text in chain([header + "\n"], map(_format_block, blocks)):
@@ -386,10 +391,36 @@ def write_csv(path: str, header: str, blocks) -> str:
     return digest.hexdigest()
 
 
+def _column_strings(col) -> list:
+    """The repr of each entry of one column, as a list of str (or of floats).
+
+    Integer columns (node indices) index a table of repr(0..max).  Float
+    columns are deduplicated by bit pattern, so -0.0, 0.0 and every NaN
+    payload keep their own entry, and each distinct value is repr'd once: an
+    operator block holds few distinct values, since J depends on the cell
+    offset only.  When more than three quarters of the values are distinct
+    (kernel and state columns) the gather costs more than it saves, and the
+    floats are returned for the block's single % to format (str of a float
+    is its repr).
+    """
+    col = np.asarray(col)
+    if col.dtype.kind in "iu":
+        lo = int(col.min(initial=0))
+        table = np.array([repr(k) for k in range(lo, int(col.max(initial=0)) + 1)], dtype=object)
+        return table[col - lo].tolist()
+    col = np.asarray(col, dtype=np.float64)
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    if 4 * len(bits) > 3 * len(col):
+        return col.tolist()
+    table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return table[inverse].tolist()
+
+
 def _format_block(cols) -> str:
-    # one % for the block; repr of a Python int is its decimal
-    flat = tuple(chain.from_iterable(zip(*(col.tolist() for col in cols))))
-    return (",".join(["%r"] * len(cols)) + "\n") * len(cols[0]) % flat
+    """Rows of one block of columns, comma-separated; one % for the whole block."""
+    strings = [_column_strings(col) for col in cols]
+    flat = tuple(chain.from_iterable(zip(*strings)))
+    return (",".join(["%s"] * len(cols)) + "\n") * len(strings[0]) % flat
 
 
 def triangle_blocks(M: np.ndarray, skip_zeros: bool = False):

@@ -18,7 +18,7 @@ hand-editable and diff-friendly.  Keys:
     t0_factor  float (default 0.1; blow-up probe time in T_ref units)
 
 Unknown keys are rejected with a message listing them; missing required keys
-are rejected naming the field.  Couplings written as fractions of the
+are rejected naming the field, and every real must be a finite number.  Couplings written as fractions of the
 critical value are resolved before any run, by the same rule as the CLI's
 --c flag (``parse_coupling``).  ``validate_for_suite`` holds the suites'
 rules on a scenario, so a scenario that breaks one is rejected before
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -118,8 +119,18 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _is_number(v) -> bool:  # JSON true/false are bools, and bool is an int
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_real(v) -> bool:
+    """The one rule for a real-valued entry: a finite number.
+
+    JSON true/false are bools, and bool is an int; Python's json also reads
+    Infinity, NaN, 1e999 (inf) and integers past the float range.
+    """
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _type_error(key, want, got):
@@ -127,11 +138,12 @@ def _type_error(key, want, got):
 
 
 def _factor(m) -> float | None:
-    """F of a matched "F..." spec string; None without a match or when F is no float."""
+    """F of a matched "F..." spec string; None without a match or when F is no finite float."""
     try:
-        return float(m.group(1)) if m else None
+        f = float(m.group(1)) if m else None
     except ValueError:
         return None
+    return f if _is_real(f) else None
 
 
 def parse_coupling(spec, params: FractionalParams) -> float:
@@ -139,7 +151,7 @@ def parse_coupling(spec, params: FractionalParams) -> float:
 
     The one coupling rule of scenario files and the command line.
     """
-    if _is_number(spec):
+    if _is_real(spec):
         c = float(spec)
     else:
         m = _COUPLING_RE.match(spec) if isinstance(spec, str) else None
@@ -166,7 +178,7 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     if type(d) is not int or d not in (1, 2):  # bool is an int subclass
         raise _type_error("d", "1 or 2", d)
     alpha = raw["alpha"]
-    if not _is_number(alpha) or not (0.0 < alpha < min(2, d)):
+    if not _is_real(alpha) or not (0.0 < alpha < min(2, d)):
         raise _type_error("alpha", f"a number in (0, {min(2, d)})", alpha)
     c_spec = raw["c"]
     c = parse_coupling(c_spec, FractionalParams(d=d, alpha=float(alpha)))
@@ -174,21 +186,21 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     dom = raw["domain"]
     want_len = 2 * d
     if not isinstance(dom, list) or len(dom) != want_len or not all(
-        _is_number(v) for v in dom
+        _is_real(v) for v in dom
     ):
-        raise _type_error("domain", f"a list of {want_len} numbers", dom)
+        raise _type_error("domain", f"a list of {want_len} finite numbers", dom)
     pairs = [(float(dom[2 * i]), float(dom[2 * i + 1])) for i in range(d)]
     for a, b in pairs:
         if not (a < 0.0 < b):
             raise ConfigError(f"domain must contain 0 strictly inside, got {dom}")
 
     hs = raw["h"]
-    if _is_number(hs):
+    if _is_real(hs):
         hs = [hs]
     if not isinstance(hs, list) or not hs or not all(
-        _is_number(v) and v > 0 for v in hs
+        _is_real(v) and v > 0 for v in hs
     ):
-        raise _type_error("h", "a list of positive spacings", raw["h"])
+        raise _type_error("h", "a list of finite positive spacings", raw["h"])
     hs = [float(v) for v in hs]
     if any(b <= a for a, b in zip(hs[1:], hs[:-1])):
         raise ConfigError(f"grid levels must go coarse to fine, got {hs}")
@@ -206,17 +218,17 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
         raise _type_error("times", "a nonempty list", tlist)
     factors = []
     for item in tlist:
-        if _is_number(item):
+        if _is_real(item):
             factors.append(float(item))
         elif isinstance(item, str):
             f = _factor(_TREF_RE.match(item))
             if f is None:
-                raise _type_error("times", 'numbers or "F*tref" strings', item)
+                raise _type_error("times", 'finite numbers or "F*tref" strings', item)
             if times_unit == "absolute":
                 raise ConfigError('"F*tref" time entries require times_unit "tref"')
             factors.append(f)
         else:
-            raise _type_error("times", 'numbers or "F*tref" strings', item)
+            raise _type_error("times", 'finite numbers or "F*tref" strings', item)
     if any(f <= 0 for f in factors) or any(
         b <= a for a, b in zip(factors, factors[1:])
     ):
@@ -225,9 +237,9 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     ks = raw.get("k", _OPTIONAL["k"])
     if ks is not None:
         if not isinstance(ks, list) or not all(
-            _is_number(v) and v > 0 for v in ks
+            _is_real(v) and v > 0 for v in ks
         ):
-            raise _type_error("k", "a list of positive levels", ks)
+            raise _type_error("k", "a list of finite positive levels", ks)
         ks = tuple(float(v) for v in ks)
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ConfigError(f"k schedule must be strictly increasing, got {list(ks)}")
@@ -239,11 +251,11 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     if type(seed) is not int:
         raise _type_error("seed", "an integer", seed)
     ihw = raw.get("inner_half_width", _OPTIONAL["inner_half_width"])
-    if ihw is not None and (not _is_number(ihw) or ihw <= 0):
-        raise _type_error("inner_half_width", "a positive number", ihw)
+    if ihw is not None and (not _is_real(ihw) or ihw <= 0):
+        raise _type_error("inner_half_width", "a finite positive number", ihw)
     t0f = raw.get("t0_factor", _OPTIONAL["t0_factor"])
-    if not _is_number(t0f) or t0f <= 0:
-        raise _type_error("t0_factor", "a positive number", t0f)
+    if not _is_real(t0f) or t0f <= 0:
+        raise _type_error("t0_factor", "a finite positive number", t0f)
 
     scn = Scenario(
         d=d,
@@ -275,8 +287,8 @@ def _validate_u0_spec(spec: str) -> None:
                 r = float(spec[len(prefix):])
             except ValueError:
                 raise ConfigError(f"bad u0 spec {spec!r}: radius is not a number")
-            if r <= 0:
-                raise ConfigError(f"bad u0 spec {spec!r}: radius must be positive")
+            if not (_is_real(r) and r > 0):
+                raise ConfigError(f"bad u0 spec {spec!r}: radius must be finite and positive")
             return
     if spec.startswith("csv:"):
         if not spec[4:]:
@@ -293,9 +305,13 @@ def all_parts(scn: Scenario) -> tuple[str, ...]:
 
 
 def validate_for_suite(scn: Scenario, suite: str) -> None:
-    """Every rule ``suite`` places on a scenario; 'all' adds those of its parts."""
+    """Every rule ``suite`` places on a scenario; 'all' adds those of its parts.
+
+    Every grid level must build, whatever the suite.
+    """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
+    finest = [build_grid(scn.domain_spec(), h) for h in scn.h_levels][-1]
     c_star = hardy_constant(scn.params)
     tol = 1.0 + 1e-12
     names = ("all", *all_parts(scn)) if suite == "all" else (suite,)
@@ -313,13 +329,19 @@ def validate_for_suite(scn: Scenario, suite: str) -> None:
         levels = {"operator": 2, "lp": 3, "blowup": 3}.get(name, 1)
         if len(scn.h_levels) < levels:
             raise ConfigError(f"suite {name!r} needs at least {levels} grid levels")
-        if name in ("sharp", "lp"):  # both fit the profile slope on the finest grid
-            grid = build_grid(scn.domain_spec(), scn.h_levels[-1])
+        if name == "kernel":
             try:
-                grid.slope_window()
+                finest.inner_box(scn.inner_half_width)
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"suite 'kernel' compares kernels on the finest grid (h = {finest.h:g}): {exc}"
+                ) from None
+        if name in ("sharp", "lp"):  # both fit the profile slope on the finest grid
+            try:
+                finest.slope_window()
             except (ConfigError, ContractError) as exc:  # window empty or too few nodes
                 raise ConfigError(
-                    f"suite {name!r} fits a slope on the finest grid (h = {grid.h:g}): {exc}"
+                    f"suite {name!r} fits a slope on the finest grid (h = {finest.h:g}): {exc}"
                 ) from None
 
 

@@ -251,10 +251,7 @@ def _run_kernel(scn: Scenario) -> list[dict]:
         rhs = heat_kernel(op, t1 + t2).P
         ck = float(np.max(np.abs(lhs - rhs)) / np.max(rhs))
         checks.append(_check("chapman_kolmogorov", ck, 0.0, "rel 1e-8", ck <= 1e-8))
-    ihw = scn.inner_half_width
-    if ihw is None:
-        ihw = 0.5 * grid.inradius
-    sand = kernel_sandwich(kernels, w, ihw)
+    sand = kernel_sandwich(kernels, w, scn.inner_half_width)
     checks.append(
         _check("sandwich_lower_positive", sand["c_lower"], "> 0", "strict", sand["c_lower"] > 0.0)
     )

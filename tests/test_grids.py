@@ -85,6 +85,9 @@ def test_rejects_three_axes():
 def test_dense_limits():
     with pytest.raises(ConfigError):
         build_grid((-1.0, 1.0), 2.0 / 5000)  # too many nodes
+    for h in (1e-300, 5e-324):  # refused before allocating; 2 / 5e-324 is inf
+        with pytest.raises(ConfigError, match="dense-assembly limit"):
+            build_grid((-1.0, 1.0), h)
     with pytest.raises(ConfigError):
         build_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.02)  # too many 2-d cells per axis
 

@@ -1,12 +1,15 @@
 """Scenario parsing, the run store, and the command line front end."""
 
 import json
+import math
 import os
 import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyheat.cli import main
 from hardyheat.errors import ConfigError
@@ -23,6 +26,7 @@ from hardyheat.scenario import (
     validate_for_suite,
 )
 from hardyheat.specfun import FractionalParams, hardy_constant
+from hardyheat.suites import run_suite
 
 import oracles
 
@@ -181,6 +185,25 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="'t0_factor'"):
             scenario_from_dict(base_raw(t0_factor=0.0))
 
+    @pytest.mark.parametrize("ihw, h, match", [
+        (0.99, 0.05, None), (1.0, 0.05, "strictly inside the domain"),
+        (0.1, 0.25, "fewer than 2 nodes"),
+    ], ids=["inside", "touching_the_boundary", "too_few_nodes"])
+    def test_kernel_box_is_checked_on_the_finest_grid(self, ihw, h, match):
+        scn = scenario_from_dict(base_raw(inner_half_width=ihw, h=[h]))
+        validate_for_suite(scn, "constants")  # only the kernel suite uses the box
+        if match is None:
+            validate_for_suite(scn, "kernel")
+        else:
+            with pytest.raises(ConfigError, match=match):
+                validate_for_suite(scn, "kernel")
+
+    @pytest.mark.parametrize("h", [[0.3, 0.05], [0.25, 0.15]], ids=["coarse", "finest"])
+    def test_every_grid_level_must_build_at_parse_time(self, h):
+        scn = scenario_from_dict(base_raw(h=h))
+        with pytest.raises(ConfigError, match="does not tile"):
+            validate_for_suite(scn, "operator")
+
     @pytest.mark.parametrize(
         "spec", ["ball:", "ball:0", "ball:-0.2", "csv:", "blob", "bump:x"]
     )
@@ -296,6 +319,46 @@ class TestLoadScenario:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(str(path))
+
+
+@st.composite
+def small_1d_scenarios(draw):
+    """1-d scenarios on grids with h >= 0.05; about every other one holds a non-finite value."""
+    levels = st.lists(st.sampled_from([0.25, 0.2, 0.1, 0.05]), min_size=2, max_size=3, unique=True)
+    times = st.lists(st.sampled_from([0.05, 0.1, 0.5, 2.0]), min_size=1, max_size=3, unique=True)
+    raw = {
+        "d": 1,
+        "alpha": draw(st.sampled_from([0.25, 0.5, 0.9])),
+        "c": draw(st.sampled_from([0, 0.3, "0.5*cstar", "1*cstar", "2*cstar"])),
+        # h = 0.2 puts a node on the origin of the second and 0.25 does not tile the third
+        "domain": draw(st.sampled_from([[-1.0, 1.0], [-0.5, 1.5], [-1.0, 0.6]])),
+        "h": sorted(draw(levels), reverse=True),
+        "u0": draw(st.sampled_from(["ball:0.2", "bump", "point"])),
+        "times": sorted(draw(times)),
+        "k": draw(st.sampled_from([None, [1.0, 4.0]])),
+        "inner_half_width": draw(st.sampled_from([None, 0.1, 0.45, 0.99, 1.0, 5.0])),
+        "t0_factor": 0.1,
+    }
+    spoiled = draw(st.one_of(st.none(), st.sampled_from(
+        ["alpha", "c", "domain", "h", "u0", "times", "k", "inner_half_width", "t0_factor"])))
+    if spoiled is not None:  # the last entry of a list, a u0 radius, or the value itself
+        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        old = raw[spoiled]
+        if spoiled == "u0":
+            bad = f"ball:{bad}"
+        raw[spoiled] = [*old[:-1], bad] if isinstance(old, list) else bad
+    return raw
+
+
+@settings(max_examples=30, deadline=None)
+@given(raw=small_1d_scenarios(), suite=st.sampled_from(["operator", "kernel"]))
+def test_a_scenario_fails_at_parse_time_or_completes_its_suite(raw, suite):
+    try:
+        scn = scenario_from_dict(raw, suite=suite)
+    except ConfigError:
+        return
+    report = run_suite(scn, suite)
+    assert report["checks"] and report["suite"] == suite
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +496,17 @@ def store_root(tmp_path):
     return str(tmp_path / "runs")
 
 
+@pytest.fixture()
+def no_assembly(monkeypatch):
+    """Fail the test if a suite assembles an operator."""
+    import hardyheat.suites
+
+    def assemble(*args, **kwargs):
+        raise AssertionError("an operator was assembled")
+
+    monkeypatch.setattr(hardyheat.suites, "assemble_operator", assemble)
+
+
 def small_raw():
     """A 20-node scenario so artifact commands run in milliseconds."""
     return base_raw(h=[0.1], times=[0.1, 0.5])
@@ -557,18 +631,45 @@ class TestCli:
         assert "suite 'all' requires c <= c*" in capsys.readouterr().err
 
     def test_verify_all_without_coupling_exits_2_before_assembly(
-        self, tmp_path, store_root, capsys, monkeypatch
+        self, tmp_path, store_root, capsys, no_assembly
     ):
-        import hardyheat.suites
-
-        def no_assembly(*args, **kwargs):
-            raise AssertionError("an operator was assembled")
-
-        monkeypatch.setattr(hardyheat.suites, "assemble_operator", no_assembly)
         path = write_scenario(tmp_path, "free.json", base_raw(c=0, h=[0.01, 0.005, 0.0025]))
         rc = main(["--out", store_root, "verify", "--suite", "all", "--scenario", path])
         assert rc == 2
         assert "requires a positive coupling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", math.nan, "'alpha' must be a number in (0, 1), got nan"),
+        ("c", math.inf, "bad coupling 'c' = inf"),
+        ("domain", [-1.0, math.inf], "'domain' must be a list of 2 finite numbers"),
+        ("domain", [-1.0, 10**400], "'domain' must be a list of 2 finite numbers"),
+        ("h", [math.nan], "'h' must be a list of finite positive spacings"),
+        ("times", [0.1, math.inf], "'times' must be finite numbers"),
+        ("times", ["1e999*tref"], "got '1e999*tref'"),
+        ("k", [1.0, math.inf], "'k' must be a list of finite positive levels"),
+        ("inner_half_width", math.nan, "'inner_half_width' must be a finite positive number"),
+        ("t0_factor", math.inf, "'t0_factor' must be a finite positive number"),
+        ("u0", "ball:nan", "bad u0 spec 'ball:nan'"),
+        ("u0", "bump:inf", "bad u0 spec 'bump:inf'"),
+    ], ids=["alpha", "c", "domain", "domain_past_float_range", "h", "times",
+            "times_tref_string", "k", "inner_half_width", "t0_factor", "u0_ball", "u0_bump"])
+    def test_non_finite_reals_exit_2_at_parse_time(
+        self, tmp_path, store_root, capsys, no_assembly, key, value, message
+    ):
+        path = write_scenario(tmp_path, "nonfinite.json", base_raw(**{key: value}))
+        rc = main(["--out", store_root, "verify", "--suite", "kernel", "--scenario", path])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["kernel", "all"])
+    def test_oversized_comparison_box_exits_2_before_assembly(
+        self, tmp_path, store_root, capsys, no_assembly, suite
+    ):
+        raw = base_raw(inner_half_width=5.0, h=[0.01, 0.005, 0.0025])
+        path = write_scenario(tmp_path, "wide.json", raw)
+        rc = main(["--out", store_root, "verify", "--suite", suite, "--scenario", path])
+        assert rc == 2
+        assert "half-width 5 must sit strictly inside" in capsys.readouterr().err
 
     def test_verify_seed_override_changes_run_id(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "ok.json", base_raw())
@@ -601,6 +702,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "cache)" in out
+
+    @pytest.mark.parametrize("domain", ["-1,x", "-1,1,0"], ids=["not_a_number", "three_values"])
+    def test_assemble_bad_domain_is_config_error(self, store_root, capsys, domain):
+        rc = main([
+            "--out", store_root, "assemble", "--d", "1", "--alpha", "0.5",
+            f"--domain={domain}", "--h", "0.5",
+        ])
+        assert rc == 2
+        assert "--domain must be 2 or 4 comma-separated numbers" in capsys.readouterr().err
 
     def test_assemble_writes_operator_artifact(self, store_root, capsys):
         rc = main([

@@ -489,6 +489,36 @@ def test_kernel_and_state_csv_match_loop_oracles(tmp_path):
         assert path.read_bytes() == oracles.state_csv_loop(g.nodes, u)
 
 
+def _csv_case(name):
+    """(matrix, skip_zeros, loop oracle bytes, whether its value columns take the table path)."""
+    if name == "kernel":  # nearly every value distinct: formatted directly
+        op = assemble_operator(build_grid((-1.0, 1.0), 2.0 / 300), P1, c=0.5 * hardy_constant(P1))
+        P = heat_kernel(op, 0.05).P
+        return P, False, oracles.kernel_csv_loop(P), False
+    if name == "repeated":  # few distinct values, kernel layout so that zeros are kept
+        vals = np.array([-0.0, 0.0, 5e-324, 1e+16, 1e-05, 0.1, 1.0 / 3.0])
+        M = vals[np.add.outer(np.arange(24), 2 * np.arange(24)) % len(vals)]
+        return M, False, oracles.kernel_csv_loop(M), True
+    if name == "d1_n1024":  # the bench operator: J is Toeplitz
+        grid, params = build_grid((-1.0, 1.0), 2.0 / 1024), P1
+    else:  # J is read from the cell-offset table
+        grid, params = build_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.1), P2
+    H = assemble_operator(grid, params, c=0.5 * hardy_constant(params)).H
+    return H, True, oracles.operator_csv_loop(H), True
+
+
+@pytest.mark.parametrize("name", ["d1_n1024", "d2_n400", "kernel", "repeated"])
+def test_csv_formats_each_distinct_value_once_with_loop_oracle_bytes(tmp_path, name):
+    import hardyheat.operators as ops
+
+    M, skip_zeros, want, table = _csv_case(name)
+    blocks = list(triangle_blocks(M, skip_zeros=skip_zeros))
+    assert all(isinstance(ops._column_strings(v)[0], str) == table for _, _, v in blocks)
+    path = tmp_path / "m.csv"
+    write_csv(str(path), "i,j,value", blocks)
+    assert path.read_bytes() == want
+
+
 def _write_raw_artifact(tmp_path, n, body: bytes) -> str:
     """An operator artifact for n nodes with the given CSV rows and a matching checksum."""
     op = assemble_operator(build_grid((-1.0, 1.0), 2.0 / n), P1)
