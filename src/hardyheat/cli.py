@@ -141,10 +141,8 @@ def _load_scenario_with_overrides(args, suite=None):
 
 
 def _cmd_evolve(args) -> int:
-    import numpy as np
-
     from .estimators import t_ref
-    from .evolution import minimal_solution
+    from .evolution import evolve, minimal_solution
     from .grids import build_grid
     from .operators import assemble_operator, write_csv
     from .runstore import NUMERICS_EPOCH, RunStore, load_current, write_json
@@ -157,17 +155,15 @@ def _cmd_evolve(args) -> int:
     if not args.force and load_current(report_path) is not None:
         print(f"cached: {outdir}")
         return 0
-    os.makedirs(outdir, exist_ok=True)
     grid = build_grid(scn.domain_spec(), scn.h_levels[-1])
+    u0 = build_u0(scn.u0_spec, grid)
+    os.makedirs(outdir, exist_ok=True)
     op = assemble_operator(grid, scn.params, c=scn.c, k=None)
     times = scn.resolve_times(t_ref(op))
-    u0 = build_u0(scn.u0_spec, grid)
     if scn.c > 0.0:
         traj, rep = minimal_solution(op, u0, times, k_schedule=scn.k_schedule, scheme=scn.scheme)
     else:
-        from .evolution import evolve as _evolve
-
-        traj = _evolve(op, u0, times, scheme=scn.scheme)
+        traj = evolve(op, u0, times, scheme=scn.scheme)
         rep = {"mode": "free", "converged": True, "converged_by": "no potential"}
     coords = grid.nodes.reshape(grid.n, -1).T
     head = ",".join(f"x{i + 1}" for i in range(grid.dim)) + ",u"

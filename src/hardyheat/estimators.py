@@ -16,15 +16,10 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .errors import ConfigError, ContractError
-from .evolution import (
-    KernelMatrix,
-    default_truncation_schedule,
-    evolve,
-    heat_kernel,
-)
+from .evolution import KernelMatrix, heat_kernel, minimal_solution
 from .grids import Grid, build_grid
 from .operators import DiscreteOperator, FormEvaluator, assemble_operator
-from .specfun import FractionalParams, beta_of_c
+from .specfun import FractionalParams, beta_of_c, hardy_constant
 
 __all__ = [
     "lambda_min",
@@ -50,7 +45,7 @@ def lambda_min(op: DiscreteOperator) -> float:
 
 def t_ref(op: DiscreteOperator) -> float:
     """Reference time 1/lambda_1(L0): the free ground-state relaxation time."""
-    lam = float(eigvalsh(op.L0, subset_by_index=(0, 0))[0])
+    lam = lambda_min(op.free)
     if lam <= 0.0:
         raise ContractError(f"free operator bottom eigenvalue must be > 0, got {lam}")
     return 1.0 / lam
@@ -426,10 +421,10 @@ def blowup_diagnostic(
     truncation schedule without saturating, and (iii) the discrete weighted
     mass sum over an inner ball, which for c > c* diverges logarithmically in
     1/h with slope equal to the sphere measure (2 in 1d, 2*pi in 2d) -- the
-    coupling-independent fingerprint of the mechanism.
+    coupling-independent fingerprint of the mechanism.  The probe is
+    ``minimal_solution`` on the finest grid, so a probe value that falls as k
+    grows raises InvariantViolation.
     """
-    from .specfun import hardy_constant
-
     c_star = hardy_constant(params)
     if not (c > c_star):
         raise ConfigError(
@@ -441,7 +436,6 @@ def blowup_diagnostic(
         raise ContractError("blow-up diagnostic needs at least 3 grid levels")
     beta_star = params.beta_star
     lam_mins, mech = [], []
-    finest_op = None
     for h in hs:
         grid = build_grid(domain, h)
         op = assemble_operator(grid, params, c=c, k=None)
@@ -454,29 +448,19 @@ def blowup_diagnostic(
                 * np.sum(grid.radii[ball] ** (-2.0 * beta_star - params.alpha))
             )
         )
-        finest_op = op
     gaps = [a - b for a, b in zip(lam_mins, lam_mins[1:])]
     slope = float(np.polyfit(np.log(1.0 / np.array(hs)), mech, 1)[0])
     expected = 2.0 if params.d == 1 else 2.0 * np.pi
-    # probe along the truncation schedule on the finest grid
-    t0 = t0_factor * t_ref(finest_op)
+    # probe along the truncation schedule on the finest grid, the loop's last
+    t0 = t0_factor * t_ref(op)
     if u0_builder is None:
-        u0 = _default_bump(finest_op.grid)
+        u0 = _default_bump(op.grid)
     else:
-        u0 = np.asarray(u0_builder(finest_op.grid), dtype=float)
-    ks = (
-        np.atleast_1d(np.asarray(k_schedule, dtype=float))
-        if k_schedule is not None
-        else default_truncation_schedule(finest_op)
-    )
-    origin = int(np.argmin(finest_op.grid.radii))
-    probes = []
-    for k in ks:
-        trk = evolve(finest_op.with_truncation(float(k)), u0, [t0], scheme=scheme)
-        probes.append(float(trk.states[-1][origin]))
-    probes_arr = np.array(probes)
+        u0 = np.asarray(u0_builder(op.grid), dtype=float)
+    _, probe = minimal_solution(op, u0, [t0], k_schedule, scheme)
+    probes = probe["probe_values"]
     # a single level (max V <= 1 on this grid) cannot show growth
-    growing = bool(probes_arr.size >= 2 and np.all(np.diff(probes_arr) > 0.0))
+    growing = bool(len(probes) >= 2 and np.all(np.diff(probes) > 0.0))
     lam_decreasing = bool(np.all(np.diff(lam_mins) < 0.0))
     gaps_growing = bool(np.all(np.diff(gaps) > 0.0)) if len(gaps) >= 2 else lam_decreasing
     return BlowupReport(
@@ -485,14 +469,14 @@ def blowup_diagnostic(
         h_levels=hs,
         lambda_mins=lam_mins,
         gaps=gaps,
-        probe_k=ks.tolist(),
+        probe_k=probe["k_levels"],
         probe_values=probes,
-        probe_growth=float(probes_arr[-1] / probes_arr[0]),
+        probe_growth=probe["probe_growth"],
         mechanism_sums=mech,
         mechanism_slope=slope,
         mechanism_expected=expected,
         blow_up=bool(lam_decreasing and gaps_growing and growing),
-        detail={"t0": t0, "probe_node": origin},
+        detail={"t0": t0, "probe_node": probe["probe_node"]},
     )
 
 

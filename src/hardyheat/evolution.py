@@ -33,6 +33,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError, ContractError, InvariantViolation
 from .operators import DiscreteOperator
+from .specfun import hardy_constant
 
 __all__ = [
     "Trajectory",
@@ -210,8 +211,6 @@ def minimal_solution(
     reported, but no convergence is claimed (report['mode'] = 'divergence');
     the across-grid divergence itself is the blow-up diagnostic's job.
     """
-    from .specfun import hardy_constant
-
     c_star = hardy_constant(op.params)
     divergent = op.c > c_star * (1.0 + 1e-12)
     if op.c <= 0.0:
@@ -228,11 +227,12 @@ def minimal_solution(
     ts = _check_times(times)
     u0 = _check_u0(u0, op.n)
     origin = int(np.argmin(op.grid.radii))
-    prev = None
-    increments, probe_vals, trajs = [], [], []
+    prev = trk = None
+    increments, probe_vals = [], []
     for k in ks:
+        if trk is not None:  # keep the states only: the trajectory holds its n x n H
+            prev, trk = trk.states, None
         trk = evolve(op.with_truncation(float(k)), u0, ts, scheme=scheme)
-        trajs.append(trk)
         probe_vals.append(float(trk.states[-1][origin]))
         if prev is not None:
             diff = trk.states - prev
@@ -244,7 +244,6 @@ def minimal_solution(
                     f"min increment {worst:.3e} at k={k:g}"
                 )
             increments.append(float(np.max(np.abs(diff))) / scale)
-        prev = trk.states
     saturated = ks[-1] >= float(np.max(op.V)) - 1e-12 * float(np.max(op.V))
     tol_hit = bool(increments and increments[-1] < tol)
     if divergent:
@@ -266,7 +265,7 @@ def minimal_solution(
         "converged": converged,
         "converged_by": reason,
     }
-    return trajs[-1], report
+    return trk, report
 
 
 def duhamel_residual(

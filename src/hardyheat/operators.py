@@ -17,8 +17,8 @@ Because the kernel is convex along each coordinate away from its pole, the
 midpoint rule never overshoots a cell integral; together with exact
 neighbour cells this makes the matrix of a sub-box dominate the restriction
 of the full-box matrix entrywise, which is what the kernel-domination
-property test relies on.  The full operator is H = L0 - diag(min(V, k)) with
-V(x) = c |x|**(-alpha).
+property test relies on.  An operator stores L0 alone; the full operator
+H = L0 - diag(min(V, k)) with V(x) = c |x|**(-alpha) is derived from it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import chain, islice
 
@@ -216,18 +216,20 @@ def _jump_matrix(grid: Grid, A: float, alpha: float) -> np.ndarray:
 
 @dataclass
 class DiscreteOperator:
-    """Assembled dense operator H = L0 - diag(min(V, k)) on one grid."""
+    """Dense operator H = L0 - diag(min(V, k)) on one grid; L0 is its one n x n array.
+
+    L0 is -J off the diagonal.  H, truncated copies and the ``free`` view all
+    derive from L0 and share it.
+    """
 
     grid: Grid
     params: FractionalParams
     c: float
     k: float | None  # None = untruncated potential
     intensity: float
-    J: np.ndarray
     kappa: np.ndarray
     V: np.ndarray
     L0: np.ndarray
-    H: np.ndarray
 
     @property
     def n(self) -> int:
@@ -239,6 +241,20 @@ class DiscreteOperator:
         return self.V if self.k is None else np.minimum(self.V, self.k)
 
     @cached_property
+    def H(self) -> np.ndarray:
+        """L0 with W subtracted on the diagonal; L0 itself when W is zero."""
+        if not np.any(self.W):
+            return self.L0
+        H = self.L0.copy()
+        H.flat[:: self.n + 1] -= self.W
+        return H
+
+    @cached_property
+    def free(self) -> "DiscreteOperator":
+        """The free operator (c = 0) on the same L0."""
+        return replace(self, c=0.0, k=None, V=np.zeros(self.n))
+
+    @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(lam, Q) with H = Q diag(lam) Q^T, computed on first use.
 
@@ -248,22 +264,16 @@ class DiscreteOperator:
         return eigh(self.H, driver="evd")
 
     def with_truncation(self, k: float | None) -> "DiscreteOperator":
-        """Same jump part and killing, different potential cutoff."""
+        """Same L0, kappa and V, different potential cutoff."""
         if k is not None and not (k > 0.0):
             raise ContractError(f"truncation level must be positive, got {k}")
-        W = self.V if k is None else np.minimum(self.V, k)
-        H = self.L0 - np.diag(W)
-        return DiscreteOperator(
-            grid=self.grid, params=self.params, c=self.c, k=k,
-            intensity=self.intensity, J=self.J, kappa=self.kappa, V=self.V,
-            L0=self.L0, H=H,
-        )
+        return replace(self, k=k)
 
 
 def assemble_operator(
     grid: Grid, params: FractionalParams, c: float = 0.0, k: float | None = None
 ) -> DiscreteOperator:
-    """Assemble J, kappa, V and H on ``grid``.
+    """Assemble L0, kappa and V on ``grid``.
 
     c = 0 gives the free restricted operator (V identically zero); c > 0 adds
     the attractive inverse-power potential c |x|**(-alpha) truncated at k
@@ -277,18 +287,17 @@ def assemble_operator(
     if k is not None and not (k > 0.0):
         raise ContractError(f"truncation level must be positive, got {k}")
     A = intensity_constant(params)
-    J = _jump_matrix(grid, A, params.alpha)
+    L0 = _jump_matrix(grid, A, params.alpha)
     dom = grid.bounds[0] if grid.dim == 1 else grid.bounds
     kap = np.asarray(killing_term(grid.nodes, dom, params), dtype=float)
+    # L0 = -J off the diagonal and sum_j J_ij + kappa_i on it, built in place;
     # fixed summation order per row (numpy pairwise) for reproducibility
-    L0 = -J.copy()
-    np.fill_diagonal(L0, J.sum(axis=1) + kap)
+    rowsum = L0.sum(axis=1)
+    np.negative(L0, out=L0)
+    np.fill_diagonal(L0, rowsum + kap)
     V = c * grid.radii ** (-params.alpha) if c > 0.0 else np.zeros(grid.n)
-    W = V if k is None else np.minimum(V, k)
-    H = L0 - np.diag(W)
     return DiscreteOperator(
-        grid=grid, params=params, c=float(c), k=k, intensity=A,
-        J=J, kappa=kap, V=V, L0=L0, H=H,
+        grid=grid, params=params, c=float(c), k=k, intensity=A, kappa=kap, V=V, L0=L0,
     )
 
 
@@ -344,7 +353,8 @@ class FormEvaluator:
         w, wkill = self._weight_data()
         hd = self.op.grid.cell_volume
         df = f[:, None] - f[None, :]
-        jump = 0.5 * float(np.sum(self.op.J * df * df * np.outer(w, w)))
+        # J = -L0 off the diagonal; the diagonal terms vanish since df_ii = 0
+        jump = -0.5 * float(np.sum(self.op.L0 * df * df * np.outer(w, w)))
         ext = float(np.sum(f * f * w * wkill))
         return hd * (jump + ext)
 

@@ -307,11 +307,13 @@ def all_parts(scn: Scenario) -> tuple[str, ...]:
 def validate_for_suite(scn: Scenario, suite: str) -> None:
     """Every rule ``suite`` places on a scenario; 'all' adds those of its parts.
 
-    Every grid level must build, whatever the suite.
+    Every grid level must build, whatever the suite, and u0 must build on
+    every grid where the suite builds it.
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    finest = [build_grid(scn.domain_spec(), h) for h in scn.h_levels][-1]
+    grids = [build_grid(scn.domain_spec(), h) for h in scn.h_levels]
+    finest = grids[-1]
     c_star = hardy_constant(scn.params)
     tol = 1.0 + 1e-12
     names = ("all", *all_parts(scn)) if suite == "all" else (suite,)
@@ -343,6 +345,8 @@ def validate_for_suite(scn: Scenario, suite: str) -> None:
                 raise ConfigError(
                     f"suite {name!r} fits a slope on the finest grid (h = {finest.h:g}): {exc}"
                 ) from None
+        for grid in {"sharp": [finest], "blowup": [finest], "lp": grids}.get(name, []):
+            build_u0(scn.u0_spec, grid)
 
 
 def load_scenario(path: str, suite: str | None = None) -> Scenario:
@@ -373,7 +377,10 @@ def build_u0(spec: str, grid) -> np.ndarray:
         u0[int(np.argmin(r))] = 1.0 / grid.cell_volume
         return u0
     if spec.startswith("csv:"):
-        vals = np.loadtxt(spec[4:], delimiter=",", ndmin=1)
+        try:
+            vals = np.loadtxt(spec[4:], delimiter=",", ndmin=1)
+        except (OSError, ValueError) as exc:  # missing file or a non-number
+            raise ConfigError(f"u0 csv {spec[4:]!r} is unreadable: {exc}") from None
         if vals.shape != (grid.n,):
             raise ConfigError(
                 f"u0 csv has {vals.shape[0] if vals.ndim else 0} rows, grid has {grid.n} nodes"

@@ -188,6 +188,26 @@ def jump_matrix_2d_broadcast(nodes, h: float, A: float, alpha: float,
     return J
 
 
+def three_array_operator(J: np.ndarray, kappa: np.ndarray, V: np.ndarray, k=None):
+    """(J, L0, H) as three separate dense arrays, each built from a copy.
+
+    L0 = -J with sum_j J_ij + kappa_i on the diagonal and
+    H = L0 - diag(min(V, k)); the summation order of the row sums is numpy's
+    pairwise one, as in the package, so the package's single stored L0 and
+    the jump weights and H it derives must match these bit for bit.
+    """
+    L0 = -J.copy()
+    np.fill_diagonal(L0, J.sum(axis=1) + kappa)
+    W = V if k is None else np.minimum(V, k)
+    return J, L0, L0 - np.diag(W)
+
+
+def weighted_jump_form(J: np.ndarray, f: np.ndarray, w: np.ndarray) -> float:
+    """Jump part (1/2) sum_ij J_ij (f_i - f_j)^2 w_i w_j, read from J itself."""
+    df = f[:, None] - f[None, :]
+    return 0.5 * float(np.sum(J * df * df * np.outer(w, w)))
+
+
 def cell_weight_1d_quad(alpha: float) -> float:
     """Dimensionless node-to-adjacent-cell kernel integral, spacing 1."""
     val, _ = integrate.quad(lambda u: u ** (-1.0 - alpha), 0.5, 1.5, epsabs=1e-13, epsrel=1e-13)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hardyheat.errors import ConfigError, ContractError
+from hardyheat.errors import ConfigError, ContractError, InvariantViolation
 from hardyheat.estimators import (
     blowup_diagnostic,
     critical_envelope_exponent,
@@ -269,6 +269,23 @@ def test_blowup_probe_schedule_increases_for_shallow_potential():
     # one level cannot show the probe growing
     assert rep.probe_growth == 1.0
     assert not rep.blow_up
+
+
+def test_blowup_probe_falling_in_k_is_an_invariant_violation(monkeypatch):
+    # the probe runs minimal_solution, whose monotonicity check raises
+    import dataclasses
+
+    import hardyheat.evolution
+
+    real = hardyheat.evolution.evolve
+
+    def falling(op, u0, times, scheme="expm"):
+        traj = real(op, u0, times, scheme=scheme)
+        return dataclasses.replace(traj, states=traj.states / op.k)
+
+    monkeypatch.setattr(hardyheat.evolution, "evolve", falling)
+    with pytest.raises(InvariantViolation, match="increase with the cutoff"):
+        blowup_diagnostic(P1, 3.0 * CSTAR, (-1.0, 1.0), [0.04, 0.02, 0.01], k_schedule=[1.0, 4.0])
 
 
 def test_blowup_diagnostic_validation():

@@ -294,6 +294,29 @@ class TestSuiteRules:
         here = os.path.dirname(os.path.abspath(__file__))
         load_scenario(os.path.join(here, "..", "bench", "scenarios", f"{name}.json"), suite=suite)
 
+    def test_u0_is_built_on_every_lp_level(self):
+        # at h = 0.01 the nodes nearest the origin sit at +-0.005
+        scn = scenario_from_dict(base_raw(u0="ball:0.004", h=[0.01, 0.005, 0.0025]))
+        validate_for_suite(scn, "sharp")  # sharp builds u0 on the finest grid only
+        with pytest.raises(ConfigError, match="covers no grid cell at h = 0.01"):
+            validate_for_suite(scn, "lp")
+        with pytest.raises(ConfigError, match="covers no grid cell at h = 0.01"):
+            validate_for_suite(scn, "all")
+
+    def test_csv_u0_must_fit_every_level_its_suite_builds_on(self, tmp_path):
+        path = tmp_path / "u0.csv"
+        np.savetxt(path, np.ones(800), delimiter=",")  # the finest grid, h = 0.0025
+        raw = base_raw(u0=f"csv:{path}", h=[0.01, 0.005, 0.0025])
+        scn = scenario_from_dict(raw, suite="sharp")
+        with pytest.raises(ConfigError, match="u0 csv has 800 rows, grid has 200 nodes"):
+            validate_for_suite(scn, "lp")
+        np.savetxt(path, np.ones(200), delimiter=",")
+        with pytest.raises(ConfigError, match="u0 csv has 200 rows, grid has 800 nodes"):
+            scenario_from_dict(raw, suite="sharp")
+        with pytest.raises(ConfigError, match="u0 csv has 200 rows, grid has 800 nodes"):
+            scenario_from_dict(dict(raw, c="2*cstar"), suite="blowup")
+        scenario_from_dict(raw, suite="operator")  # operator and kernel never build u0
+
     def test_unknown_suite(self):
         scn = scenario_from_dict(base_raw())
         with pytest.raises(ConfigError, match="unknown suite"):
@@ -397,6 +420,14 @@ class TestBuildU0:
         np.savetxt(path, vals, delimiter=",")
         npt.assert_array_equal(build_u0(f"csv:{path}", grid), vals)
 
+    def test_csv_unreadable_is_config_error(self, grid, tmp_path):
+        with pytest.raises(ConfigError, match="is unreadable"):
+            build_u0(f"csv:{tmp_path / 'missing.csv'}", grid)
+        path = tmp_path / "words.csv"
+        path.write_text("a\nb\n")
+        with pytest.raises(ConfigError, match="is unreadable"):
+            build_u0(f"csv:{path}", grid)
+
     def test_csv_shape_mismatch(self, grid, tmp_path):
         path = tmp_path / "short.csv"
         np.savetxt(path, np.ones(5), delimiter=",")
@@ -498,13 +529,16 @@ def store_root(tmp_path):
 
 @pytest.fixture()
 def no_assembly(monkeypatch):
-    """Fail the test if a suite assembles an operator."""
+    """Fail the test if a suite, the blow-up diagnostic or a CLI command assembles an operator."""
+    import hardyheat.estimators
+    import hardyheat.operators
     import hardyheat.suites
 
     def assemble(*args, **kwargs):
         raise AssertionError("an operator was assembled")
 
-    monkeypatch.setattr(hardyheat.suites, "assemble_operator", assemble)
+    for mod in (hardyheat.suites, hardyheat.estimators, hardyheat.operators):
+        monkeypatch.setattr(mod, "assemble_operator", assemble)
 
 
 def small_raw():
@@ -529,6 +563,42 @@ class TestCli:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_bench_tracer_installs_on_the_current_names(self, tmp_path):
+        # bench/spans.py patches names by hand (DiscreteOperator.with_truncation,
+        # the FormEvaluator methods, evolution.expm, estimators.eigvalsh): a
+        # renamed one must fail here, not in the next traced benchmark run
+        import subprocess
+        import sys
+
+        import hardyheat
+
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hardyheat.__file__)))
+        scn = write_scenario(tmp_path, "op.json", base_raw(h=[0.1, 0.05]))
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from spans import Tracer; tracer = Tracer(); tracer.install(); "
+            "import hardyheat.cli; "
+            "rc = hardyheat.cli.main(['--out', sys.argv[2], 'verify', '--suite', 'operator', "
+            "'--scenario', sys.argv[3]]); "
+            "calls = {k: v['calls'] for k, v in tracer.summary()['spans'].items()}; "
+            "print(json.dumps({'rc': rc, 'calls': calls}))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, os.path.join(here, "..", "bench"),
+             str(tmp_path / "runs"), scn],
+            # no bytecode cache: the test writes nothing under bench/
+            env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True, check=True,
+        )
+        result = json.loads(out.stdout.strip().splitlines()[-1])
+        assert result["rc"] == 0
+        calls = result["calls"]
+        assert calls["operators.assemble_operator"] == 2
+        assert calls["operators.forms"] > 0
+        assert calls["estimators.t_ref"] > 0
+        assert calls["kernel.eigh"] > 0
 
     def test_verify_recomputes_truncated_report(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "ok.json", base_raw())
@@ -670,6 +740,26 @@ class TestCli:
         rc = main(["--out", store_root, "verify", "--suite", suite, "--scenario", path])
         assert rc == 2
         assert "half-width 5 must sit strictly inside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite, c, h", [
+        ("sharp", "0.5*cstar", 0.0025), ("lp", "0.5*cstar", 0.01), ("blowup", "2*cstar", 0.0025),
+    ])
+    def test_u0_covering_no_node_exits_2_before_assembly(
+        self, tmp_path, store_root, capsys, no_assembly, suite, c, h
+    ):
+        # sharp and blowup build u0 on the finest grid, lp on every level
+        raw = base_raw(c=c, u0="ball:0.001", h=[0.01, 0.005, 0.0025])
+        path = write_scenario(tmp_path, "tiny_ball.json", raw)
+        rc = main(["--out", store_root, "verify", "--suite", suite, "--scenario", path])
+        assert rc == 2
+        assert f"u0 'ball:0.001' covers no grid cell at h = {h:g}" in capsys.readouterr().err
+
+    def test_evolve_checks_u0_before_assembly(self, tmp_path, store_root, capsys, no_assembly):
+        path = write_scenario(tmp_path, "tiny_ball.json", base_raw(u0="ball:0.001", h=[0.01]))
+        rc = main(["--out", store_root, "evolve", "--scenario", path])
+        assert rc == 2
+        assert "covers no grid cell at h = 0.01" in capsys.readouterr().err
+        assert os.listdir(os.path.join(store_root, "trajectories")) == []
 
     def test_verify_seed_override_changes_run_id(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "ok.json", base_raw())

@@ -17,6 +17,7 @@ from hardyheat.grids import build_grid
 from hardyheat.operators import (
     FormEvaluator,
     _adjacent_weight_1d,
+    _jump_matrix,
     _near_weight_2d,
     assemble_operator,
     exterior_power_tail,
@@ -153,17 +154,24 @@ def test_near_weight_2d_matches_quadrature():
 # assembly structure
 # ---------------------------------------------------------------------------
 
+def _jump(op):
+    """The jump weights of ``op``: -L0 off the diagonal, 0 on it (as the operator suite reads them)."""
+    return np.where(np.eye(op.n, dtype=bool), 0.0, -op.L0)
+
+
 def test_assembly_structure_1d():
     grid = build_grid((-1.0, 1.0), 0.02)
     op = assemble_operator(grid, P1, c=0.0)
     n = grid.n
-    assert op.J.shape == (n, n)
-    assert np.max(np.abs(op.J - op.J.T)) == 0.0
-    assert np.min(op.J) >= 0.0
-    assert np.all(np.diag(op.J) == 0.0)
+    J = _jump_matrix(grid, intensity_constant(P1), P1.alpha)
+    assert J.shape == (n, n)
+    assert np.max(np.abs(J - J.T)) == 0.0
+    assert np.min(J) >= 0.0
+    assert np.all(np.diag(J) == 0.0)
     # off-diagonal of the generator is minus the jump matrix
     off = op.L0 - np.diag(np.diag(op.L0))
-    assert_allclose(off, -(op.J - np.diag(np.diag(op.J))), rtol=0, atol=0)
+    assert_allclose(off, -(J - np.diag(np.diag(J))), rtol=0, atol=0)
+    assert np.array_equal(_jump(op), J)
     # row sums collapse to the killing rate
     assert_allclose(op.L0.sum(axis=1), op.kappa, rtol=1e-10)
 
@@ -175,7 +183,7 @@ def test_adjacent_entries_use_cell_integration():
     h = grid.h
     want = A * h ** (-P1.alpha) * oracles.cell_weight_1d_quad(P1.alpha)
     for i in (0, 57, 98):
-        assert_allclose(op.J[i, i + 1], want, rtol=1e-10)
+        assert_allclose(_jump(op)[i, i + 1], want, rtol=1e-10)
 
 
 def test_far_entries_use_midpoint_rule():
@@ -185,14 +193,15 @@ def test_far_entries_use_midpoint_rule():
     h = grid.h
     i, j = 10, 25
     dist = abs(grid.nodes[i] - grid.nodes[j])
-    assert_allclose(op.J[i, j], A * h * dist ** (-1.0 - P1.alpha), rtol=1e-13)
+    assert_allclose(_jump(op)[i, j], A * h * dist ** (-1.0 - P1.alpha), rtol=1e-13)
 
 
 def test_assembly_structure_2d():
     grid = build_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.125)
     op = assemble_operator(grid, P2, c=0.0)
-    assert np.max(np.abs(op.J - op.J.T)) == 0.0
-    assert np.min(op.J) >= 0.0
+    J = _jump(op)
+    assert np.max(np.abs(J - J.T)) == 0.0
+    assert np.min(J) >= 0.0
     assert_allclose(op.L0.sum(axis=1), op.kappa, rtol=1e-10)
     # axis neighbor and diagonal neighbor get the cached cell integrals
     A, h = op.intensity, grid.h
@@ -202,8 +211,8 @@ def test_assembly_structure_2d():
     di_mask = (np.abs(steps[:, :, 0]) == 1) & (np.abs(steps[:, :, 1]) == 1)
     want_ax = A * h ** (-P2.alpha) * oracles.cell_weight_2d_quad(P2.alpha, 1, 0)
     want_di = A * h ** (-P2.alpha) * oracles.cell_weight_2d_quad(P2.alpha, 1, 1)
-    assert_allclose(op.J[ax_mask], want_ax, rtol=1e-9)
-    assert_allclose(op.J[di_mask], want_di, rtol=1e-9)
+    assert_allclose(J[ax_mask], want_ax, rtol=1e-9)
+    assert_allclose(J[di_mask], want_di, rtol=1e-9)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
@@ -219,10 +228,11 @@ def test_jump_matrix_2d_matches_broadcast(alpha, dom, h):
         grid.nodes, h, op.intensity, alpha,
         scale * _near_weight_2d(alpha, 1, 0), scale * _near_weight_2d(alpha, 1, 1),
     )
-    assert np.array_equal(op.J, op.J.T)
+    J = _jump(op)
+    assert np.array_equal(J, J.T)
     nonzero = ref != 0.0
-    assert np.array_equal(op.J != 0.0, nonzero)
-    assert_allclose(op.J[nonzero], ref[nonzero], rtol=1e-14, atol=0)
+    assert np.array_equal(J != 0.0, nonzero)
+    assert_allclose(J[nonzero], ref[nonzero], rtol=1e-14, atol=0)
 
 
 def test_potential_and_truncation():
@@ -234,11 +244,95 @@ def test_potential_and_truncation():
     trunc = op.with_truncation(1.0)
     assert_allclose(trunc.W, np.minimum(op.V, 1.0))
     assert_allclose(trunc.H, op.L0 - np.diag(np.minimum(op.V, 1.0)))
-    # J, kappa, V are shared, not recomputed
-    assert trunc.J is op.J
+    # L0, kappa, V are shared, not recomputed
+    assert trunc.L0 is op.L0
     assert trunc.kappa is op.kappa
     back = trunc.with_truncation(None)
     assert_allclose(back.H, op.H)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _single_matrix_case(name):
+    """(operator, V and k the oracle subtracts) for one single-matrix case."""
+    g1 = build_grid((-1.0, 1.0), 0.02)
+    g2 = build_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.1)
+    c1, c2 = 0.5 * hardy_constant(P1), 0.3 * hardy_constant(P2)
+    if name == "d1":
+        op = assemble_operator(g1, P1, c=c1)
+        return op, op.V, None
+    if name == "d2":
+        op = assemble_operator(g2, P2, c=c2)
+        return op, op.V, None
+    if name == "d2_truncated":
+        op = assemble_operator(g2, P2, c=c2).with_truncation(4.0)
+        return op, op.V, 4.0
+    if name == "d1_assembled_truncated":
+        op = assemble_operator(g1, P1, c=c1, k=2.0)
+        return op, op.V, 2.0
+    op = assemble_operator(g1, P1, c=c1).free
+    return op, np.zeros(g1.n), None
+
+
+@pytest.mark.parametrize(
+    "name", ["d1", "d2", "d2_truncated", "d1_assembled_truncated", "d1_free"]
+)
+def test_single_matrix_operator_matches_three_array_oracle(name):
+    op, V, k = _single_matrix_case(name)
+    J0 = _jump_matrix(op.grid, intensity_constant(op.params), op.params.alpha)
+    J, L0, H = oracles.three_array_operator(J0, op.kappa, V, k)
+    assert np.array_equal(_bits(op.L0), _bits(L0))
+    assert np.array_equal(_bits(_jump(op)), _bits(J))
+    assert np.array_equal(_bits(op.H), _bits(H))
+    assert np.array_equal(_bits(op.W), _bits(V if k is None else np.minimum(V, k)))
+
+
+@pytest.mark.parametrize("name", ["d1", "d2"])
+def test_weighted_form_matches_jump_oracle_bit_for_bit(name):
+    op, V, k = _single_matrix_case(name)
+    J0 = _jump_matrix(op.grid, intensity_constant(op.params), op.params.alpha)
+    ev = FormEvaluator(op)
+    w, wkill = ev._weight_data()
+    rng = np.random.default_rng(5)
+    for f in (rng.normal(size=op.n), op.grid.radii ** -0.1, np.zeros(op.n)):
+        want = op.grid.cell_volume * (
+            oracles.weighted_jump_form(J0, f, w) + float(np.sum(f * f * w * wkill))
+        )
+        assert _bits(ev.weighted(f)) == _bits(want)
+
+
+def _square_arrays(op):
+    n = op.n
+    return sorted(
+        name for name, v in vars(op).items() if isinstance(v, np.ndarray) and v.shape == (n, n)
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_operator_stores_one_matrix_shared_by_truncation_and_free(d):
+    if d == 1:
+        op = assemble_operator(build_grid((-1.0, 1.0), 0.05), P1, c=0.5 * hardy_constant(P1))
+    else:
+        grid = build_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.2)
+        op = assemble_operator(grid, P2, c=0.3 * hardy_constant(P2))
+    assert _square_arrays(op) == ["L0"]
+    trunc = op.with_truncation(2.0)
+    assert _square_arrays(trunc) == ["L0"]
+    assert trunc.L0 is op.L0
+    assert op.free.H is op.L0
+    assert op.free.L0 is op.L0
+    assert (op.free.c, op.free.k) == (0.0, None)
+    assert not np.any(op.free.V)
+    # the free view is built once per operator, so its spectrum is cached once
+    assert op.free is op.free
+    # H is derived on first read and cached; it never aliases L0 when W != 0
+    assert trunc.H is trunc.H and trunc.H is not op.L0
+    assert _square_arrays(trunc) == ["H", "L0"]
+    assert _square_arrays(op) == ["L0"]
+    free = assemble_operator(op.grid, op.params)
+    assert free.H is free.L0
 
 
 def test_assembly_validation():
@@ -262,7 +356,7 @@ def test_free_generator_is_positive_definite(cells, alpha):
     p = FractionalParams(1, alpha)
     grid = build_grid((-1.0, 1.0), 2.0 / cells)
     op = assemble_operator(grid, p, c=0.0)
-    assert np.max(np.abs(op.J - op.J.T)) == 0.0
+    assert np.max(np.abs(op.L0 - op.L0.T)) == 0.0
     assert_allclose(op.L0.sum(axis=1), op.kappa, rtol=1e-9)
     eig = np.linalg.eigvalsh(op.L0)
     assert eig[0] > 0.0
@@ -326,7 +420,7 @@ def test_plain_form_equals_definition():
     f = rng.normal(size=grid.n)
     df = f[:, None] - f[None, :]
     direct = grid.cell_volume * (
-        0.5 * np.sum(op.J * df * df) + np.sum(op.kappa * f * f)
+        0.5 * np.sum(_jump(op) * df * df) + np.sum(op.kappa * f * f)
     )
     assert_allclose(ev.plain(f), direct, rtol=1e-12)
 
@@ -427,13 +521,13 @@ def test_operator_format_version_guard(tmp_path):
 
 
 def _synthetic_operator():
-    """A 1-d operator whose H holds 1e-05, 1e+16, 5e-324, -0.0 and skipped zeros."""
+    """A free 1-d operator whose H (= L0) holds 1e-05, 1e+16, 5e-324, -0.0 and skipped zeros."""
     op = assemble_operator(build_grid((-1.0, 1.0), 0.25), P1)
     H = np.zeros((op.n, op.n))
     np.fill_diagonal(H, [1e-05, 1e+16, -0.0, 5e-324, 2.5, -3.0, 0.1, 1.0 / 3.0])
     for i, j, v in [(0, 1, 5e-324), (0, 7, 1e+16), (2, 5, 1e-05), (3, 4, -1e-300)]:
         H[i, j] = H[j, i] = v
-    return dataclasses.replace(op, H=H)
+    return dataclasses.replace(op, L0=H)
 
 
 def _operator_case(name):
