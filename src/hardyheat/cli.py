@@ -127,12 +127,12 @@ def _cmd_assemble(args) -> int:
     return 0
 
 
-def _load_scenario_with_overrides(args, suite=None):
+def _load_scenario_with_overrides(args):
     import dataclasses
 
     from .scenario import load_scenario
 
-    scn = load_scenario(args.scenario, suite=suite)
+    scn = load_scenario(args.scenario)
     if args.seed is not None:
         scn = dataclasses.replace(scn, seed=args.seed)
     if getattr(args, "scheme", None):
@@ -226,7 +226,8 @@ def _print_checks(report: dict) -> None:
 def _cmd_verify(args) -> int:
     from .runstore import RunStore
 
-    scn = _load_scenario_with_overrides(args, suite=args.suite)
+    # the suite's rules are checked by run_suite, before anything is computed
+    scn = _load_scenario_with_overrides(args)
     store = RunStore(_store_root(args))
     report, cached = store.run(scn, args.suite, force=args.force)
     if cached:
@@ -250,7 +251,7 @@ def _cmd_sweep(args) -> int:
     store = RunStore(_store_root(args))
     worst = 0
     for path in args.scenarios:
-        scn = load_scenario(path, suite=args.suite)
+        scn = load_scenario(path)
         if args.seed is not None:
             scn = dataclasses.replace(scn, seed=args.seed)
         report, cached = store.run(scn, args.suite, force=args.force)

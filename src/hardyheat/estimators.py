@@ -43,9 +43,12 @@ def lambda_min(op: DiscreteOperator) -> float:
     return float(eigvalsh(op.H, subset_by_index=(0, 0))[0])
 
 
-def t_ref(op: DiscreteOperator) -> float:
-    """Reference time 1/lambda_1(L0): the free ground-state relaxation time."""
-    lam = lambda_min(op.free)
+def t_ref(op: DiscreteOperator, lam_free: float | None = None) -> float:
+    """Reference time 1/lambda_1(L0): the free ground-state relaxation time.
+
+    ``lam_free`` is lambda_min(op.free) when the caller has solved it already.
+    """
+    lam = lambda_min(op.free) if lam_free is None else lam_free
     if lam <= 0.0:
         raise ContractError(f"free operator bottom eigenvalue must be > 0, got {lam}")
     return 1.0 / lam

@@ -258,16 +258,27 @@ class DiscreteOperator:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(lam, Q) with H = Q diag(lam) Q^T, computed on first use.
 
-        Cached per instance: ``with_truncation`` builds a new operator, so a
-        truncated copy solves its own eigenproblem.
+        Cached per instance; a truncated copy solves its own eigenproblem
+        unless its cutoff changes nothing (see ``with_truncation``).
         """
         return eigh(self.H, driver="evd")
 
     def with_truncation(self, k: float | None) -> "DiscreteOperator":
-        """Same L0, kappa and V, different potential cutoff."""
+        """Same L0, kappa and V, different potential cutoff.
+
+        When this operator's cutoff and k are both None or >= max V, min(V, k)
+        equals V bit for bit; the copy then keeps its own k but shares the H
+        and spectrum this operator has cached so far.
+        """
         if k is not None and not (k > 0.0):
             raise ContractError(f"truncation level must be positive, got {k}")
-        return replace(self, k=k)
+        copy = replace(self, k=k)
+        top = float(np.max(self.V))
+        if all(level is None or level >= top for level in (self.k, k)):
+            for name in ("H", "spectrum"):  # the cached_property values
+                if name in vars(self):
+                    vars(copy)[name] = vars(self)[name]
+        return copy
 
 
 def assemble_operator(

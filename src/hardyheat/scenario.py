@@ -304,11 +304,13 @@ def all_parts(scn: Scenario) -> tuple[str, ...]:
     return tuple(p for p in _ALL_PARTS if p != "lp" or len(scn.h_levels) >= 3)
 
 
-def validate_for_suite(scn: Scenario, suite: str) -> None:
+def validate_for_suite(scn: Scenario, suite: str) -> tuple[list, dict]:
     """Every rule ``suite`` places on a scenario; 'all' adds those of its parts.
 
     Every grid level must build, whatever the suite, and u0 must build on
-    every grid where the suite builds it.
+    every grid where the suite builds it.  Returns what it built, so that a
+    run builds neither again: the grids, coarse to fine, and u0 keyed by the
+    h of each grid it was built on.
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -317,6 +319,7 @@ def validate_for_suite(scn: Scenario, suite: str) -> None:
     c_star = hardy_constant(scn.params)
     tol = 1.0 + 1e-12
     names = ("all", *all_parts(scn)) if suite == "all" else (suite,)
+    u0s = {}
     for name in names:
         if name in ("sharp", "kernel", "lp", "all") and scn.c > c_star * tol:
             raise ConfigError(
@@ -346,7 +349,9 @@ def validate_for_suite(scn: Scenario, suite: str) -> None:
                     f"suite {name!r} fits a slope on the finest grid (h = {finest.h:g}): {exc}"
                 ) from None
         for grid in {"sharp": [finest], "blowup": [finest], "lp": grids}.get(name, []):
-            build_u0(scn.u0_spec, grid)
+            if grid.h not in u0s:
+                u0s[grid.h] = build_u0(scn.u0_spec, grid)
+    return grids, u0s
 
 
 def load_scenario(path: str, suite: str | None = None) -> Scenario:

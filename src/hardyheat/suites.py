@@ -30,9 +30,8 @@ from .estimators import (
     weighted_row_mass,
 )
 from .evolution import duhamel_residual, evolve, heat_kernel, minimal_solution
-from .grids import build_grid
 from .operators import FormEvaluator, assemble_operator, exterior_power_tail
-from .scenario import Scenario, all_parts, build_u0, validate_for_suite
+from .scenario import Scenario, all_parts, validate_for_suite
 from .specfun import beta_of_c, hardy_constant, multiplier
 
 __all__ = ["run_suite"]
@@ -49,15 +48,24 @@ def _check(name, measured, expected, tolerance, ok) -> dict:
 
 
 def run_suite(scn: Scenario, suite: str) -> dict:
-    validate_for_suite(scn, suite)  # for 'all', also the rules of each part
+    """Validate ``scn`` for ``suite``, run it and return the report.
+
+    A scenario that breaks a rule of the suite (for 'all', of any part it
+    runs) raises ConfigError before anything is assembled.  The parts of one
+    call share a ``_Run``: the grids and u0 that validation built, one live
+    operator with its cached H and spectra, and each level's bottom
+    eigenvalues, so that each eigenproblem is solved once per call.  Nothing
+    of it outlives the call.
+    """
+    run = _Run(scn, suite)
     if suite == "all":
         checks = [
             dict(c, name=f"{part}.{c['name']}")
             for part in all_parts(scn)
-            for c in _RUNNERS[part](scn)
+            for c in _RUNNERS[part](scn, run)
         ]
     else:
-        checks = _RUNNERS[suite](scn)
+        checks = _RUNNERS[suite](scn, run)
     import os
 
     threads = os.environ.get("OMP_NUM_THREADS")
@@ -72,11 +80,53 @@ def run_suite(scn: Scenario, suite: str) -> dict:
     }
 
 
+class _Run:
+    """What the parts of one ``run_suite`` call share.
+
+    Grids and u0 come from the validation; operators are untruncated
+    (k = None).  Only the operator of the level last asked for is held:
+    ``operator`` ends on the finest grid, where ``kernel`` and ``sharp`` run,
+    so those share it with its cached H and spectra, while memory stays that
+    of one level.  A level asked for again (``lp`` walks every level) is
+    assembled again.  Bottom eigenvalues and reference times are kept per
+    level as scalars, so no level solves one twice.
+    """
+
+    def __init__(self, scn: Scenario, suite: str):
+        grids, self._u0 = validate_for_suite(scn, suite)  # for 'all', also each part's rules
+        self._grids = dict(zip(scn.h_levels, grids))
+        self._scn = scn
+        self._op = None
+        self._bottom: dict[tuple, float] = {}
+        self._t_ref: dict[float, float] = {}
+
+    def operator(self, h: float):
+        if self._op is None or self._op.grid.h != h:
+            self._op = None  # release the previous level before assembling
+            self._op = assemble_operator(self._grids[h], self._scn.params, c=self._scn.c, k=None)
+        return self._op
+
+    def u0(self, grid) -> np.ndarray:
+        return self._u0[grid.h]
+
+    def lambda_min(self, op) -> float:
+        key = (op.grid.h, op.c, op.k)
+        if key not in self._bottom:
+            self._bottom[key] = lambda_min(op)
+        return self._bottom[key]
+
+    def t_ref(self, op) -> float:
+        h = op.grid.h
+        if h not in self._t_ref:
+            self._t_ref[h] = t_ref(op, self.lambda_min(op.free))
+        return self._t_ref[h]
+
+
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
 
-def _run_constants(scn: Scenario) -> list[dict]:
+def _run_constants(scn: Scenario, run: _Run) -> list[dict]:
     p = scn.params
     c_star = hardy_constant(p)
     b_star = p.beta_star
@@ -141,15 +191,15 @@ def _interior_vectors(grid, seed: int, count: int) -> list[np.ndarray]:
     return out
 
 
-def _run_operator(scn: Scenario) -> list[dict]:
+def _run_operator(scn: Scenario, run: _Run) -> list[dict]:
     p = scn.params
     c_star = hardy_constant(p)
     checks = []
     beta = beta_of_c(scn.c, p) if 0.0 < scn.c <= c_star * (1 + 1e-12) else None
     defects, gaps, epss = [], [], []
     for h in scn.h_levels:
-        grid = build_grid(scn.domain_spec(), h)
-        op = assemble_operator(grid, p, c=scn.c, k=None)
+        op = run.operator(h)
+        grid = op.grid
         # J = -L0 off the diagonal and 0 on it, so |J - J^T| = |L0 - L0^T|
         asym = float(np.max(np.abs(op.L0 - op.L0.T)))
         checks.append(_check(f"jump_symmetric_h{h:g}", asym, 0.0, "exact", asym == 0.0))
@@ -171,14 +221,14 @@ def _run_operator(scn: Scenario) -> list[dict]:
                 for f in vecs
             )
             gaps.append(gap)
-            tr = t_ref(op)
+            tr = run.t_ref(op)
             ker = heat_kernel(op, 0.1 * tr)
             epss.append(weighted_row_mass(ker, w)["eps"])
     # the loop ends on the finest grid, so op is the untruncated operator there
-    lam_free = lambda_min(op.free)
+    lam_free = run.lambda_min(op.free)
     checks.append(_check("free_bottom_positive", lam_free, "> 0", "strict", lam_free > 0.0))
     if scn.c > 0.0:
-        lam_c = lambda_min(op)
+        lam_c = run.lambda_min(op)
         checks.append(
             _check("potential_lowers_bottom", lam_c, f"< {lam_free:.6g}", "strict", lam_c < lam_free)
         )
@@ -226,12 +276,12 @@ def _run_operator(scn: Scenario) -> list[dict]:
 # kernel
 # ---------------------------------------------------------------------------
 
-def _run_kernel(scn: Scenario) -> list[dict]:
+def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
     p = scn.params
     c_star = hardy_constant(p)
-    grid = build_grid(scn.domain_spec(), scn.h_levels[-1])
-    op = assemble_operator(grid, p, c=scn.c, k=None)
-    tr = t_ref(op)
+    op = run.operator(scn.h_levels[-1])
+    grid = op.grid
+    tr = run.t_ref(op)
     times = scn.resolve_times(tr)
     kernels = [heat_kernel(op, float(t)) for t in times]
     if scn.c > 0.0:
@@ -247,9 +297,14 @@ def _run_kernel(scn: Scenario) -> list[dict]:
     checks.append(_check("kernel_positive", kmin, "> 0", "strict", kmin > 0.0))
     if len(times) >= 2:
         t1, t2 = float(times[0]), float(times[1])
-        lhs = kernels[0].P @ kernels[1].P * grid.cell_volume
+        # in place, and dropped after use: the run keeps the operator's H and
+        # spectrum alive meanwhile, so these n x n arrays set the peak memory
+        lhs = kernels[0].P @ kernels[1].P
+        lhs *= grid.cell_volume
         rhs = heat_kernel(op, t1 + t2).P
-        ck = float(np.max(np.abs(lhs - rhs)) / np.max(rhs))
+        lhs -= rhs
+        ck = float(np.max(np.abs(lhs, out=lhs)) / np.max(rhs))
+        del lhs, rhs
         checks.append(_check("chapman_kolmogorov", ck, 0.0, "rel 1e-8", ck <= 1e-8))
     sand = kernel_sandwich(kernels, w, scn.inner_half_width)
     checks.append(
@@ -319,17 +374,17 @@ def _run_kernel(scn: Scenario) -> list[dict]:
 # sharp (singularity + sharp-constant checks, c <= c*)
 # ---------------------------------------------------------------------------
 
-def _run_sharp(scn: Scenario) -> list[dict]:
+def _run_sharp(scn: Scenario, run: _Run) -> list[dict]:
     p = scn.params
     c_star = hardy_constant(p)
-    grid = build_grid(scn.domain_spec(), scn.h_levels[-1])
-    op = assemble_operator(grid, p, c=scn.c, k=None)
-    tr = t_ref(op)
+    op = run.operator(scn.h_levels[-1])
+    grid = op.grid
+    tr = run.t_ref(op)
     times = [float(t) for t in scn.resolve_times(tr)]
     if times[0] > 0.0:
         # the source-term residual check integrates from the start
         times = [0.0] + times
-    u0 = build_u0(scn.u0_spec, grid)
+    u0 = run.u0(grid)
     checks = []
     try:
         traj, rep = minimal_solution(
@@ -382,17 +437,15 @@ def _run_sharp(scn: Scenario) -> list[dict]:
 # lp (integrability thresholds across refinement)
 # ---------------------------------------------------------------------------
 
-def _run_lp(scn: Scenario) -> list[dict]:
+def _run_lp(scn: Scenario, run: _Run) -> list[dict]:
     p = scn.params
     beta = beta_of_c(scn.c, p)
     profiles = []
     for h in scn.h_levels:
-        grid = build_grid(scn.domain_spec(), h)
-        op = assemble_operator(grid, p, c=scn.c, k=None)
-        tr = t_ref(op)
-        times = scn.resolve_times(tr)
-        traj = evolve(op, build_u0(scn.u0_spec, grid), times, scheme=scn.scheme)
-        profiles.append((grid, traj.states[-1]))
+        op = run.operator(h)
+        times = scn.resolve_times(run.t_ref(op))
+        traj = evolve(op, run.u0(op.grid), times, scheme=scn.scheme)
+        profiles.append((op.grid, traj.states[-1]))
     thr = p.d / beta
     checks = []
     strict_cases = [
@@ -448,17 +501,20 @@ def _run_lp(scn: Scenario) -> list[dict]:
 # blowup (c > c*)
 # ---------------------------------------------------------------------------
 
-def _run_blowup(scn: Scenario) -> list[dict]:
-    rep = blowup_diagnostic(
-        scn.params,
-        scn.c,
-        scn.domain_spec(),
-        scn.h_levels,
-        u0_builder=lambda grid: build_u0(scn.u0_spec, grid),
-        t0_factor=scn.t0_factor,
-        k_schedule=scn.k_schedule,
-        scheme=scn.scheme,
-    )
+def _run_blowup(scn: Scenario, run: _Run) -> list[dict]:
+    try:
+        rep = blowup_diagnostic(
+            scn.params,
+            scn.c,
+            scn.domain_spec(),
+            scn.h_levels,
+            u0_builder=run.u0,
+            t0_factor=scn.t0_factor,
+            k_schedule=scn.k_schedule,
+            scheme=scn.scheme,
+        )
+    except InvariantViolation as exc:  # the probe fell as k grew
+        return [_check("probe_monotone_in_k", str(exc), "strictly increasing", "strict", False)]
     checks = [
         _check(
             "lambda_min_decreasing",

@@ -385,6 +385,84 @@ def test_a_scenario_fails_at_parse_time_or_completes_its_suite(raw, suite):
 
 
 # ---------------------------------------------------------------------------
+# one run_suite call: shared operators and eigenvalues, nothing kept after it
+# ---------------------------------------------------------------------------
+
+def three_level_raw(**over):
+    """1-d c = 0.5c* on n = 50/100/200, so 'all' runs every part, lp included."""
+    return base_raw(h=[0.04, 0.02, 0.01], **over)
+
+
+def _json(report) -> str:
+    return json.dumps(report, sort_keys=True)
+
+
+def test_all_equals_each_part_run_alone():
+    # the oracle: every part on its own, so nothing is shared between parts
+    scn = scenario_from_dict(three_level_raw(), suite="all")
+    alone = [
+        dict(c, name=f"{part}.{c['name']}")
+        for part in all_parts(scn)
+        for c in run_suite(scn, part)["checks"]
+    ]
+    assert "lp" in all_parts(scn)
+    assert _json(run_suite(scn, "all")["checks"]) == _json(alone)
+
+
+@pytest.fixture()
+def assembled(monkeypatch):
+    """Weak references to every operator the suites assemble."""
+    import weakref
+
+    import hardyheat.suites
+
+    refs = []
+    real = hardyheat.suites.assemble_operator
+
+    def assemble(*args, **kwargs):
+        op = real(*args, **kwargs)
+        refs.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(hardyheat.suites, "assemble_operator", assemble)
+    return refs
+
+
+def _alive(refs) -> int:
+    import gc
+
+    gc.collect()
+    return sum(ref() is not None for ref in refs)
+
+
+def test_no_operator_outlives_run_suite(assembled, monkeypatch):
+    import hardyheat.suites
+
+    scn = scenario_from_dict(three_level_raw(), suite="all")
+    run_suite(scn, "all")
+    assert len(assembled) > 0 and _alive(assembled) == 0
+
+    def fail(*args, **kwargs):  # mid-run: in sharp, with the finest operator live
+        raise RuntimeError("stop")
+
+    assembled.clear()
+    monkeypatch.setattr(hardyheat.suites, "duhamel_residual", fail)
+    with pytest.raises(RuntimeError, match="stop"):
+        run_suite(scn, "all")
+    assert len(assembled) > 0 and _alive(assembled) == 0
+
+
+def test_back_to_back_runs_give_the_bytes_of_separate_runs():
+    a = scenario_from_dict(three_level_raw(), suite="all")
+    b = scenario_from_dict(base_raw(c="0.8*cstar", h=[0.05, 0.025, 0.0125],
+                                    domain=[-1.0, 1.5], times=[0.2, 1.0]), suite="all")
+    first = [_json(run_suite(a, "all")), _json(run_suite(b, "all"))]
+    second = [_json(run_suite(b, "all")), _json(run_suite(a, "all"))]
+    assert first == second[::-1]
+    assert first[0] != first[1]
+
+
+# ---------------------------------------------------------------------------
 # initial data construction
 # ---------------------------------------------------------------------------
 
@@ -675,6 +753,83 @@ class TestCli:
         assert rc == 1
         assert "[FAIL] verdict_blowup" in out
         assert "[PASS] lambda_min_decreasing" in out
+
+    def test_blowup_probe_falling_in_k_is_a_failed_check(
+        self, tmp_path, store_root, capsys, monkeypatch
+    ):
+        # the truncation probe reports its invariant as sharp reports
+        # minimal_monotone: a failed check in a written report, exit 1
+        import dataclasses
+
+        import hardyheat.evolution
+
+        real = hardyheat.evolution.evolve
+
+        def falling(op, u0, times, scheme="expm"):
+            traj = real(op, u0, times, scheme=scheme)
+            return dataclasses.replace(traj, states=traj.states / op.k)
+
+        monkeypatch.setattr(hardyheat.evolution, "evolve", falling)
+        raw = base_raw(c="3*cstar", h=[0.04, 0.02, 0.01], k=[1.0, 4.0], times=[0.1])
+        path = write_scenario(tmp_path, "deep.json", raw)
+        rc = main(["--out", store_root, "verify", "--suite", "blowup", "--scenario", path])
+        assert rc == 1
+        assert "[FAIL] probe_monotone_in_k" in capsys.readouterr().out
+        rpath = os.path.join(store_root, "reports", f"{load_scenario(path).run_id()}.blowup.json")
+        with open(rpath) as fh:
+            report = json.load(fh)
+        assert report["passed"] is False
+        (check,) = report["checks"]
+        assert check["name"] == "probe_monotone_in_k" and check["pass"] is False
+        assert "truncated evolutions must increase with the cutoff" in check["measured"]
+
+    def test_verify_all_solves_each_eigenproblem_once(
+        self, tmp_path, store_root, capsys, monkeypatch
+    ):
+        import hashlib
+
+        import hardyheat.estimators
+        import hardyheat.operators
+        import hardyheat.scenario
+        import hardyheat.suites
+
+        calls = {"eigvalsh": [], "eigh": [], "assemble": 0, "validate": 0, "grids": 0}
+
+        def digest(a):
+            return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+        def counted(mod, name, key):
+            real = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                if isinstance(calls[key], list):
+                    calls[key].append(digest(args[0]))
+                else:
+                    calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counted(hardyheat.estimators, "eigvalsh", "eigvalsh")
+        counted(hardyheat.operators, "eigh", "eigh")
+        counted(hardyheat.suites, "assemble_operator", "assemble")
+        counted(hardyheat.suites, "validate_for_suite", "validate")
+        counted(hardyheat.scenario, "validate_for_suite", "validate")
+        counted(hardyheat.scenario, "build_grid", "grids")
+        path = write_scenario(tmp_path, "three.json", three_level_raw())
+        assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) == 0
+        # L0 on each of the three levels and H on the finest: four bottoms
+        assert len(calls["eigvalsh"]) == len(set(calls["eigvalsh"])) == 4
+        # H on each level (operator heat kernels) and L0 on the finest (Duhamel)
+        assert len(calls["eigh"]) == len(set(calls["eigh"])) == 4
+        # one live operator: lp assembles its three levels again (8 before)
+        assert calls["assemble"] == 6
+        assert calls["validate"] == 1 and calls["grids"] == 3
+        capsys.readouterr()
+        # a cache hit computes nothing
+        assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) == 0
+        assert "(cached report" in capsys.readouterr().out
+        assert (calls["assemble"], calls["validate"], calls["grids"]) == (6, 1, 3)
 
     def test_verify_unknown_scenario_key_exits_2(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "extra.json", base_raw(extra=1))

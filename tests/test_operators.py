@@ -335,6 +335,25 @@ def test_operator_stores_one_matrix_shared_by_truncation_and_free(d):
     assert free.H is free.L0
 
 
+def test_saturated_truncation_shares_h_and_spectrum():
+    op = assemble_operator(build_grid((-1.0, 1.0), 0.05), P1, c=0.5 * hardy_constant(P1))
+    lam, Q = op.spectrum  # also caches H
+    top = float(np.max(op.V))
+    for k in (top, 2.0 * top):  # min(V, k) = V bit for bit
+        sat = op.with_truncation(k)
+        assert sat.k == k
+        assert sat.H is op.H and sat.spectrum is op.spectrum
+        assert np.array_equal(_bits(np.minimum(op.V, k)), _bits(op.V))
+    low = op.with_truncation(0.5 * top)
+    assert low.H is not op.H and low.spectrum is not op.spectrum
+    assert low.spectrum[0][0] > lam[0]  # less potential removed: a higher bottom
+    # a copy of a truncated operator at k >= max V changes W, so it shares nothing
+    low.spectrum
+    back = low.with_truncation(top)
+    assert back.H is not low.H and back.spectrum is not low.spectrum
+    assert np.array_equal(_bits(back.H), _bits(op.H))
+
+
 def test_assembly_validation():
     grid = build_grid((-1.0, 1.0), 0.1)
     with pytest.raises(ConfigError):
