@@ -127,16 +127,17 @@ def _cmd_assemble(args) -> int:
     return 0
 
 
-def _load_scenario_with_overrides(args):
+def _load_scenario_with_overrides(args, path: str):
+    """The scenario at ``path`` with --seed and --scheme applied; --scheme obeys the file's rule."""
     import dataclasses
 
-    from .scenario import load_scenario
+    from .scenario import check_scheme, load_scenario
 
-    scn = load_scenario(args.scenario)
+    scn = load_scenario(path)
     if args.seed is not None:
         scn = dataclasses.replace(scn, seed=args.seed)
-    if getattr(args, "scheme", None):
-        scn = dataclasses.replace(scn, scheme=args.scheme)
+    if getattr(args, "scheme", None) is not None:
+        scn = dataclasses.replace(scn, scheme=check_scheme(args.scheme))
     return scn
 
 
@@ -148,7 +149,7 @@ def _cmd_evolve(args) -> int:
     from .runstore import NUMERICS_EPOCH, RunStore, load_current, write_json
     from .scenario import build_u0
 
-    scn = _load_scenario_with_overrides(args)
+    scn = _load_scenario_with_overrides(args, args.scenario)
     store = RunStore(_store_root(args))
     outdir = store.path("trajectories", scn.run_id())
     report_path = os.path.join(outdir, "report.json")
@@ -174,7 +175,7 @@ def _cmd_evolve(args) -> int:
         "times": [float(t) for t in traj.times],
         "files": [f"state_{i:03d}.csv" for i in range(len(traj.times))],
         "scheme": traj.scheme,
-        "report": _jsonable(rep),
+        "report": rep,
         "numerics": NUMERICS_EPOCH,
     }
     write_json(report_path, rep_out)
@@ -189,7 +190,7 @@ def _cmd_kernel(args) -> int:
     from .operators import assemble_operator, triangle_blocks, write_csv
     from .runstore import RunStore, write_json
 
-    scn = _load_scenario_with_overrides(args)
+    scn = _load_scenario_with_overrides(args, args.scenario)
     if args.t <= 0:
         from .errors import ContractError
 
@@ -227,7 +228,7 @@ def _cmd_verify(args) -> int:
     from .runstore import RunStore
 
     # the suite's rules are checked by run_suite, before anything is computed
-    scn = _load_scenario_with_overrides(args)
+    scn = _load_scenario_with_overrides(args, args.scenario)
     store = RunStore(_store_root(args))
     report, cached = store.run(scn, args.suite, force=args.force)
     if cached:
@@ -243,17 +244,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import dataclasses
-
     from .runstore import RunStore
-    from .scenario import load_scenario
 
     store = RunStore(_store_root(args))
     worst = 0
     for path in args.scenarios:
-        scn = load_scenario(path)
-        if args.seed is not None:
-            scn = dataclasses.replace(scn, seed=args.seed)
+        scn = _load_scenario_with_overrides(args, path)
         report, cached = store.run(scn, args.suite, force=args.force)
         n_fail = sum(1 for c in report["checks"] if not c["pass"])
         tag = "ok" if report["passed"] else f"{n_fail} FAILED"
@@ -262,20 +258,6 @@ def _cmd_sweep(args) -> int:
         if not report["passed"]:
             worst = 1
     return worst
-
-
-def _jsonable(obj):
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 _COMMANDS = {

@@ -19,7 +19,7 @@ from .errors import ConfigError, ContractError
 from .evolution import KernelMatrix, heat_kernel, minimal_solution
 from .grids import Grid, build_grid
 from .operators import DiscreteOperator, FormEvaluator, assemble_operator
-from .specfun import FractionalParams, beta_of_c, hardy_constant
+from .specfun import FractionalParams, coupling_regime, hardy_constant
 
 __all__ = [
     "lambda_min",
@@ -343,7 +343,7 @@ def sobolev_quotient(
     op = evaluator.op
     if p <= 1.0:
         raise ConfigError(f"quotient exponent p must exceed 1, got {p}")
-    beta = beta_of_c(op.c, op.params)
+    beta = op.beta
     grid = op.grid
     w2 = grid.radii ** (-2.0 * beta)
     hd = grid.cell_volume
@@ -418,6 +418,8 @@ def blowup_diagnostic(
 ) -> BlowupReport:
     """Joint refinement/truncation probe of instantaneous mass loss for c > c*.
 
+    ConfigError unless ``coupling_regime`` calls c supercritical.
+
     Three signatures are collected: (i) the bottom eigenvalue of H across
     halving grids must decrease with growing gaps (spectral collapse), (ii)
     the evolved value at the node nearest the origin must grow along the
@@ -429,10 +431,10 @@ def blowup_diagnostic(
     grows raises InvariantViolation.
     """
     c_star = hardy_constant(params)
-    if not (c > c_star):
+    if coupling_regime(c, params) != "supercritical":
         raise ConfigError(
-            f"blow-up diagnostic expects a supercritical coupling; got c={c:g} "
-            f"<= c*={c_star:g}"
+            f"blow-up diagnostic expects a supercritical coupling; got c={c:g}, "
+            f"c*={c_star:g}"
         )
     hs = sorted(float(h) for h in np.atleast_1d(h_levels))[::-1]
     if len(hs) < 3:

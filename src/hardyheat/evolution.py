@@ -33,7 +33,8 @@ from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError, ContractError, InvariantViolation
 from .operators import DiscreteOperator
-from .specfun import hardy_constant
+from .scenario import SCHEMES
+from .specfun import coupling_regime
 
 __all__ = [
     "Trajectory",
@@ -44,7 +45,6 @@ __all__ = [
     "duhamel_residual",
 ]
 
-_SCHEMES = ("expm", "cn", "ie")
 _DEFAULT_STEP_CAP = 200
 
 
@@ -144,8 +144,8 @@ def evolve(
     step_cap: int = _DEFAULT_STEP_CAP,
 ) -> Trajectory:
     """Propagate u0 through exp(-t H) at the requested output times."""
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; choose from {_SCHEMES}")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     ts = _check_times(times)
     u0 = _check_u0(u0, op.n)
     if scheme == "expm":
@@ -211,8 +211,7 @@ def minimal_solution(
     reported, but no convergence is claimed (report['mode'] = 'divergence');
     the across-grid divergence itself is the blow-up diagnostic's job.
     """
-    c_star = hardy_constant(op.params)
-    divergent = op.c > c_star * (1.0 + 1e-12)
+    divergent = coupling_regime(op.c, op.params) == "supercritical"
     if op.c <= 0.0:
         raise ConfigError("minimal solution needs a positive coupling c")
     if op.k is not None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain, islice
 
@@ -219,7 +219,7 @@ class DiscreteOperator:
     """Dense operator H = L0 - diag(min(V, k)) on one grid; L0 is its one n x n array.
 
     L0 is -J off the diagonal.  H, truncated copies and the ``free`` view all
-    derive from L0 and share it.
+    derive from L0 and share it.  ``beta`` and ``weight`` give the ground state of c.
     """
 
     grid: Grid
@@ -248,6 +248,16 @@ class DiscreteOperator:
         H = self.L0.copy()
         H.flat[:: self.n + 1] -= self.W
         return H
+
+    @cached_property
+    def beta(self) -> float:
+        """Ground-state exponent beta(c); 0 when c = 0, ParameterDomainError above c*."""
+        return beta_of_c(self.c, self.params) if self.c > 0.0 else 0.0
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """Ground-state weight w_c = |x|**(-beta) at the nodes; exactly 1.0 when c = 0."""
+        return self.grid.radii ** (-self.beta)
 
     @cached_property
     def free(self) -> "DiscreteOperator":
@@ -327,28 +337,18 @@ class FormEvaluator:
     """
 
     op: DiscreteOperator
-    _w: np.ndarray | None = field(default=None, repr=False)
-    _wkill: np.ndarray | None = field(default=None, repr=False)
 
-    def _weight_data(self):
-        if self._w is None:
-            op = self.op
-            if op.c <= 0.0:
-                raise ContractError("weighted form needs a positive coupling c")
-            beta = beta_of_c(op.c, op.params)
-            w = op.grid.radii ** (-beta)
-            if op.params.d == 1:
-                wkill = np.asarray(
-                    exterior_power_tail(op.grid.nodes, op.grid.bounds[0], op.params, beta),
-                    dtype=float,
-                )
-            else:
-                # freeze the weight at the node; the true exterior weight is
-                # bounded by the weight at the nearest exterior radius
-                wkill = op.kappa * w
-            self._w = w
-            self._wkill = wkill
-        return self._w, self._wkill
+    @cached_property
+    def _wkill(self) -> np.ndarray:
+        """Weighted exterior term: the exact tail in 1d; in 2d kappa * w, the
+        weight frozen at the node (``exterior_gap_bound`` bounds the error)."""
+        op = self.op
+        if op.params.d == 1:
+            return np.asarray(
+                exterior_power_tail(op.grid.nodes, op.grid.bounds[0], op.params, op.beta),
+                dtype=float,
+            )
+        return op.kappa * op.weight
 
     def plain(self, f: np.ndarray) -> float:
         f = self._check(f)
@@ -360,31 +360,36 @@ class FormEvaluator:
         return self.plain(f) - float(hd * np.sum(f * f * self.op.W))
 
     def weighted(self, f: np.ndarray) -> float:
-        f = self._check(f)
-        w, wkill = self._weight_data()
-        hd = self.op.grid.cell_volume
+        f = self._check(f, weighted=True)
+        w = self.op.weight
         df = f[:, None] - f[None, :]
+        # ((L0 df) df)(w w^T) in this order, which fixes the bits; in place, with
+        # w w^T written over df, so the form holds two n x n arrays, not four.
         # J = -L0 off the diagonal; the diagonal terms vanish since df_ii = 0
-        jump = -0.5 * float(np.sum(self.op.L0 * df * df * np.outer(w, w)))
-        ext = float(np.sum(f * f * w * wkill))
-        return hd * (jump + ext)
+        prod = self.op.L0 * df
+        prod *= df
+        prod *= np.outer(w, w, out=df)
+        jump = -0.5 * float(np.sum(prod))
+        ext = float(np.sum(f * f * w * self._wkill))
+        return self.op.grid.cell_volume * (jump + ext)
 
     def exterior_gap_bound(self, f: np.ndarray) -> float:
         """Upper bound on the frozen-weight substitution error (2d mode)."""
-        f = self._check(f)
+        f = self._check(f, weighted=True)
         op = self.op
-        w, _ = self._weight_data()
-        beta = beta_of_c(op.c, op.params)
-        w_ext_max = op.grid.inradius ** (-beta)
+        w = op.weight
+        w_ext_max = op.grid.inradius ** (-op.beta)
         hd = op.grid.cell_volume
         return float(hd * np.sum(f * f * w * op.kappa * np.abs(w - w_ext_max)))
 
-    def _check(self, f) -> np.ndarray:
+    def _check(self, f, weighted: bool = False) -> np.ndarray:
         arr = np.asarray(f, dtype=float)
         if arr.shape != (self.op.n,):
             raise ContractError(
                 f"form argument must have shape ({self.op.n},), got {arr.shape}"
             )
+        if weighted and self.op.c <= 0.0:
+            raise ContractError("weighted form needs a positive coupling c")
         return arr
 
 

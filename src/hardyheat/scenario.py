@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .grids import build_grid
-from .specfun import FractionalParams, hardy_constant
+from .specfun import FractionalParams, coupling_regime, hardy_constant
 
 __all__ = [
     "Scenario",
@@ -46,6 +46,8 @@ __all__ = [
     "build_u0",
     "parse_coupling",
     "SUITES",
+    "SCHEMES",
+    "check_scheme",
 ]
 
 _REQUIRED = ("d", "alpha", "c", "domain", "h", "u0", "times")
@@ -58,6 +60,7 @@ _OPTIONAL = {
     "t0_factor": 0.1,
 }
 SUITES = ("constants", "operator", "kernel", "sharp", "lp", "blowup", "all")
+SCHEMES = ("expm", "cn", "ie")
 _ALL_PARTS = ("constants", "operator", "kernel", "sharp", "lp")
 _COUPLING_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(\*\s*cstar\s*)?$")
 _TREF_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*\*\s*tref\s*$")
@@ -244,9 +247,7 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ConfigError(f"k schedule must be strictly increasing, got {list(ks)}")
 
-    scheme = raw.get("scheme", _OPTIONAL["scheme"])
-    if scheme not in ("expm", "cn", "ie"):
-        raise _type_error("scheme", '"expm", "cn" or "ie"', scheme)
+    scheme = check_scheme(raw.get("scheme", _OPTIONAL["scheme"]))
     seed = raw.get("seed", _OPTIONAL["seed"])
     if type(seed) is not int:
         raise _type_error("seed", "an integer", seed)
@@ -276,6 +277,13 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     if suite is not None:
         validate_for_suite(scn, suite)
     return scn
+
+
+def check_scheme(scheme) -> str:
+    """``scheme`` if it names one of SCHEMES; the rule of the file key and of --scheme."""
+    if scheme not in SCHEMES:
+        raise _type_error("scheme", '"expm", "cn" or "ie"', scheme)
+    return scheme
 
 
 def _validate_u0_spec(spec: str) -> None:
@@ -316,21 +324,17 @@ def validate_for_suite(scn: Scenario, suite: str) -> tuple[list, dict]:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
     grids = [build_grid(scn.domain_spec(), h) for h in scn.h_levels]
     finest = grids[-1]
-    c_star = hardy_constant(scn.params)
-    tol = 1.0 + 1e-12
+    supercritical = coupling_regime(scn.c, scn.params) == "supercritical"
+    c_vs = f"c* ({hardy_constant(scn.params):.6g}), got c = {scn.c:.6g}"
     names = ("all", *all_parts(scn)) if suite == "all" else (suite,)
     u0s = {}
     for name in names:
-        if name in ("sharp", "kernel", "lp", "all") and scn.c > c_star * tol:
-            raise ConfigError(
-                f"suite {name!r} requires c <= c* ({c_star:.6g}), got c = {scn.c:.6g}"
-            )
+        if name in ("sharp", "kernel", "lp", "all") and supercritical:
+            raise ConfigError(f"suite {name!r} requires c <= {c_vs}")
+        if name == "blowup" and not supercritical:
+            raise ConfigError(f"suite 'blowup' requires c > {c_vs}")
         if name in ("sharp", "lp") and scn.c <= 0.0:
             raise ConfigError(f"suite {name!r} requires a positive coupling")
-        if name == "blowup" and scn.c <= c_star * tol:
-            raise ConfigError(
-                f"suite 'blowup' requires c > c* ({c_star:.6g}), got c = {scn.c:.6g}"
-            )
         levels = {"operator": 2, "lp": 3, "blowup": 3}.get(name, 1)
         if len(scn.h_levels) < levels:
             raise ConfigError(f"suite {name!r} needs at least {levels} grid levels")

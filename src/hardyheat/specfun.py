@@ -18,6 +18,7 @@ where G is the Gamma function.  lam is symmetric about beta_star = (d-alpha)/2,
 strictly increasing on (0, beta_star], and lam(beta_star) = c_star, so every
 coupling c in (0, c_star] has a unique matching exponent beta(c) in
 (0, beta_star].  The harmonic profile for coupling c is w_c(x) = |x|**(-beta(c)).
+``coupling_regime`` is the one place a coupling is compared with c_star.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "hardy_constant",
     "multiplier",
     "beta_of_c",
+    "coupling_regime",
 ]
 
 # Lanczos coefficients, g = 7, n = 9.  Good to ~15 significant digits in
@@ -125,22 +127,36 @@ def multiplier(beta: float, params: FractionalParams) -> float:
     )
 
 
+def coupling_regime(c: float, params: FractionalParams) -> str:
+    """Where c sits against c_star: "subcritical", "critical" or "supercritical".
+
+    c within 1e-12 of c_star, relative, is critical, so a c_star computed in
+    another order of operations is still critical.  c = 0 is subcritical.
+    """
+    cstar = hardy_constant(params)
+    if abs(float(c) - cstar) <= 1e-12 * cstar:
+        return "critical"
+    return "subcritical" if c < cstar else "supercritical"
+
+
 def beta_of_c(c: float, params: FractionalParams) -> float:
     """Invert the multiplier: the unique beta in (0, beta_star] with lam(beta) = c.
 
     Bracketing bisection on [~0, beta_star] driven to machine-level bracket
-    width, followed by a secant polish.  Requires 0 < c <= c_star.
+    width, followed by a secant polish.  Requires c > 0, not supercritical;
+    a critical c maps to beta_star exactly.
     """
     cstar = hardy_constant(params)
     c = float(c)
     if not (c > 0.0):
         raise ParameterDomainError(f"coupling c must be positive, got {c}")
-    if c > cstar * (1.0 + 1e-12):
+    regime = coupling_regime(c, params)
+    if regime == "supercritical":
         raise ParameterDomainError(
             f"coupling c={c} exceeds the critical value c_star={cstar:.15g}"
         )
     bstar = params.beta_star
-    if abs(c - cstar) <= 1e-12 * cstar:
+    if regime == "critical":
         # lam has a quadratic maximum at beta_star, so root-finding loses half
         # the digits there; the critical coupling is mapped exactly instead.
         return bstar

@@ -32,7 +32,7 @@ from .estimators import (
 from .evolution import duhamel_residual, evolve, heat_kernel, minimal_solution
 from .operators import FormEvaluator, assemble_operator, exterior_power_tail
 from .scenario import Scenario, all_parts, validate_for_suite
-from .specfun import beta_of_c, hardy_constant, multiplier
+from .specfun import beta_of_c, coupling_regime, hardy_constant, multiplier
 
 __all__ = ["run_suite"]
 
@@ -153,14 +153,12 @@ def _run_constants(scn: Scenario, run: _Run) -> list[dict]:
 # operator
 # ---------------------------------------------------------------------------
 
-def _harmonicity_defect(op, beta: float) -> float:
-    """RMS relative defect of L0 acting on |x|^-beta over the probe band (1-d, as the tail)."""
-    grid = op.grid
-    r = grid.radii
-    w = r ** (-beta)
-    target = multiplier(beta, op.params) * r ** (-beta - op.params.alpha)
+def _harmonicity_defect(op) -> float:
+    """RMS relative defect of L0 acting on op.weight over the probe band (1-d, as the tail)."""
+    grid, beta = op.grid, op.beta
+    target = multiplier(beta, op.params) * grid.radii ** (-beta - op.params.alpha)
     tail = np.asarray(exterior_power_tail(grid.nodes, grid.bounds[0], op.params, beta))
-    lhs = op.L0 @ w
+    lhs = op.L0 @ op.weight
     rhs = target + tail
     band = _probe_band(grid)
     rel = np.abs(lhs[band] - rhs[band]) / np.abs(rhs[band])
@@ -195,7 +193,7 @@ def _run_operator(scn: Scenario, run: _Run) -> list[dict]:
     p = scn.params
     c_star = hardy_constant(p)
     checks = []
-    beta = beta_of_c(scn.c, p) if 0.0 < scn.c <= c_star * (1 + 1e-12) else None
+    ground_state = p.d == 1 and scn.c > 0.0 and coupling_regime(scn.c, p) != "supercritical"
     defects, gaps, epss = [], [], []
     for h in scn.h_levels:
         op = run.operator(h)
@@ -211,16 +209,15 @@ def _run_operator(scn: Scenario, run: _Run) -> list[dict]:
         checks.append(
             _check(f"rowsum_matches_killing_h{h:g}", rowgap, 0.0, "rel 1e-10", rowgap <= 1e-10)
         )
-        if beta is not None and p.d == 1:
-            defects.append(_harmonicity_defect(op, beta))
+        if ground_state:
+            defects.append(_harmonicity_defect(op))
             ev = FormEvaluator(op)
             vecs = _interior_vectors(grid, scn.seed, 3)
-            w = grid.radii ** (-beta)
-            gap = max(
-                abs(ev.hardy(w * f) - ev.weighted(f)) / max(1.0, abs(ev.weighted(f)))
-                for f in vecs
+            w = op.weight
+            forms = [ev.weighted(f) for f in vecs]
+            gaps.append(
+                max(abs(ev.hardy(w * f) - q) / max(1.0, abs(q)) for f, q in zip(vecs, forms))
             )
-            gaps.append(gap)
             tr = run.t_ref(op)
             ker = heat_kernel(op, 0.1 * tr)
             epss.append(weighted_row_mass(ker, w)["eps"])
@@ -277,17 +274,12 @@ def _run_operator(scn: Scenario, run: _Run) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
-    p = scn.params
-    c_star = hardy_constant(p)
     op = run.operator(scn.h_levels[-1])
     grid = op.grid
     tr = run.t_ref(op)
     times = scn.resolve_times(tr)
     kernels = [heat_kernel(op, float(t)) for t in times]
-    if scn.c > 0.0:
-        w = grid.radii ** (-beta_of_c(scn.c, p))
-    else:
-        w = np.ones(grid.n)
+    w = op.weight
     checks = []
     asym = max(
         float(np.max(np.abs(k.P - k.P.T)) / np.max(k.P)) for k in kernels
@@ -331,7 +323,7 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
                 bool(np.isfinite(env["envelope"])) and env["envelope"] > 0.0,
             )
         )
-        if abs(scn.c - c_star) <= 1e-9 * c_star and len(kernels) >= 3:
+        if coupling_regime(scn.c, scn.params) == "critical" and len(kernels) >= 3:
             crit = critical_envelope_exponent(kernels, w)
             checks.append(
                 _check(
@@ -376,7 +368,6 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
 
 def _run_sharp(scn: Scenario, run: _Run) -> list[dict]:
     p = scn.params
-    c_star = hardy_constant(p)
     op = run.operator(scn.h_levels[-1])
     grid = op.grid
     tr = run.t_ref(op)
@@ -397,7 +388,7 @@ def _run_sharp(scn: Scenario, run: _Run) -> list[dict]:
     except InvariantViolation as exc:
         checks.append(_check("minimal_monotone", str(exc), "monotone in k", "-1e-12 floor", False))
         return checks
-    beta = beta_of_c(scn.c, p)
+    beta = op.beta
     fit = singularity_exponent(traj.states[-1], grid, target=-beta)
     checks.append(
         _check(
@@ -408,7 +399,7 @@ def _run_sharp(scn: Scenario, run: _Run) -> list[dict]:
             bool(fit.verdict),
         )
     )
-    critical = abs(scn.c - c_star) <= 1e-9 * c_star
+    critical = coupling_regime(scn.c, p) == "critical"
     p_exp = 0.5 * (1.0 + p.d / (p.d - p.alpha)) if critical else p.d / (p.d - p.alpha)
     ev = FormEvaluator(op)
     sq = sobolev_quotient(ev, p_exp, n_random=50, seed=scn.seed)
@@ -439,13 +430,13 @@ def _run_sharp(scn: Scenario, run: _Run) -> list[dict]:
 
 def _run_lp(scn: Scenario, run: _Run) -> list[dict]:
     p = scn.params
-    beta = beta_of_c(scn.c, p)
     profiles = []
     for h in scn.h_levels:
         op = run.operator(h)
         times = scn.resolve_times(run.t_ref(op))
         traj = evolve(op, run.u0(op.grid), times, scheme=scn.scheme)
         profiles.append((op.grid, traj.states[-1]))
+    beta = op.beta
     thr = p.d / beta
     checks = []
     strict_cases = [

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardyheat.cli import main
-from hardyheat.errors import ConfigError
+from hardyheat.errors import ConfigError, ParameterDomainError
 from hardyheat.grids import build_grid
-from hardyheat.estimators import t_ref
-from hardyheat.evolution import heat_kernel
+from hardyheat.estimators import blowup_diagnostic, t_ref
+from hardyheat.evolution import heat_kernel, minimal_solution
 from hardyheat.operators import assemble_operator, load_operator
 from hardyheat.runstore import NUMERICS_EPOCH, RunStore
 from hardyheat.scenario import (
@@ -25,7 +25,7 @@ from hardyheat.scenario import (
     scenario_from_dict,
     validate_for_suite,
 )
-from hardyheat.specfun import FractionalParams, hardy_constant
+from hardyheat.specfun import FractionalParams, beta_of_c, coupling_regime, hardy_constant
 from hardyheat.suites import run_suite
 
 import oracles
@@ -325,6 +325,51 @@ class TestSuiteRules:
     def test_suite_hint_applied_at_parse_time(self):
         with pytest.raises(ConfigError, match="positive coupling"):
             scenario_from_dict(base_raw(c=0), suite="sharp")
+
+
+@pytest.mark.parametrize("e, regime", [
+    (-1e-10, "subcritical"),
+    (-1e-13, "critical"),
+    (0.0, "critical"),
+    (1e-13, "critical"),
+    (1e-10, "supercritical"),
+])
+def test_one_regime_rule_near_the_critical_coupling(e, regime):
+    # every place that splits on c* agrees with coupling_regime, c = c*(1 + e)
+    params = FractionalParams(d=1, alpha=0.5)
+    c = C_STAR * (1.0 + e)
+    assert coupling_regime(c, params) == regime
+    supercritical = regime == "supercritical"
+    if supercritical:
+        with pytest.raises(ParameterDomainError, match="exceeds the critical value"):
+            beta_of_c(c, params)
+    else:
+        assert (beta_of_c(c, params) == params.beta_star) == (regime == "critical")
+
+    scn = scenario_from_dict(base_raw(c=c, h=[0.2, 0.1, 0.05], times=[0.01, 0.1, 1.0]))
+    for suite, accepts in (("kernel", not supercritical), ("blowup", supercritical)):
+        try:
+            validate_for_suite(scn, suite)
+        except ConfigError:
+            assert not accepts, suite
+        else:
+            assert accepts, suite
+
+    grid = build_grid([-1.0, 1.0], 0.1)
+    op = assemble_operator(grid, params, c=c)
+    _, rep = minimal_solution(op, build_u0("ball:0.3", grid), [0.01])
+    assert rep["mode"] == ("divergence" if supercritical else "convergence")
+
+    try:
+        blowup_diagnostic(params, c, [-1.0, 1.0], [0.2, 0.1, 0.05])
+    except ConfigError:
+        assert not supercritical
+    else:
+        assert supercritical
+
+    if not supercritical:
+        names = [chk["name"] for chk in run_suite(scn, "kernel")["checks"]]
+        assert ("critical_exponent_within_cap" in names) == (regime == "critical")
 
 
 class TestLoadScenario:
@@ -915,6 +960,27 @@ class TestCli:
         assert rc == 2
         assert "covers no grid cell at h = 0.01" in capsys.readouterr().err
         assert os.listdir(os.path.join(store_root, "trajectories")) == []
+
+    def test_evolve_scheme_override_is_checked_before_anything_runs(
+        self, tmp_path, store_root, capsys, no_assembly
+    ):
+        path = write_scenario(tmp_path, "ok.json", small_raw())
+        rc = main(["--out", store_root, "evolve", "--scenario", path, "--scheme", "rk4"])
+        assert rc == 2
+        assert "scenario key 'scheme' must be \"expm\", \"cn\" or \"ie\", got 'rk4'" in (
+            capsys.readouterr().err
+        )
+        trajectories = os.path.join(store_root, "trajectories")
+        assert not os.path.isdir(trajectories) or os.listdir(trajectories) == []
+
+    def test_evolve_scheme_override_is_recorded(self, tmp_path, store_root, capsys):
+        path = write_scenario(tmp_path, "ok.json", small_raw())
+        rc = main(["--out", store_root, "evolve", "--scenario", path, "--scheme", "cn"])
+        assert rc == 0
+        scn = scenario_from_dict(dict(small_raw(), scheme="cn"))
+        with open(os.path.join(store_root, "trajectories", scn.run_id(), "report.json")) as fh:
+            report = json.load(fh)
+        assert report["scheme"] == report["scenario"]["scheme"] == "cn"
 
     def test_verify_seed_override_changes_run_id(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "ok.json", base_raw())

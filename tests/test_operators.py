@@ -294,13 +294,36 @@ def test_weighted_form_matches_jump_oracle_bit_for_bit(name):
     op, V, k = _single_matrix_case(name)
     J0 = _jump_matrix(op.grid, intensity_constant(op.params), op.params.alpha)
     ev = FormEvaluator(op)
-    w, wkill = ev._weight_data()
+    w, wkill = op.weight, ev._wkill
     rng = np.random.default_rng(5)
-    for f in (rng.normal(size=op.n), op.grid.radii ** -0.1, np.zeros(op.n)):
+    # unit vectors leave few terms in the sum, so a change of product order shows
+    units = np.eye(op.n)[:: op.n // 10]
+    for f in (rng.normal(size=op.n), op.grid.radii ** -0.1, np.zeros(op.n), *units):
         want = op.grid.cell_volume * (
             oracles.weighted_jump_form(J0, f, w) + float(np.sum(f * f * w * wkill))
         )
         assert _bits(ev.weighted(f)) == _bits(want)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("frac", [0.0, 0.3, 1.0, 1.0 + 1e-10, 2.0])
+def test_operator_weight_is_the_ground_state_weight(d, frac):
+    # w = |x|^-beta(c) bit for bit; ones at c = 0; no weight above c*
+    params = P1 if d == 1 else P2
+    grid = build_grid((-1.0, 1.0) if d == 1 else ((-1.0, 1.0), (-1.0, 1.0)), 0.2)
+    c = frac * hardy_constant(params)
+    op = assemble_operator(grid, params, c=c)
+    if frac == 0.0:
+        assert op.beta == 0.0
+        assert np.array_equal(_bits(op.weight), _bits(np.ones(op.n)))
+    elif frac <= 1.0:
+        assert op.beta == beta_of_c(c, params)
+        assert np.array_equal(_bits(op.weight), _bits(grid.radii ** -beta_of_c(c, params)))
+        assert op.weight is op.weight
+    else:
+        with pytest.raises(ParameterDomainError, match="exceeds the critical value"):
+            op.weight
+    assert np.array_equal(_bits(op.free.weight), _bits(np.ones(op.n)))
 
 
 def _square_arrays(op):
