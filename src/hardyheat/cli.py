@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="run a scenario evolution, write per-time CSV states")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--scheme", default=None, help="override the scenario scheme")
 
     p = sub.add_parser("kernel", help="write a heat-kernel matrix as CSV triples")
     p.add_argument("--scenario", required=True)
@@ -105,9 +104,11 @@ def _cmd_assemble(args) -> int:
     from .grids import build_grid
     from .operators import assemble_operator, save_operator
     from .runstore import RunStore
-    from .scenario import parse_coupling
+    from .scenario import is_level, parse_coupling
     from .specfun import FractionalParams
 
+    if args.k is not None and not is_level(args.k):
+        raise ConfigError(f"--k must be a finite positive truncation level, got {args.k}")
     params = FractionalParams(d=args.d, alpha=args.alpha)
     try:
         vals = [float(v) for v in args.domain.split(",")]
@@ -128,16 +129,14 @@ def _cmd_assemble(args) -> int:
 
 
 def _load_scenario_with_overrides(args, path: str):
-    """The scenario at ``path`` with --seed and --scheme applied; --scheme obeys the file's rule."""
+    """The scenario at ``path`` with --seed applied."""
     import dataclasses
 
-    from .scenario import check_scheme, load_scenario
+    from .scenario import load_scenario
 
     scn = load_scenario(path)
     if args.seed is not None:
         scn = dataclasses.replace(scn, seed=args.seed)
-    if getattr(args, "scheme", None) is not None:
-        scn = dataclasses.replace(scn, scheme=check_scheme(args.scheme))
     return scn
 
 
@@ -162,9 +161,9 @@ def _cmd_evolve(args) -> int:
     op = assemble_operator(grid, scn.params, c=scn.c, k=None)
     times = scn.resolve_times(t_ref(op))
     if scn.c > 0.0:
-        traj, rep = minimal_solution(op, u0, times, k_schedule=scn.k_schedule, scheme=scn.scheme)
+        traj, rep = minimal_solution(op, u0, times, k_schedule=scn.k_schedule)
     else:
-        traj = evolve(op, u0, times, scheme=scn.scheme)
+        traj = evolve(op, u0, times)
         rep = {"mode": "free", "converged": True, "converged_by": "no potential"}
     coords = grid.nodes.reshape(grid.n, -1).T
     head = ",".join(f"x{i + 1}" for i in range(grid.dim)) + ",u"
@@ -174,7 +173,6 @@ def _cmd_evolve(args) -> int:
         "scenario": scn.to_dict(),
         "times": [float(t) for t in traj.times],
         "files": [f"state_{i:03d}.csv" for i in range(len(traj.times))],
-        "scheme": traj.scheme,
         "report": rep,
         "numerics": NUMERICS_EPOCH,
     }
@@ -191,10 +189,10 @@ def _cmd_kernel(args) -> int:
     from .runstore import RunStore, write_json
 
     scn = _load_scenario_with_overrides(args, args.scenario)
-    if args.t <= 0:
+    if not (0.0 < args.t < float("inf")):
         from .errors import ContractError
 
-        raise ContractError(f"kernel time must be positive, got {args.t}")
+        raise ContractError(f"kernel time must be positive and finite, got {args.t}")
     store = RunStore(_store_root(args))
     grid = build_grid(scn.domain_spec(), scn.h_levels[-1])
     op = assemble_operator(grid, scn.params, c=scn.c, k=None)

@@ -102,13 +102,11 @@ def kernel_sandwich(
     }
 
 
-def ultracontractive_envelope(
-    kernels: list[KernelMatrix], w: np.ndarray, exponent: float | None = None
-) -> dict:
-    """sup over the grid and over t of t^exponent * p_t(x,y) / (w(x) w(y)).
+def ultracontractive_envelope(kernels: list[KernelMatrix], w: np.ndarray) -> dict:
+    """sup over the grid and over t of t^(d/alpha) * p_t(x,y) / (w(x) w(y)).
 
-    The default exponent d/alpha matches the short-time on-diagonal scale of
-    the free kernel; finiteness of the envelope over a wide t-range is the
+    The exponent d/alpha matches the short-time on-diagonal scale of the free
+    kernel; finiteness of the envelope over a wide t-range is the
     quantitative upper-bound check.  The t-grid must span at least 1.5
     decades so that the envelope actually probes both time regimes.
     """
@@ -120,7 +118,7 @@ def ultracontractive_envelope(
             f"t-grid must span >= 1.5 decades, got [{min(t_all):g}, {max(t_all):g}]"
         )
     p = kernels[0].operator.params
-    expn = (p.d / p.alpha) if exponent is None else float(exponent)
+    expn = p.d / p.alpha
     wv = np.asarray(w, dtype=float)
     ww = np.outer(wv, wv)
     per_t = []
@@ -330,15 +328,15 @@ def sobolev_quotient(
     evaluator: FormEvaluator,
     p: float,
     n_random: int = 50,
-    gammas=None,
     seed: int = 0,
 ) -> dict:
     """max over test vectors of ||f^2||_{L^p(w^2)} / weighted_form(f).
 
     Test set: ``n_random`` interior-supported Gaussian vectors (fixed seed)
-    plus near-singular profiles |x|^-gamma with gamma sweeping up to the
-    weight exponent.  Vectors whose form value vanishes at roundoff scale are
-    flagged and skipped rather than producing an infinite quotient.
+    plus near-singular profiles |x|^-gamma for 8 gammas from 0.1 to 0.95
+    times the weight exponent.  Vectors whose form value vanishes at
+    roundoff scale are flagged and skipped rather than producing an infinite
+    quotient.
     """
     op = evaluator.op
     if p <= 1.0:
@@ -349,14 +347,12 @@ def sobolev_quotient(
     hd = grid.cell_volume
     rng = np.random.default_rng(seed)
     interior = grid.face_distance >= 0.25 * grid.half_width
-    if gammas is None:
-        gammas = np.linspace(0.1 * beta, 0.95 * beta, 8)
     samples: list[tuple[str, np.ndarray]] = []
     for i in range(n_random):
         f = np.zeros(grid.n)
         f[interior] = rng.standard_normal(int(np.sum(interior)))
         samples.append((f"random-{i}", f))
-    for g in np.atleast_1d(gammas):
+    for g in np.linspace(0.1 * beta, 0.95 * beta, 8):
         samples.append((f"profile-{g:.4f}", grid.radii ** (-float(g))))
     best = -np.inf
     best_label = None
@@ -414,7 +410,6 @@ def blowup_diagnostic(
     u0_builder=None,
     t0_factor: float = 0.1,
     k_schedule=None,
-    scheme: str = "expm",
 ) -> BlowupReport:
     """Joint refinement/truncation probe of instantaneous mass loss for c > c*.
 
@@ -462,7 +457,7 @@ def blowup_diagnostic(
         u0 = _default_bump(op.grid)
     else:
         u0 = np.asarray(u0_builder(op.grid), dtype=float)
-    _, probe = minimal_solution(op, u0, [t0], k_schedule, scheme)
+    _, probe = minimal_solution(op, u0, [t0], k_schedule)
     probes = probe["probe_values"]
     # a single level (max V <= 1 on this grid) cannot show growth
     growing = bool(len(probes) >= 2 and np.all(np.diff(probes) > 0.0))

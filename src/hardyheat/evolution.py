@@ -3,10 +3,10 @@
 Every application of the semigroup exp(-tH) in the package goes through this
 module, by one of two exact paths:
 
-* Trajectories (``evolve`` with scheme ``expm``, hence every level of
-  ``minimal_solution`` and the blow-up probe) apply the exponential action
-  exp(-tH) u0 per output time with the truncated-Taylor method of Al-Mohy &
-  Higham (SIAM J. Sci. Comput. 33, 2011; ``scipy.sparse.linalg.expm_multiply``).
+* Trajectories (``evolve``, hence every level of ``minimal_solution`` and
+  the blow-up probe) apply the exponential action exp(-tH) u0 per output
+  time with the truncated-Taylor method of Al-Mohy & Higham (SIAM J. Sci.
+  Comput. 33, 2011; ``scipy.sparse.linalg.expm_multiply``).
   No n x n exponential is formed.
 * Full kernels (``heat_kernel``) and the propagators of the Duhamel check use
   the symmetric eigendecomposition H = Q diag(lam) Q^T (Moler & Van Loan,
@@ -15,11 +15,9 @@ module, by one of two exact paths:
 
 Because the Duhamel check builds its propagators from the eigenbases while
 the trajectory comes from the exponential action, the check stays
-independent of the path it checks.  ``cn`` (Crank-Nicolson) and ``ie``
-(implicit Euler) step with a capped dt and exist so that independent
-integrators can cross-check each other.  CN is second order and agrees with
-expm to ~1e-6 on the default cap; IE is first order and is only used to
-confirm the convergence order.
+independent of the path it checks.  Both paths are exact up to roundoff, so
+nothing steps in time here; the Crank-Nicolson and implicit-Euler steppers
+that cross-check the exponential action live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,12 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm  # noqa: F401  unused; bench/spans.py traces this name
-from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError, ContractError, InvariantViolation
 from .operators import DiscreteOperator
-from .scenario import SCHEMES
 from .specfun import coupling_regime
 
 __all__ = [
@@ -45,8 +41,6 @@ __all__ = [
     "duhamel_residual",
 ]
 
-_DEFAULT_STEP_CAP = 200
-
 
 @dataclass
 class Trajectory:
@@ -55,7 +49,6 @@ class Trajectory:
     operator: DiscreteOperator
     times: np.ndarray
     states: np.ndarray
-    scheme: str
 
 
 @dataclass
@@ -94,67 +87,14 @@ def _check_times(times) -> np.ndarray:
     return ts
 
 
-def _step_matrix_solver(H: np.ndarray, dt: float, scheme: str):
-    n = H.shape[0]
-    eye = np.eye(n)
-    if scheme == "cn":
-        lhs = lu_factor(eye + 0.5 * dt * H)
-        rhs = eye - 0.5 * dt * H
-
-        def step(u):
-            return lu_solve(lhs, rhs @ u)
-
-        return step
-    lhs = lu_factor(eye + dt * H)
-
-    def step(u):
-        return lu_solve(lhs, u)
-
-    return step
-
-
-def _march(H, u0, times, scheme, step_cap):
-    t_max = float(times[-1])
-    dt_cap = t_max / step_cap if t_max > 0.0 else 1.0
-    states = []
-    u = u0.copy()
-    t_cur = 0.0
-    solvers: dict[float, object] = {}
-    for t in times:
-        seg = float(t) - t_cur
-        if seg > 0.0:
-            m = max(1, int(np.ceil(seg / dt_cap - 1e-12)))
-            dt = seg / m
-            key = round(dt, 15)
-            if key not in solvers:
-                solvers[key] = _step_matrix_solver(H, dt, scheme)
-            step = solvers[key]
-            for _ in range(m):
-                u = step(u)
-            t_cur = float(t)
-        states.append(u.copy())
-    return np.array(states)
-
-
-def evolve(
-    op: DiscreteOperator,
-    u0,
-    times,
-    scheme: str = "expm",
-    step_cap: int = _DEFAULT_STEP_CAP,
-) -> Trajectory:
+def evolve(op: DiscreteOperator, u0, times) -> Trajectory:
     """Propagate u0 through exp(-t H) at the requested output times."""
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     ts = _check_times(times)
     u0 = _check_u0(u0, op.n)
-    if scheme == "expm":
-        states = np.array(
-            [u0.copy() if t == 0.0 else expm_multiply(-float(t) * op.H, u0) for t in ts]
-        )
-    else:
-        states = _march(op.H, u0, ts, scheme, step_cap)
-    return Trajectory(operator=op, times=ts, states=states, scheme=scheme)
+    states = np.array(
+        [u0.copy() if t == 0.0 else expm_multiply(-float(t) * op.H, u0) for t in ts]
+    )
+    return Trajectory(operator=op, times=ts, states=states)
 
 
 def heat_kernel(op: DiscreteOperator, t: float) -> KernelMatrix:
@@ -163,8 +103,8 @@ def heat_kernel(op: DiscreteOperator, t: float) -> KernelMatrix:
     Built as (Q * exp(-t lam)) Q^T / h^d from the operator's cached spectrum,
     so several times on one operator share a single eigen-solve.
     """
-    if not (t > 0.0):
-        raise ContractError(f"kernel time must be positive, got {t}")
+    if not (0.0 < t < np.inf):
+        raise ContractError(f"kernel time must be positive and finite, got {t}")
     lam, Q = op.spectrum
     P = (Q * np.exp(-float(t) * lam)) @ Q.T
     P /= op.grid.cell_volume
@@ -194,7 +134,6 @@ def minimal_solution(
     u0,
     times,
     k_schedule=None,
-    scheme: str = "expm",
     tol: float = 1e-6,
 ) -> tuple[Trajectory, dict]:
     """Monotone limit of truncated evolutions u_k as the cutoff k increases.
@@ -231,7 +170,7 @@ def minimal_solution(
     for k in ks:
         if trk is not None:  # keep the states only: the trajectory holds its n x n H
             prev, trk = trk.states, None
-        trk = evolve(op.with_truncation(float(k)), u0, ts, scheme=scheme)
+        trk = evolve(op.with_truncation(float(k)), u0, ts)
         probe_vals.append(float(trk.states[-1][origin]))
         if prev is not None:
             diff = trk.states - prev

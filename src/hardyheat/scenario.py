@@ -12,7 +12,6 @@ hand-editable and diff-friendly.  Keys:
     times    list of floats, or strings "F*tref"           (required)
     times_unit  "tref" (default) or "absolute"
     k        list of truncation levels (default: automatic schedule)
-    scheme   "expm" (default) | "cn" | "ie"
     seed     int (default 0)
     inner_half_width  float (default half the inradius)
     t0_factor  float (default 0.1; blow-up probe time in T_ref units)
@@ -46,21 +45,17 @@ __all__ = [
     "build_u0",
     "parse_coupling",
     "SUITES",
-    "SCHEMES",
-    "check_scheme",
 ]
 
 _REQUIRED = ("d", "alpha", "c", "domain", "h", "u0", "times")
 _OPTIONAL = {
     "times_unit": "tref",
     "k": None,
-    "scheme": "expm",
     "seed": 0,
     "inner_half_width": None,
     "t0_factor": 0.1,
 }
 SUITES = ("constants", "operator", "kernel", "sharp", "lp", "blowup", "all")
-SCHEMES = ("expm", "cn", "ie")
 _ALL_PARTS = ("constants", "operator", "kernel", "sharp", "lp")
 _COUPLING_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(\*\s*cstar\s*)?$")
 _TREF_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*\*\s*tref\s*$")
@@ -80,7 +75,6 @@ class Scenario:
     time_factors: tuple[float, ...]
     times_unit: str
     k_schedule: tuple[float, ...] | None
-    scheme: str
     seed: int
     inner_half_width: float | None
     t0_factor: float
@@ -111,7 +105,6 @@ class Scenario:
             "times": list(self.time_factors),
             "times_unit": self.times_unit,
             "k": None if self.k_schedule is None else list(self.k_schedule),
-            "scheme": self.scheme,
             "seed": self.seed,
             "inner_half_width": self.inner_half_width,
             "t0_factor": self.t0_factor,
@@ -134,6 +127,11 @@ def _is_real(v) -> bool:
         return math.isfinite(v)
     except OverflowError:  # an int too large for a float
         return False
+
+
+def is_level(v) -> bool:
+    """A truncation level is a finite positive number: the rule of ``k`` and of --k."""
+    return _is_real(v) and v > 0
 
 
 def _type_error(key, want, got):
@@ -239,15 +237,12 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
 
     ks = raw.get("k", _OPTIONAL["k"])
     if ks is not None:
-        if not isinstance(ks, list) or not all(
-            _is_real(v) and v > 0 for v in ks
-        ):
+        if not isinstance(ks, list) or not all(is_level(v) for v in ks):
             raise _type_error("k", "a list of finite positive levels", ks)
         ks = tuple(float(v) for v in ks)
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ConfigError(f"k schedule must be strictly increasing, got {list(ks)}")
 
-    scheme = check_scheme(raw.get("scheme", _OPTIONAL["scheme"]))
     seed = raw.get("seed", _OPTIONAL["seed"])
     if type(seed) is not int:
         raise _type_error("seed", "an integer", seed)
@@ -269,7 +264,6 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
         time_factors=tuple(factors),
         times_unit=times_unit,
         k_schedule=ks,
-        scheme=scheme,
         seed=seed,
         inner_half_width=None if ihw is None else float(ihw),
         t0_factor=float(t0f),
@@ -277,13 +271,6 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     if suite is not None:
         validate_for_suite(scn, suite)
     return scn
-
-
-def check_scheme(scheme) -> str:
-    """``scheme`` if it names one of SCHEMES; the rule of the file key and of --scheme."""
-    if scheme not in SCHEMES:
-        raise _type_error("scheme", '"expm", "cn" or "ie"', scheme)
-    return scheme
 
 
 def _validate_u0_spec(spec: str) -> None:

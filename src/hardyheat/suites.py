@@ -378,9 +378,7 @@ def _run_sharp(scn: Scenario, run: _Run) -> list[dict]:
     u0 = run.u0(grid)
     checks = []
     try:
-        traj, rep = minimal_solution(
-            op, u0, times, k_schedule=scn.k_schedule, scheme=scn.scheme
-        )
+        traj, rep = minimal_solution(op, u0, times, k_schedule=scn.k_schedule)
         checks.append(_check("minimal_monotone", True, True, "-1e-12 floor", True))
         checks.append(
             _check("minimal_converged", rep["converged_by"], "saturation or tolerance", "-", rep["converged"])
@@ -434,7 +432,7 @@ def _run_lp(scn: Scenario, run: _Run) -> list[dict]:
     for h in scn.h_levels:
         op = run.operator(h)
         times = scn.resolve_times(run.t_ref(op))
-        traj = evolve(op, run.u0(op.grid), times, scheme=scn.scheme)
+        traj = evolve(op, run.u0(op.grid), times)
         profiles.append((op.grid, traj.states[-1]))
     beta = op.beta
     thr = p.d / beta
@@ -502,7 +500,6 @@ def _run_blowup(scn: Scenario, run: _Run) -> list[dict]:
             u0_builder=run.u0,
             t0_factor=scn.t0_factor,
             k_schedule=scn.k_schedule,
-            scheme=scn.scheme,
         )
     except InvariantViolation as exc:  # the probe fell as k grew
         return [_check("probe_monotone_in_k", str(exc), "strictly increasing", "strict", False)]

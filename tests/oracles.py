@@ -13,7 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import integrate
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_factor, lu_solve
 from scipy.special import betainc
 
 mp.mp.dps = 40
@@ -253,6 +253,22 @@ def mp_exterior_tail(x0: float, a: float, b: float, alpha: float, beta: float) -
 def dense_propagator(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-t H) by dense Pade scaling and squaring (scipy.linalg.expm)."""
     return expm(-float(t) * H)
+
+
+def theta_steps(H: np.ndarray, u0: np.ndarray, t: float, n_steps: int, theta: float) -> np.ndarray:
+    """u(t) after n_steps equal steps of (I + theta dt H) u' = (I - (1 - theta) dt H) u.
+
+    theta = 1/2 is Crank-Nicolson (second order), theta = 1 implicit Euler
+    (first order); one dense LU factorization serves every step.
+    """
+    dt = float(t) / n_steps
+    eye = np.eye(H.shape[0])
+    lhs = lu_factor(eye + theta * dt * H)
+    rhs = eye - (1.0 - theta) * dt * H
+    u = np.asarray(u0, dtype=float).copy()
+    for _ in range(n_steps):
+        u = lu_solve(lhs, rhs @ u)
+    return u
 
 
 def duhamel_residual_dense(times, states, H, L0, W, n_quad: int) -> dict:

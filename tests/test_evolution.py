@@ -1,4 +1,4 @@
-"""Semigroup propagation: schemes, kernels, monotone truncation limits."""
+"""Semigroup propagation: exponential action, kernels, monotone truncation limits."""
 
 import numpy as np
 import pytest
@@ -46,7 +46,7 @@ def _ground_pair(op):
 def test_expm_matches_eigenmode_decay(free_op):
     lam, phi = _ground_pair(free_op)
     times = [0.3, 0.7]
-    traj = evolve(free_op, phi, times, scheme="expm")
+    traj = evolve(free_op, phi, times)
     for t, state in zip(times, traj.states):
         assert_allclose(state, np.exp(-lam * t) * phi, rtol=1e-8, atol=1e-12)
 
@@ -54,28 +54,22 @@ def test_expm_matches_eigenmode_decay(free_op):
 def test_cn_tracks_expm(free_op):
     lam, phi = _ground_pair(free_op)
     times = [0.2, 0.6]
-    ref = evolve(free_op, phi, times, scheme="expm")
-    cn = evolve(free_op, phi, times, scheme="cn")
-    err = np.max(np.abs(cn.states - ref.states)) / np.max(np.abs(ref.states))
+    ref = evolve(free_op, phi, times).states
+    cn = np.array([oracles.theta_steps(free_op.H, phi, t, 200, 0.5) for t in times])
+    err = np.max(np.abs(cn - ref)) / np.max(np.abs(ref))
     assert err <= 1e-5
 
 
 def test_ie_is_first_order(free_op):
     lam, phi = _ground_pair(free_op)
     times = [0.5]
-    ref = evolve(free_op, phi, times, scheme="expm").states[-1]
+    ref = evolve(free_op, phi, times).states[-1]
     errs = []
-    for cap in (100, 200):
-        ie = evolve(free_op, phi, times, scheme="ie", step_cap=cap).states[-1]
+    for n_steps in (100, 200):
+        ie = oracles.theta_steps(free_op.H, phi, times[-1], n_steps, 1.0)
         errs.append(np.max(np.abs(ie - ref)))
     ratio = errs[0] / errs[1]
     assert 1.6 <= ratio <= 2.4
-
-
-def test_scheme_validation(free_op):
-    u0 = np.ones(free_op.n)
-    with pytest.raises(ConfigError):
-        evolve(free_op, u0, [0.1], scheme="rk4")
 
 
 def test_input_validation(free_op):
@@ -121,8 +115,9 @@ def test_heat_kernel_properties(free_op):
     k3 = heat_kernel(free_op, 0.5)
     comp = k1.P @ k2.P * free_op.grid.cell_volume
     assert np.max(np.abs(comp - k3.P)) <= 1e-8 * np.max(k3.P)
-    with pytest.raises(ContractError):
-        heat_kernel(free_op, 0.0)
+    for t in (0.0, np.inf, np.nan):
+        with pytest.raises(ContractError, match="must be positive and finite"):
+            heat_kernel(free_op, t)
 
 
 def test_kernel_row_mass_submarkov(free_op):

@@ -68,7 +68,6 @@ class TestScenarioParsing:
         assert scn.time_factors == (0.1, 0.5)
         assert scn.times_unit == "tref"
         assert scn.k_schedule is None
-        assert scn.scheme == "expm"
         assert scn.seed == 0
         assert scn.inner_half_width is None
         assert scn.t0_factor == 0.1
@@ -160,8 +159,10 @@ class TestScenarioParsing:
             scenario_from_dict(base_raw(k=[-1.0]))
 
     def test_scheme_and_seed_validation(self):
-        with pytest.raises(ConfigError, match="'scheme'"):
-            scenario_from_dict(base_raw(scheme="rk4"))
+        # every trajectory is the exact exponential action, so there is no scheme to name
+        for scheme in ("expm", "cn"):
+            with pytest.raises(ConfigError, match="^unknown scenario keys: scheme$"):
+                scenario_from_dict(base_raw(scheme=scheme))
         with pytest.raises(ConfigError, match="'seed'"):
             scenario_from_dict(base_raw(seed=1.5))
         with pytest.raises(ConfigError, match="'seed'"):
@@ -217,7 +218,7 @@ class TestScenarioIdentity:
         d = scenario_from_dict(base_raw()).to_dict()
         assert sorted(d) == [
             "alpha", "c", "c_spec", "d", "domain", "h", "inner_half_width",
-            "k", "scheme", "seed", "t0_factor", "times", "times_unit", "u0",
+            "k", "seed", "t0_factor", "times", "times_unit", "u0",
         ]
         assert d["c_spec"] == "0.5*cstar"
         assert d["h"] == [0.05]
@@ -231,7 +232,6 @@ class TestScenarioIdentity:
     def test_run_id_tracks_content(self):
         base = scenario_from_dict(base_raw()).run_id()
         assert scenario_from_dict(base_raw(seed=7)).run_id() != base
-        assert scenario_from_dict(base_raw(scheme="cn")).run_id() != base
 
 
 class TestSuiteRules:
@@ -421,6 +421,50 @@ def small_1d_scenarios(draw):
 @settings(max_examples=30, deadline=None)
 @given(raw=small_1d_scenarios(), suite=st.sampled_from(["operator", "kernel"]))
 def test_a_scenario_fails_at_parse_time_or_completes_its_suite(raw, suite):
+    try:
+        scn = scenario_from_dict(raw, suite=suite)
+    except ConfigError:
+        return
+    report = run_suite(scn, suite)
+    assert report["checks"] and report["suite"] == suite
+
+
+@st.composite
+def propagating_1d_scenarios(draw):
+    """A suite that runs minimal_solution and a 1-d scenario on h in {0.04, 0.02, 0.01}.
+
+    c is drawn from [0.3c*, c*] for sharp and lp and from (c*, 3c*] for
+    blowup; lp and blowup get all three levels, which they need.  Most draws
+    get past parse time, so the exponential action is fuzzed through every
+    level of minimal_solution.
+    """
+    suite = draw(st.sampled_from(["sharp", "lp", "blowup"]))
+    levels = [0.04, 0.02, 0.01]
+    if suite == "sharp":
+        levels = draw(st.lists(st.sampled_from(levels), min_size=1, max_size=3, unique=True))
+    if suite == "blowup":
+        factor = draw(st.floats(1.0, 3.0, exclude_min=True))
+    else:
+        factor = draw(st.floats(0.3, 1.0))
+    times = st.lists(st.sampled_from([0.05, 0.1, 0.5, 2.0]), min_size=1, max_size=3, unique=True)
+    raw = {
+        "d": 1,
+        "alpha": draw(st.sampled_from([0.25, 0.5, 0.9])),
+        "c": f"{factor!r}*cstar",
+        "domain": draw(st.sampled_from([[-1.0, 1.0], [-1.0, 0.6], [-0.6, 1.0]])),
+        "h": sorted(levels, reverse=True),
+        "u0": draw(st.sampled_from(["ball:0.2", "bump", "point"])),
+        "times": sorted(draw(times)),
+        "k": draw(st.sampled_from([None, [1.0, 4.0]])),
+        "t0_factor": draw(st.sampled_from([0.1, 0.5])),
+    }
+    return raw, suite
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=propagating_1d_scenarios())
+def test_a_propagating_scenario_fails_at_parse_time_or_completes_its_suite(drawn):
+    raw, suite = drawn
     try:
         scn = scenario_from_dict(raw, suite=suite)
     except ConfigError:
@@ -810,8 +854,8 @@ class TestCli:
 
         real = hardyheat.evolution.evolve
 
-        def falling(op, u0, times, scheme="expm"):
-            traj = real(op, u0, times, scheme=scheme)
+        def falling(op, u0, times):
+            traj = real(op, u0, times)
             return dataclasses.replace(traj, states=traj.states / op.k)
 
         monkeypatch.setattr(hardyheat.evolution, "evolve", falling)
@@ -964,23 +1008,16 @@ class TestCli:
     def test_evolve_scheme_override_is_checked_before_anything_runs(
         self, tmp_path, store_root, capsys, no_assembly
     ):
+        # there is no scheme to pick: the flag and the file key both exit 2 before anything runs
         path = write_scenario(tmp_path, "ok.json", small_raw())
-        rc = main(["--out", store_root, "evolve", "--scenario", path, "--scheme", "rk4"])
-        assert rc == 2
-        assert "scenario key 'scheme' must be \"expm\", \"cn\" or \"ie\", got 'rk4'" in (
-            capsys.readouterr().err
-        )
-        trajectories = os.path.join(store_root, "trajectories")
-        assert not os.path.isdir(trajectories) or os.listdir(trajectories) == []
-
-    def test_evolve_scheme_override_is_recorded(self, tmp_path, store_root, capsys):
-        path = write_scenario(tmp_path, "ok.json", small_raw())
-        rc = main(["--out", store_root, "evolve", "--scenario", path, "--scheme", "cn"])
-        assert rc == 0
-        scn = scenario_from_dict(dict(small_raw(), scheme="cn"))
-        with open(os.path.join(store_root, "trajectories", scn.run_id(), "report.json")) as fh:
-            report = json.load(fh)
-        assert report["scheme"] == report["scenario"]["scheme"] == "cn"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", store_root, "evolve", "--scenario", path, "--scheme", "cn"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scheme cn" in capsys.readouterr().err
+        path = write_scenario(tmp_path, "keyed.json", dict(small_raw(), scheme="expm"))
+        assert main(["--out", store_root, "evolve", "--scenario", path]) == 2
+        assert "unknown scenario keys: scheme" in capsys.readouterr().err
+        assert not os.path.exists(store_root)
 
     def test_verify_seed_override_changes_run_id(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "ok.json", base_raw())
@@ -1022,6 +1059,19 @@ class TestCli:
         ])
         assert rc == 2
         assert "--domain must be 2 or 4 comma-separated numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["inf", "nan", "0"])
+    def test_assemble_level_follows_the_scenario_rule(self, store_root, capsys, no_assembly, k):
+        # the operator header is JSON, which has no Infinity or NaN
+        rc = main([
+            "--out", store_root, "assemble", "--d", "1", "--alpha", "0.5",
+            "--domain=-1,1", "--h", "0.1", "--c", "0.25", "--k", k,
+        ])
+        assert rc == 2
+        assert f"--k must be a finite positive truncation level, got {float(k)}" in (
+            capsys.readouterr().err
+        )
+        assert not os.path.exists(store_root)
 
     def test_assemble_writes_operator_artifact(self, store_root, capsys):
         rc = main([
@@ -1078,6 +1128,16 @@ class TestCli:
         u = np.loadtxt(csv_path, delimiter=",", skiprows=1)[:, -1]
         with open(csv_path, "rb") as fh:
             assert fh.read() == oracles.state_csv_loop(grid.nodes, u)
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "0"])
+    def test_kernel_time_is_checked_before_anything_runs(
+        self, tmp_path, store_root, capsys, no_assembly, t
+    ):
+        path = write_scenario(tmp_path, "small.json", small_raw())
+        rc = main(["--out", store_root, "kernel", "--scenario", path, "--t", t])
+        assert rc == 2
+        assert "kernel time must be positive and finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(store_root, "kernels"))
 
     def test_kernel_rejects_nonpositive_time(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "small.json", small_raw())
