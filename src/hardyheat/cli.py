@@ -5,9 +5,10 @@ flags: --out (store root; default $HARDYHEAT_OUT or ./hardyheat-runs),
 --force, --threads, --seed.  Exit codes: 0 all good, 1 failed checks or a
 violated invariant, 2 configuration/contract errors.
 
-Heavy imports happen after argument parsing so that --threads can pin the
-BLAS thread count through the environment before numpy loads; the effective
-setting is recorded in every report.
+At module level only ``errors`` and ``threads``, which import no numpy, are
+loaded; the rest comes after argument parsing, so that --threads can pin the
+BLAS thread count through the environment before numpy loads.  The setting
+is recorded in every report.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import argparse
 import json
 import os
 import sys
+
+from .errors import ConfigError, ContractError, InvariantViolation, ParameterDomainError
+from .threads import THREAD_VARS
 
 __all__ = ["main"]
 
@@ -69,7 +73,7 @@ def _apply_threads(n: int | None) -> None:
     if n < 1:
         print(f"error: --threads must be >= 1, got {n}", file=sys.stderr)
         raise SystemExit(2)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in THREAD_VARS:
         os.environ[var] = str(n)
 
 
@@ -100,7 +104,6 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    from .errors import ConfigError
     from .grids import build_grid
     from .operators import assemble_operator, save_operator
     from .runstore import RunStore
@@ -190,8 +193,6 @@ def _cmd_kernel(args) -> int:
 
     scn = _load_scenario_with_overrides(args, args.scenario)
     if not (0.0 < args.t < float("inf")):
-        from .errors import ContractError
-
         raise ContractError(f"kernel time must be positive and finite, got {args.t}")
     store = RunStore(_store_root(args))
     grid = build_grid(scn.domain_spec(), scn.h_levels[-1])
@@ -271,8 +272,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _apply_threads(args.threads)
-    from .errors import ConfigError, ContractError, InvariantViolation, ParameterDomainError
-
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, ParameterDomainError, ContractError) as exc:

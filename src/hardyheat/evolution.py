@@ -41,6 +41,8 @@ __all__ = [
     "duhamel_residual",
 ]
 
+_CONVERGENCE_TOL = 1e-6  # relative sup-norm increment that ends a truncation schedule
+
 
 @dataclass
 class Trajectory:
@@ -119,13 +121,10 @@ def default_truncation_schedule(op: DiscreteOperator) -> np.ndarray:
     """
     if op.c <= 0.0:
         raise ConfigError("truncation schedule needs a positive coupling c")
-    k_sat = float(np.max(op.V))
-    levels = []
-    k = 1.0
-    while k < k_sat:
-        levels.append(k)
-        k *= 4.0
-    levels.append(k_sat)
+    levels = [1.0]
+    while not op.saturates(levels[-1]):
+        levels.append(4.0 * levels[-1])
+    levels[-1] = float(np.max(op.V))  # the first saturating level becomes max V itself
     return np.array(levels)
 
 
@@ -134,7 +133,6 @@ def minimal_solution(
     u0,
     times,
     k_schedule=None,
-    tol: float = 1e-6,
 ) -> tuple[Trajectory, dict]:
     """Monotone limit of truncated evolutions u_k as the cutoff k increases.
 
@@ -143,12 +141,13 @@ def minimal_solution(
     pointwise nondecreasing in k (violation beyond -1e-12 relative scale
     raises InvariantViolation, since larger absorption removed can only add
     mass).  For subcritical or critical coupling, convergence is declared
-    either when the sup-norm relative increment drops below ``tol`` or,
-    always, at the saturation level k = max V where truncation becomes a
-    no-op on this grid.  For supercritical coupling the function runs in
-    divergence mode: the same schedule is executed and the probe growth is
-    reported, but no convergence is claimed (report['mode'] = 'divergence');
-    the across-grid divergence itself is the blow-up diagnostic's job.
+    either when the sup-norm relative increment drops below 1e-6 or, always,
+    when the last level saturates (``op.saturates``: k >= max V, where
+    truncation is a no-op on this grid).  For supercritical coupling the
+    function runs in divergence mode: the same schedule is executed and the
+    probe growth is reported, but no convergence is claimed (report['mode'] =
+    'divergence'); the across-grid divergence itself is the blow-up
+    diagnostic's job.
     """
     divergent = coupling_regime(op.c, op.params) == "supercritical"
     if op.c <= 0.0:
@@ -182,13 +181,11 @@ def minimal_solution(
                     f"min increment {worst:.3e} at k={k:g}"
                 )
             increments.append(float(np.max(np.abs(diff))) / scale)
-    saturated = ks[-1] >= float(np.max(op.V)) - 1e-12 * float(np.max(op.V))
-    tol_hit = bool(increments and increments[-1] < tol)
     if divergent:
         converged, reason = False, "divergence-mode"
-    elif saturated:
+    elif op.saturates(float(ks[-1])):
         converged, reason = True, "saturation"
-    elif tol_hit:
+    elif increments and increments[-1] < _CONVERGENCE_TOL:
         converged, reason = True, "tolerance"
     else:
         converged, reason = False, "none"

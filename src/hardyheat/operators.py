@@ -260,6 +260,15 @@ class DiscreteOperator:
         return self.grid.radii ** (-self.beta)
 
     @cached_property
+    def weighted_tail(self) -> np.ndarray:
+        """Weighted exterior term, shared by the weighted form and the harmonicity defect:
+        the exact tail in 1d; in 2d kappa * w, the weight frozen at the node
+        (``FormEvaluator.exterior_gap_bound`` bounds the error)."""
+        if self.params.d == 1:
+            return exterior_power_tail(self.grid.nodes, self.grid.bounds[0], self.params, self.beta)
+        return self.kappa * self.weight
+
+    @cached_property
     def free(self) -> "DiscreteOperator":
         """The free operator (c = 0) on the same L0."""
         return replace(self, c=0.0, k=None, V=np.zeros(self.n))
@@ -273,18 +282,20 @@ class DiscreteOperator:
         """
         return eigh(self.H, driver="evd")
 
+    def saturates(self, k: float | None) -> bool:
+        """The one saturation rule: k is None or k >= max V, so min(V, k) is V bit for bit."""
+        return k is None or k >= float(np.max(self.V))
+
     def with_truncation(self, k: float | None) -> "DiscreteOperator":
         """Same L0, kappa and V, different potential cutoff.
 
-        When this operator's cutoff and k are both None or >= max V, min(V, k)
-        equals V bit for bit; the copy then keeps its own k but shares the H
-        and spectrum this operator has cached so far.
+        When this operator's cutoff and k both saturate, the copy keeps its
+        own k but shares the H and spectrum this operator has cached so far.
         """
         if k is not None and not (k > 0.0):
             raise ContractError(f"truncation level must be positive, got {k}")
         copy = replace(self, k=k)
-        top = float(np.max(self.V))
-        if all(level is None or level >= top for level in (self.k, k)):
+        if self.saturates(self.k) and self.saturates(k):
             for name in ("H", "spectrum"):  # the cached_property values
                 if name in vars(self):
                     vars(copy)[name] = vars(self)[name]
@@ -331,24 +342,12 @@ class FormEvaluator:
     """Evaluates the plain, potential and ground-state quadratic forms.
 
     All values carry the h^d volume factor, i.e. they approximate the
-    continuum integrals.  The ground-state ("weighted") form uses the exact
-    weighted exterior tail in 1d; in 2d it falls back to freezing the weight
-    at the node, and ``exterior_gap_bound`` quantifies that substitution.
+    continuum integrals.  The ground-state ("weighted") form takes its exterior
+    term from ``DiscreteOperator.weighted_tail``, which freezes the weight at
+    the node in 2d; ``exterior_gap_bound`` quantifies that substitution.
     """
 
     op: DiscreteOperator
-
-    @cached_property
-    def _wkill(self) -> np.ndarray:
-        """Weighted exterior term: the exact tail in 1d; in 2d kappa * w, the
-        weight frozen at the node (``exterior_gap_bound`` bounds the error)."""
-        op = self.op
-        if op.params.d == 1:
-            return np.asarray(
-                exterior_power_tail(op.grid.nodes, op.grid.bounds[0], op.params, op.beta),
-                dtype=float,
-            )
-        return op.kappa * op.weight
 
     def plain(self, f: np.ndarray) -> float:
         f = self._check(f)
@@ -370,7 +369,7 @@ class FormEvaluator:
         prod *= df
         prod *= np.outer(w, w, out=df)
         jump = -0.5 * float(np.sum(prod))
-        ext = float(np.sum(f * f * w * self._wkill))
+        ext = float(np.sum(f * f * w * self.op.weighted_tail))
         return self.op.grid.cell_volume * (jump + ext)
 
     def exterior_gap_bound(self, f: np.ndarray) -> float:

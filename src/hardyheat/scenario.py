@@ -165,7 +165,7 @@ def parse_coupling(spec, params: FractionalParams) -> float:
     return c
 
 
-def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
+def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a flat JSON object")
     unknown = sorted(set(raw) - set(_REQUIRED) - set(_OPTIONAL))
@@ -209,7 +209,7 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     u0_spec = raw["u0"]
     if not isinstance(u0_spec, str):
         raise _type_error("u0", "a string spec", u0_spec)
-    _validate_u0_spec(u0_spec)
+    _parse_u0(u0_spec)
 
     times_unit = raw.get("times_unit", _OPTIONAL["times_unit"])
     if times_unit not in ("tref", "absolute"):
@@ -253,7 +253,7 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
     if not _is_real(t0f) or t0f <= 0:
         raise _type_error("t0_factor", "a finite positive number", t0f)
 
-    scn = Scenario(
+    return Scenario(
         d=d,
         alpha=float(alpha),
         c=c,
@@ -268,27 +268,27 @@ def scenario_from_dict(raw: dict, suite: str | None = None) -> Scenario:
         inner_half_width=None if ihw is None else float(ihw),
         t0_factor=float(t0f),
     )
-    if suite is not None:
-        validate_for_suite(scn, suite)
-    return scn
 
 
-def _validate_u0_spec(spec: str) -> None:
-    if spec == "point" or spec == "bump":
-        return
-    for prefix in ("ball:", "bump:"):
-        if spec.startswith(prefix):
+def _parse_u0(spec: str) -> tuple[str, float | str | None]:
+    """The one reading of a u0 spec: (kind, its radius, path or None), or ConfigError."""
+    if spec == "point":
+        return "point", None
+    if spec == "bump":
+        return "bump", 0.2
+    for kind in ("ball", "bump"):
+        if spec.startswith(kind + ":"):
             try:
-                r = float(spec[len(prefix):])
+                r = float(spec[len(kind) + 1:])
             except ValueError:
-                raise ConfigError(f"bad u0 spec {spec!r}: radius is not a number")
+                raise ConfigError(f"bad u0 spec {spec!r}: radius is not a number") from None
             if not (_is_real(r) and r > 0):
                 raise ConfigError(f"bad u0 spec {spec!r}: radius must be finite and positive")
-            return
+            return kind, r
     if spec.startswith("csv:"):
         if not spec[4:]:
             raise ConfigError("u0 spec 'csv:' needs a file path")
-        return
+        return "csv", spec[4:]
     raise ConfigError(
         f"unknown u0 spec {spec!r}; use 'ball:R', 'bump', 'bump:S', 'point' or 'csv:PATH'"
     )
@@ -345,7 +345,7 @@ def validate_for_suite(scn: Scenario, suite: str) -> tuple[list, dict]:
     return grids, u0s
 
 
-def load_scenario(path: str, suite: str | None = None) -> Scenario:
+def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -353,33 +353,30 @@ def load_scenario(path: str, suite: str | None = None) -> Scenario:
         raise ConfigError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}")
-    return scenario_from_dict(raw, suite=suite)
+    return scenario_from_dict(raw)
 
 
 def build_u0(spec: str, grid) -> np.ndarray:
     """Materialize a u0 spec on a grid (unit height or unit cell mass)."""
+    kind, arg = _parse_u0(spec)
     r = grid.radii
-    if spec.startswith("ball:"):
-        radius = float(spec[5:])
-        u0 = (r <= radius).astype(float)
+    if kind == "ball":
+        u0 = (r <= arg).astype(float)
         if not np.any(u0 > 0.0):
             raise ConfigError(f"u0 {spec!r} covers no grid cell at h = {grid.h:g}")
         return u0
-    if spec == "bump" or spec.startswith("bump:"):
-        sigma = float(spec[5:]) if spec.startswith("bump:") else 0.2
-        return np.exp(-0.5 * (r / sigma) ** 2)
-    if spec == "point":
+    if kind == "bump":
+        return np.exp(-0.5 * (r / arg) ** 2)
+    if kind == "point":
         u0 = np.zeros(grid.n)
         u0[int(np.argmin(r))] = 1.0 / grid.cell_volume
         return u0
-    if spec.startswith("csv:"):
-        try:
-            vals = np.loadtxt(spec[4:], delimiter=",", ndmin=1)
-        except (OSError, ValueError) as exc:  # missing file or a non-number
-            raise ConfigError(f"u0 csv {spec[4:]!r} is unreadable: {exc}") from None
-        if vals.shape != (grid.n,):
-            raise ConfigError(
-                f"u0 csv has {vals.shape[0] if vals.ndim else 0} rows, grid has {grid.n} nodes"
-            )
-        return vals.astype(float)
-    raise ConfigError(f"unknown u0 spec {spec!r}")
+    try:
+        vals = np.loadtxt(arg, delimiter=",", ndmin=1)
+    except (OSError, ValueError) as exc:  # missing file or a non-number
+        raise ConfigError(f"u0 csv {arg!r} is unreadable: {exc}") from None
+    if vals.shape != (grid.n,):
+        raise ConfigError(
+            f"u0 csv has {vals.shape[0] if vals.ndim else 0} rows, grid has {grid.n} nodes"
+        )
+    return vals.astype(float)

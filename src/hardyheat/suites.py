@@ -30,9 +30,10 @@ from .estimators import (
     weighted_row_mass,
 )
 from .evolution import duhamel_residual, evolve, heat_kernel, minimal_solution
-from .operators import FormEvaluator, assemble_operator, exterior_power_tail
+from .operators import FormEvaluator, assemble_operator
 from .scenario import Scenario, all_parts, validate_for_suite
 from .specfun import beta_of_c, coupling_regime, hardy_constant, multiplier
+from .threads import thread_setting
 
 __all__ = ["run_suite"]
 
@@ -66,16 +67,13 @@ def run_suite(scn: Scenario, suite: str) -> dict:
         ]
     else:
         checks = _RUNNERS[suite](scn, run)
-    import os
-
-    threads = os.environ.get("OMP_NUM_THREADS")
     return {
         "suite": suite,
         "scenario": scn.to_dict(),
         "checks": checks,
         "seed": scn.seed,
         "grid_levels": list(scn.h_levels),
-        "threads": threads,
+        "threads": thread_setting(),
         "passed": all(c["pass"] for c in checks),
     }
 
@@ -157,9 +155,8 @@ def _harmonicity_defect(op) -> float:
     """RMS relative defect of L0 acting on op.weight over the probe band (1-d, as the tail)."""
     grid, beta = op.grid, op.beta
     target = multiplier(beta, op.params) * grid.radii ** (-beta - op.params.alpha)
-    tail = np.asarray(exterior_power_tail(grid.nodes, grid.bounds[0], op.params, beta))
     lhs = op.L0 @ op.weight
-    rhs = target + tail
+    rhs = target + op.weighted_tail
     band = _probe_band(grid)
     rel = np.abs(lhs[band] - rhs[band]) / np.abs(rhs[band])
     return float(np.sqrt(np.mean(rel**2)))

@@ -163,6 +163,21 @@ def test_minimal_solution_saturates(hardy_op):
     assert_allclose(traj.states, ref.states, rtol=1e-12, atol=1e-300)
 
 
+def test_saturation_is_reached_at_max_v_exactly(hardy_op):
+    u0 = (hardy_op.grid.radii <= 0.2).astype(float)
+    top = float(np.max(hardy_op.V))
+    _, rep = minimal_solution(hardy_op, u0, [0.1], k_schedule=[0.5 * top, top])
+    assert rep["converged_by"] == "saturation"
+    # one ulp below max V the last level still truncates one node
+    _, rep = minimal_solution(hardy_op, u0, [0.1], k_schedule=[0.5 * top, np.nextafter(top, 0.0)])
+    assert rep["converged_by"] in ("tolerance", "none")
+    # the default schedule ends on the first saturating level, max V itself
+    op = assemble_operator(build_grid((-1.0, 1.0), 0.005), P1, c=hardy_constant(P1))
+    ks = default_truncation_schedule(op)
+    assert ks[-1] == np.max(op.V)
+    assert [op.saturates(float(k)) for k in ks] == [False] * (len(ks) - 1) + [True]
+
+
 def test_minimal_solution_contracts(free_op, hardy_op):
     u0 = np.ones(free_op.n)
     with pytest.raises(ConfigError):

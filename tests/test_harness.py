@@ -27,6 +27,7 @@ from hardyheat.scenario import (
 )
 from hardyheat.specfun import FractionalParams, beta_of_c, coupling_regime, hardy_constant
 from hardyheat.suites import run_suite
+from hardyheat.threads import THREAD_VARS
 
 import oracles
 
@@ -259,16 +260,17 @@ class TestSuiteRules:
 
     def test_all_applies_the_rules_of_its_parts(self):
         with pytest.raises(ConfigError, match="'sharp' requires a positive coupling"):
-            scenario_from_dict(base_raw(c=0, h=[0.01, 0.005, 0.0025]), suite="all")
-        two_levels = scenario_from_dict(base_raw(h=[0.01, 0.005]), suite="all")
+            validate_for_suite(scenario_from_dict(base_raw(c=0, h=[0.01, 0.005, 0.0025])), "all")
+        two_levels = scenario_from_dict(base_raw(h=[0.01, 0.005]))
+        validate_for_suite(two_levels, "all")
         assert "lp" not in all_parts(two_levels)
         assert "lp" in all_parts(scenario_from_dict(base_raw(h=[0.01, 0.005, 0.0025])))
 
     @pytest.mark.parametrize("suite, c", [("lp", "0.5*cstar"), ("blowup", "2*cstar")])
     def test_lp_and_blowup_need_three_levels_at_parse_time(self, suite, c):
         with pytest.raises(ConfigError, match=f"suite '{suite}' needs at least 3 grid levels"):
-            scenario_from_dict(base_raw(c=c, h=[0.01, 0.005]), suite=suite)
-        scenario_from_dict(base_raw(c=c, h=[0.02, 0.01, 0.005]), suite=suite)
+            validate_for_suite(scenario_from_dict(base_raw(c=c, h=[0.01, 0.005])), suite)
+        validate_for_suite(scenario_from_dict(base_raw(c=c, h=[0.02, 0.01, 0.005])), suite)
 
     @pytest.mark.parametrize("d, alpha, domain, suite", [
         (1, 0.5, [-1.0, 1.0], "sharp"),
@@ -278,21 +280,24 @@ class TestSuiteRules:
     def test_slope_window_must_fit_the_finest_grid(self, d, alpha, domain, suite):
         raw = base_raw(d=d, alpha=alpha, domain=domain, h=[0.1, 0.05])
         with pytest.raises(ConfigError, match="bad radial window"):
-            scenario_from_dict(raw, suite=suite)
-        scenario_from_dict(raw, suite="operator")
+            validate_for_suite(scenario_from_dict(raw), suite)
+        validate_for_suite(scenario_from_dict(raw), "operator")
 
     def test_off_centre_planar_box_holds_the_slope_window(self):
         raw = base_raw(d=2, alpha=1.0, domain=[-0.5, 1.5, -0.5, 1.5], h=[0.1, 0.05])
-        scenario_from_dict(raw, suite="sharp")
+        validate_for_suite(scenario_from_dict(raw), "sharp")
         with pytest.raises(ConfigError, match="holds 4 nodes; need >= 6"):
-            scenario_from_dict(dict(raw, domain=[-1.0, 1.0, -1.0, 1.0], h=[1 / 24]), suite="sharp")
+            planar = dict(raw, domain=[-1.0, 1.0, -1.0, 1.0], h=[1 / 24])
+            validate_for_suite(scenario_from_dict(planar), "sharp")
 
     @pytest.mark.parametrize("name, suite", [
         ("verify-1d-all", "all"), ("verify-2d-operator", "operator"), ("artifacts-1d", None),
     ])
     def test_bench_scenarios_parse_for_their_suites(self, name, suite):
         here = os.path.dirname(os.path.abspath(__file__))
-        load_scenario(os.path.join(here, "..", "bench", "scenarios", f"{name}.json"), suite=suite)
+        scn = load_scenario(os.path.join(here, "..", "bench", "scenarios", f"{name}.json"))
+        if suite is not None:
+            validate_for_suite(scn, suite)
 
     def test_u0_is_built_on_every_lp_level(self):
         # at h = 0.01 the nodes nearest the origin sit at +-0.005
@@ -307,15 +312,16 @@ class TestSuiteRules:
         path = tmp_path / "u0.csv"
         np.savetxt(path, np.ones(800), delimiter=",")  # the finest grid, h = 0.0025
         raw = base_raw(u0=f"csv:{path}", h=[0.01, 0.005, 0.0025])
-        scn = scenario_from_dict(raw, suite="sharp")
+        scn = scenario_from_dict(raw)
+        validate_for_suite(scn, "sharp")
         with pytest.raises(ConfigError, match="u0 csv has 800 rows, grid has 200 nodes"):
             validate_for_suite(scn, "lp")
         np.savetxt(path, np.ones(200), delimiter=",")
         with pytest.raises(ConfigError, match="u0 csv has 200 rows, grid has 800 nodes"):
-            scenario_from_dict(raw, suite="sharp")
+            validate_for_suite(scenario_from_dict(raw), "sharp")
         with pytest.raises(ConfigError, match="u0 csv has 200 rows, grid has 800 nodes"):
-            scenario_from_dict(dict(raw, c="2*cstar"), suite="blowup")
-        scenario_from_dict(raw, suite="operator")  # operator and kernel never build u0
+            validate_for_suite(scenario_from_dict(dict(raw, c="2*cstar")), "blowup")
+        validate_for_suite(scenario_from_dict(raw), "operator")  # operator and kernel never build u0
 
     def test_unknown_suite(self):
         scn = scenario_from_dict(base_raw())
@@ -324,7 +330,7 @@ class TestSuiteRules:
 
     def test_suite_hint_applied_at_parse_time(self):
         with pytest.raises(ConfigError, match="positive coupling"):
-            scenario_from_dict(base_raw(c=0), suite="sharp")
+            validate_for_suite(scenario_from_dict(base_raw(c=0)), "sharp")
 
 
 @pytest.mark.parametrize("e, regime", [
@@ -418,11 +424,39 @@ def small_1d_scenarios(draw):
     return raw
 
 
-@settings(max_examples=30, deadline=None)
-@given(raw=small_1d_scenarios(), suite=st.sampled_from(["operator", "kernel"]))
+@st.composite
+def small_2d_scenarios(draw):
+    """2-d scenarios with h in {0.25, 0.2, 0.1} on [-1, 1]^2 and two off-centre boxes.
+
+    h = 0.2 puts a node on the origin of the last box.  All values are finite:
+    the 1-d draws cover that rule.
+    """
+    levels = st.lists(st.sampled_from([0.25, 0.2, 0.1]), min_size=1, max_size=3, unique=True)
+    times = st.lists(st.sampled_from([0.05, 0.1, 0.5, 2.0]), min_size=1, max_size=3, unique=True)
+    return {
+        "d": 2,
+        "alpha": draw(st.sampled_from([0.5, 1.0, 1.5, 1.9])),
+        "c": draw(st.sampled_from([0, 0.3, "0.5*cstar", "1*cstar", "2*cstar"])),
+        "domain": draw(st.sampled_from(
+            [[-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, -0.5, 1.5], [-0.5, 1.5, -0.5, 1.5]])),
+        "h": sorted(draw(levels), reverse=True),
+        "u0": draw(st.sampled_from(["ball:0.2", "bump", "point"])),
+        "times": sorted(draw(times)),
+        "k": draw(st.sampled_from([None, [1.0, 4.0]])),
+        "inner_half_width": draw(st.sampled_from([None, 0.1, 0.45, 0.99, 1.0, 5.0])),
+        "t0_factor": 0.1,
+    }
+
+
+@settings(max_examples=70, deadline=None)
+@given(
+    raw=st.one_of(small_1d_scenarios(), small_2d_scenarios()),
+    suite=st.sampled_from(["operator", "kernel"]),
+)
 def test_a_scenario_fails_at_parse_time_or_completes_its_suite(raw, suite):
     try:
-        scn = scenario_from_dict(raw, suite=suite)
+        scn = scenario_from_dict(raw)
+        validate_for_suite(scn, suite)
     except ConfigError:
         return
     report = run_suite(scn, suite)
@@ -466,7 +500,8 @@ def propagating_1d_scenarios(draw):
 def test_a_propagating_scenario_fails_at_parse_time_or_completes_its_suite(drawn):
     raw, suite = drawn
     try:
-        scn = scenario_from_dict(raw, suite=suite)
+        scn = scenario_from_dict(raw)
+        validate_for_suite(scn, suite)
     except ConfigError:
         return
     report = run_suite(scn, suite)
@@ -488,7 +523,8 @@ def _json(report) -> str:
 
 def test_all_equals_each_part_run_alone():
     # the oracle: every part on its own, so nothing is shared between parts
-    scn = scenario_from_dict(three_level_raw(), suite="all")
+    scn = scenario_from_dict(three_level_raw())
+    validate_for_suite(scn, "all")
     alone = [
         dict(c, name=f"{part}.{c['name']}")
         for part in all_parts(scn)
@@ -527,7 +563,8 @@ def _alive(refs) -> int:
 def test_no_operator_outlives_run_suite(assembled, monkeypatch):
     import hardyheat.suites
 
-    scn = scenario_from_dict(three_level_raw(), suite="all")
+    scn = scenario_from_dict(three_level_raw())
+    validate_for_suite(scn, "all")
     run_suite(scn, "all")
     assert len(assembled) > 0 and _alive(assembled) == 0
 
@@ -542,13 +579,46 @@ def test_no_operator_outlives_run_suite(assembled, monkeypatch):
 
 
 def test_back_to_back_runs_give_the_bytes_of_separate_runs():
-    a = scenario_from_dict(three_level_raw(), suite="all")
+    a = scenario_from_dict(three_level_raw())
+    validate_for_suite(a, "all")
     b = scenario_from_dict(base_raw(c="0.8*cstar", h=[0.05, 0.025, 0.0125],
-                                    domain=[-1.0, 1.5], times=[0.2, 1.0]), suite="all")
+                                    domain=[-1.0, 1.5], times=[0.2, 1.0]))
+    validate_for_suite(b, "all")
     first = [_json(run_suite(a, "all")), _json(run_suite(b, "all"))]
     second = [_json(run_suite(b, "all")), _json(run_suite(a, "all"))]
     assert first == second[::-1]
     assert first[0] != first[1]
+
+
+def test_verify_all_computes_each_weighted_tail_once(monkeypatch):
+    # the harmonicity defect and the weighted form share the operator's tail
+    import hardyheat.operators
+
+    real, nodes = hardyheat.operators.exterior_power_tail, []
+
+    def counted(x, *args):
+        nodes.append(len(x))
+        return real(x, *args)
+
+    monkeypatch.setattr(hardyheat.operators, "exterior_power_tail", counted)
+    scn = scenario_from_dict(three_level_raw())
+    run_suite(scn, "all")
+    assert nodes == [50, 100, 200]  # one per level; sharp reuses the finest
+
+
+@pytest.mark.parametrize("env, want", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, "1"),
+    ({"MKL_NUM_THREADS": "3"}, "3"),
+    ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "3"}, "2"),
+    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "3"}, "1"),
+    ({}, None),
+], ids=["openblas", "mkl", "omp_first", "openblas_before_mkl", "none"])
+def test_report_records_the_first_thread_variable_set(monkeypatch, env, want):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert run_suite(scenario_from_dict(base_raw()), "constants")["threads"] == want
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +664,18 @@ class TestBuildU0:
         path.write_text("a\nb\n")
         with pytest.raises(ConfigError, match="is unreadable"):
             build_u0(f"csv:{path}", grid)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("bump:x", "radius is not a number"),
+        ("ball:-1", "radius must be finite and positive"),
+        ("csv:", "needs a file path"),
+        ("disc:0.2", "unknown u0 spec 'disc:0.2'; use"),
+    ])
+    def test_build_u0_reads_the_scenario_grammar(self, grid, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            scenario_from_dict(base_raw(u0=spec))
+        with pytest.raises(ConfigError, match=message):
+            build_u0(spec, grid)
 
     def test_csv_shape_mismatch(self, grid, tmp_path):
         path = tmp_path / "short.csv"
@@ -713,23 +795,54 @@ def small_raw():
     return base_raw(h=[0.1], times=[0.1, 0.5])
 
 
+def _fresh_modules(code: str, *argv: str) -> list:
+    """Run ``code`` in a fresh interpreter on this source tree; the modules it loaded.
+
+    The last line of its output lists every loaded module whose name starts
+    with scipy or numpy, or is a hardyheat module other than the root.
+    """
+    import subprocess
+    import sys
+
+    import hardyheat
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hardyheat.__file__)))
+    code += (
+        "; import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy', 'numpy', 'hardyheat.')))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 class TestCli:
     def test_cli_import_leaves_out_scipy_integrate(self):
-        import subprocess
-        import sys
+        mods = _fresh_modules("import hardyheat.cli, hardyheat.suites")
+        assert [m for m in ("scipy.integrate", "scipy.optimize") if m in mods] == []
 
-        import hardyheat
+    def test_cli_import_leaves_out_numpy(self):
+        # so that --threads sets the BLAS thread count before numpy loads BLAS
+        mods = _fresh_modules("import hardyheat.cli")
+        assert "hardyheat.cli" in mods
+        assert [m for m in mods if m.startswith("numpy")] == []
 
-        src = os.path.dirname(os.path.dirname(os.path.abspath(hardyheat.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        code = (
-            "import sys, hardyheat.cli, hardyheat.suites; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
+    def test_cached_verify_loads_no_scipy_and_no_suites(self, tmp_path, store_root):
+        path = write_scenario(tmp_path, "ok.json", base_raw())
+        argv = ["--out", store_root, "verify", "--suite", "constants", "--scenario", path]
+        assert main(argv) == 0
+        code = "import sys, hardyheat.cli; assert hardyheat.cli.main(sys.argv[1:]) == 0"
+        mods = _fresh_modules(code, *argv)
+        assert "numpy" in mods  # the scenario is parsed
+        assert [m for m in mods if m.startswith("scipy")] == []
+        assert "hardyheat.suites" not in mods
+
+    def test_constants_loads_no_scipy(self):
+        code = "import sys, hardyheat.cli; assert hardyheat.cli.main(sys.argv[1:]) == 0"
+        argv = ["constants", "--d", "2", "--alpha", "1.0", "--c", "0.5*cstar"]
+        assert [m for m in _fresh_modules(code, *argv) if m.startswith("scipy")] == []
 
     def test_bench_tracer_installs_on_the_current_names(self, tmp_path):
         # bench/spans.py patches names by hand (DiscreteOperator.with_truncation,

@@ -294,7 +294,7 @@ def test_weighted_form_matches_jump_oracle_bit_for_bit(name):
     op, V, k = _single_matrix_case(name)
     J0 = _jump_matrix(op.grid, intensity_constant(op.params), op.params.alpha)
     ev = FormEvaluator(op)
-    w, wkill = op.weight, ev._wkill
+    w, wkill = op.weight, op.weighted_tail
     rng = np.random.default_rng(5)
     # unit vectors leave few terms in the sum, so a change of product order shows
     units = np.eye(op.n)[:: op.n // 10]
@@ -375,6 +375,19 @@ def test_saturated_truncation_shares_h_and_spectrum():
     back = low.with_truncation(top)
     assert back.H is not low.H and back.spectrum is not low.spectrum
     assert np.array_equal(_bits(back.H), _bits(op.H))
+
+
+def test_one_saturation_rule_at_max_v():
+    # k saturates from max V on, where min(V, k) is V bit for bit; one ulp below it does not
+    op = assemble_operator(build_grid((-1.0, 1.0), 0.05), P1, c=0.5 * hardy_constant(P1))
+    top = float(np.max(op.V))
+    below = float(np.nextafter(top, 0.0))
+    assert op.saturates(None) and op.saturates(top) and op.saturates(2.0 * top)
+    assert not op.saturates(below)
+    assert not np.array_equal(_bits(np.minimum(op.V, below)), _bits(op.V))
+    op.spectrum
+    assert op.with_truncation(top).spectrum is op.spectrum
+    assert op.with_truncation(below).H is not op.H
 
 
 def test_assembly_validation():
