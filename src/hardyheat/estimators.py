@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh
+from scipy.linalg import eigvalsh  # noqa: F401  unused; bench/spans.py traces this name
+from scipy.sparse.linalg import eigsh
 
 from .errors import ConfigError, ContractError
 from .evolution import KernelMatrix, heat_kernel, minimal_solution
@@ -39,8 +40,16 @@ __all__ = [
 
 
 def lambda_min(op: DiscreteOperator) -> float:
-    """Smallest eigenvalue of H (dense symmetric solve, bottom of spectrum)."""
-    return float(eigvalsh(op.H, subset_by_index=(0, 0))[0])
+    """Smallest eigenvalue of H by one implicitly restarted Lanczos solve.
+
+    Every off-diagonal entry of H is -J < 0, so by Perron-Frobenius the bottom
+    eigenvalue is simple with a positive eigenvector, and the all-ones start
+    vector always overlaps it (truncated and supercritical operators too).  A
+    fixed start also keeps the result independent of ARPACK's own random state,
+    so reports stay byte-reproducible.
+    """
+    lam = eigsh(op.H, k=1, which="SA", v0=np.ones(op.n), tol=0.0, return_eigenvectors=False)
+    return float(lam[0])
 
 
 def t_ref(op: DiscreteOperator, lam_free: float | None = None) -> float:

@@ -35,7 +35,9 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #      kernels and the Duhamel check
 #   3  closed-form assembly: 2-d killing term from incomplete beta values,
 #      1-d exterior tail from Gauss hypergeometric values (no quadrature)
-NUMERICS_EPOCH = 3
+#   4  bottom eigenvalue (lambda_min, t_ref) by Lanczos from a positive start
+#      vector instead of a dense eigvalsh
+NUMERICS_EPOCH = 4
 
 
 def load_current(path: str) -> dict | None:

@@ -13,7 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import integrate
-from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg import eigvalsh, expm, lu_factor, lu_solve
 from scipy.special import betainc
 
 mp.mp.dps = 40
@@ -248,6 +248,11 @@ def mp_exterior_tail(x0: float, a: float, b: float, alpha: float, beta: float) -
         return (e - x) ** (-s) / s * mp.quad(f, [0, 1])
 
     return float(mp.mpf(mp_intensity(1, alpha)) * (side(x0, b) + side(-x0, -a)))
+
+
+def bottom_eigenvalue_dense(H: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric H by a dense LAPACK solve (O(n^3))."""
+    return float(eigvalsh(H, subset_by_index=(0, 0))[0])
 
 
 def dense_propagator(H: np.ndarray, t: float) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Spectral, kernel-bound and profile estimators."""
 
 import numpy as np
+import oracles
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import eigsh
 
 from hardyheat.errors import ConfigError, ContractError, InvariantViolation
 from hardyheat.estimators import (
@@ -48,6 +50,45 @@ def test_lambda_min_matches_full_eigensolve(free_op):
     full = np.linalg.eigvalsh(free_op.H)
     assert_allclose(lam, full[0], rtol=1e-12)
     assert lam > 0.0
+
+
+# (d, alpha, domain, h): 1-d n = 2, 8, 64, 1024; 2-d n = 400, 1600
+_LANCZOS_GRIDS = [
+    (1, 0.5, (-1.0, 1.0), 1.0),
+    (1, 0.5, (-1.0, 1.0), 0.25),
+    (1, 0.5, (-1.0, 1.0), 1.0 / 32),
+    (1, 0.5, (-1.0, 1.0), 1.0 / 512),
+    (1, 0.9, (-1.0, 1.0), 1.0),
+    (1, 0.9, (-1.0, 1.0), 1.0 / 32),
+    (1, 0.9, (-1.0, 1.0), 1.0 / 512),
+] + [(2, a, ((-1.0, 1.0), (-1.0, 1.0)), h) for a in (0.5, 1.0, 1.5) for h in (0.1, 0.05)]
+
+
+@pytest.mark.parametrize("d, alpha, domain, h", _LANCZOS_GRIDS)
+def test_lambda_min_matches_dense_oracle(d, alpha, domain, h):
+    # sub-, critical and supercritical couplings, each bare and truncated at k = 4
+    params = FractionalParams(d, alpha)
+    grid = build_grid(domain, h)
+    for frac in (0.0, 0.5, 1.0, 1.5, 3.0):
+        op = assemble_operator(grid, params, c=frac * hardy_constant(params))
+        for k in (None, 4.0):
+            trunc = op if k is None else op.with_truncation(k)
+            ref = oracles.bottom_eigenvalue_dense(trunc.H)
+            assert abs(lambda_min(trunc) - ref) <= 1e-12 * abs(ref), (grid.n, frac, k)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h", [1.0, 0.02])
+def test_lambda_min_is_deterministic(h):
+    # ARPACK's default start vector comes from a generator whose state persists
+    # across calls; the fixed start makes the result independent of call order
+    op = assemble_operator(build_grid((-1.0, 1.0), h), P1, c=0.5 * CSTAR)
+    first = lambda_min(op)
+    assert lambda_min(op) == first
+    np.random.seed(12345)
+    assert lambda_min(op) == first
+    eigsh(op.H, k=1, return_eigenvectors=False)  # default random start
+    assert lambda_min(op) == first
 
 
 def test_t_ref_is_inverse_bottom_eigenvalue(free_op):

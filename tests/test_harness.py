@@ -878,7 +878,9 @@ class TestCli:
         assert calls["operators.assemble_operator"] == 2
         assert calls["operators.forms"] > 0
         assert calls["estimators.t_ref"] > 0
-        assert calls["kernel.eigh"] > 0
+        # the bottom of L0 on both levels and of H on the finest, all by Lanczos
+        assert calls["estimators.lambda_min"] == 3
+        assert calls["kernel.eigh"] == 0
 
     def test_verify_recomputes_truncated_report(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "ok.json", base_raw())
@@ -995,7 +997,7 @@ class TestCli:
         import hardyheat.scenario
         import hardyheat.suites
 
-        calls = {"eigvalsh": [], "eigh": [], "assemble": 0, "validate": 0, "grids": 0}
+        calls = {"eigsh": [], "eigh": [], "assemble": 0, "validate": 0, "grids": 0}
 
         def digest(a):
             return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
@@ -1012,7 +1014,7 @@ class TestCli:
 
             monkeypatch.setattr(mod, name, wrapper)
 
-        counted(hardyheat.estimators, "eigvalsh", "eigvalsh")
+        counted(hardyheat.estimators, "eigsh", "eigsh")
         counted(hardyheat.operators, "eigh", "eigh")
         counted(hardyheat.suites, "assemble_operator", "assemble")
         counted(hardyheat.suites, "validate_for_suite", "validate")
@@ -1021,7 +1023,7 @@ class TestCli:
         path = write_scenario(tmp_path, "three.json", three_level_raw())
         assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) == 0
         # L0 on each of the three levels and H on the finest: four bottoms
-        assert len(calls["eigvalsh"]) == len(set(calls["eigvalsh"])) == 4
+        assert len(calls["eigsh"]) == len(set(calls["eigsh"])) == 4
         # H on each level (operator heat kernels) and L0 on the finest (Duhamel)
         assert len(calls["eigh"]) == len(set(calls["eigh"])) == 4
         # one live operator: lp assembles its three levels again (8 before)
