@@ -75,6 +75,9 @@ def _apply_threads(n: int | None) -> None:
         raise SystemExit(2)
     for var in THREAD_VARS:
         os.environ[var] = str(n)
+    if "numpy" in sys.modules:  # BLAS fixed its thread count when numpy loaded
+        print(f"warning: --threads {n} comes after numpy was loaded; BLAS keeps its "
+              "thread count, though reports record the setting", file=sys.stderr)
 
 
 def _store_root(args) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh  # noqa: F401  unused; bench/spans.py traces this name
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, ContractError
 from .evolution import KernelMatrix, heat_kernel, minimal_solution
@@ -40,7 +40,8 @@ __all__ = [
 
 
 def lambda_min(op: DiscreteOperator) -> float:
-    """Smallest eigenvalue of H by one implicitly restarted Lanczos solve.
+    """Smallest eigenvalue of H by one implicitly restarted Lanczos solve on
+    ``op.apply``, so H itself is never formed.
 
     Every off-diagonal entry of H is -J < 0, so by Perron-Frobenius the bottom
     eigenvalue is simple with a positive eigenvector, and the all-ones start
@@ -48,7 +49,8 @@ def lambda_min(op: DiscreteOperator) -> float:
     fixed start also keeps the result independent of ARPACK's own random state,
     so reports stay byte-reproducible.
     """
-    lam = eigsh(op.H, k=1, which="SA", v0=np.ones(op.n), tol=0.0, return_eigenvectors=False)
+    H = LinearOperator((op.n, op.n), matvec=op.apply, dtype=float)
+    lam = eigsh(H, k=1, which="SA", v0=np.ones(op.n), tol=0.0, return_eigenvectors=False)
     return float(lam[0])
 
 
@@ -363,12 +365,12 @@ def sobolev_quotient(
         samples.append((f"random-{i}", f))
     for g in np.linspace(0.1 * beta, 0.95 * beta, 8):
         samples.append((f"profile-{g:.4f}", grid.radii ** (-float(g))))
+    denoms = evaluator.weighted(np.column_stack([f for _, f in samples]))
     best = -np.inf
     best_label = None
     flagged = []
     quotients = []
-    for label, f in samples:
-        denom = evaluator.weighted(f)
+    for (label, f), denom in zip(samples, denoms.tolist()):
         scale = hd * float(np.sum(f * f * w2))
         if denom <= 1e-12 * max(scale, 1e-300):
             flagged.append(label)

@@ -93,10 +93,15 @@ def evolve(op: DiscreteOperator, u0, times) -> Trajectory:
     """Propagate u0 through exp(-t H) at the requested output times."""
     ts = _check_times(times)
     u0 = _check_u0(u0, op.n)
-    states = np.array(
-        [u0.copy() if t == 0.0 else expm_multiply(-float(t) * op.H, u0) for t in ts]
-    )
+    states = np.array([u0.copy() if t == 0.0 else _action(op, float(t), u0) for t in ts])
     return Trajectory(operator=op, times=ts, states=states)
+
+
+def _action(op: DiscreteOperator, t: float, u0: np.ndarray) -> np.ndarray:
+    """exp(-t H) u0, with -t H scaled in place in the one H this call forms."""
+    A = op.H
+    A *= -t
+    return expm_multiply(A, u0)
 
 
 def heat_kernel(op: DiscreteOperator, t: float) -> KernelMatrix:
@@ -167,8 +172,8 @@ def minimal_solution(
     prev = trk = None
     increments, probe_vals = [], []
     for k in ks:
-        if trk is not None:  # keep the states only: the trajectory holds its n x n H
-            prev, trk = trk.states, None
+        if trk is not None:
+            prev = trk.states
         trk = evolve(op.with_truncation(float(k)), u0, ts)
         probe_vals.append(float(trk.states[-1][origin]))
         if prev is not None:

@@ -218,8 +218,9 @@ def _jump_matrix(grid: Grid, A: float, alpha: float) -> np.ndarray:
 class DiscreteOperator:
     """Dense operator H = L0 - diag(min(V, k)) on one grid; L0 is its one n x n array.
 
-    L0 is -J off the diagonal.  H, truncated copies and the ``free`` view all
-    derive from L0 and share it.  ``beta`` and ``weight`` give the ground state of c.
+    L0 is -J off the diagonal.  Truncated copies and the ``free`` view share it;
+    H acts through ``apply`` and is formed only when read, as a new array.
+    ``beta`` and ``weight`` give the ground state of c.
     """
 
     grid: Grid
@@ -240,14 +241,19 @@ class DiscreteOperator:
         """Truncated potential actually subtracted from L0."""
         return self.V if self.k is None else np.minimum(self.V, self.k)
 
-    @cached_property
+    @property
     def H(self) -> np.ndarray:
-        """L0 with W subtracted on the diagonal; L0 itself when W is zero."""
-        if not np.any(self.W):
-            return self.L0
+        """A new array L0 - diag(W) on each read, never cached: the caller owns it
+        and may overwrite it.  Use ``apply`` to act on vectors."""
         H = self.L0.copy()
         H.flat[:: self.n + 1] -= self.W
         return H
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """H v = L0 v - W v for v of shape (n,) or (n, m), without forming H."""
+        v = np.asarray(v, dtype=float)
+        W = self.W if v.ndim == 1 else self.W[:, None]
+        return self.L0 @ v - W * v
 
     @cached_property
     def beta(self) -> float:
@@ -278,9 +284,12 @@ class DiscreteOperator:
         """(lam, Q) with H = Q diag(lam) Q^T, computed on first use.
 
         Cached per instance; a truncated copy solves its own eigenproblem
-        unless its cutoff changes nothing (see ``with_truncation``).
+        unless its cutoff changes nothing (see ``with_truncation``).  The
+        solve overwrites its own copy of H.
         """
-        return eigh(self.H, driver="evd")
+        # H is symmetric bit for bit, so H.T is H in Fortran order, which LAPACK
+        # overwrites in place; a C-ordered H would be copied once more first
+        return eigh(self.H.T, driver="evd", overwrite_a=True)
 
     def saturates(self, k: float | None) -> bool:
         """The one saturation rule: k is None or k >= max V, so min(V, k) is V bit for bit."""
@@ -290,15 +299,13 @@ class DiscreteOperator:
         """Same L0, kappa and V, different potential cutoff.
 
         When this operator's cutoff and k both saturate, the copy keeps its
-        own k but shares the H and spectrum this operator has cached so far.
+        own k but shares the spectrum, if this operator has solved it already.
         """
         if k is not None and not (k > 0.0):
             raise ContractError(f"truncation level must be positive, got {k}")
         copy = replace(self, k=k)
-        if self.saturates(self.k) and self.saturates(k):
-            for name in ("H", "spectrum"):  # the cached_property values
-                if name in vars(self):
-                    vars(copy)[name] = vars(self)[name]
+        if self.saturates(self.k) and self.saturates(k) and "spectrum" in vars(self):
+            vars(copy)["spectrum"] = self.spectrum
         return copy
 
 
@@ -358,19 +365,25 @@ class FormEvaluator:
         hd = self.op.grid.cell_volume
         return self.plain(f) - float(hd * np.sum(f * f * self.op.W))
 
-    def weighted(self, f: np.ndarray) -> float:
-        f = self._check(f, weighted=True)
-        w = self.op.weight
-        df = f[:, None] - f[None, :]
-        # ((L0 df) df)(w w^T) in this order, which fixes the bits; in place, with
-        # w w^T written over df, so the form holds two n x n arrays, not four.
-        # J = -L0 off the diagonal; the diagonal terms vanish since df_ii = 0
-        prod = self.op.L0 * df
-        prod *= df
-        prod *= np.outer(w, w, out=df)
-        jump = -0.5 * float(np.sum(prod))
-        ext = float(np.sum(f * f * w * self.op.weighted_tail))
-        return self.op.grid.cell_volume * (jump + ext)
+    def weighted(self, f: np.ndarray):
+        """Ground-state form of f, shape (n,); of each column of f, shape (n, m).
+
+        With J = -L0 off the diagonal and g = f w, the jump part
+        (1/2) sum_ij J_ij (f_i - f_j)^2 w_i w_j equals g^T L0 g - sum_i f_i^2 w_i (L0 w)_i
+        (the diagonal of L0 cancels), so one matrix product serves every column.
+        Each f is a contiguous row while it is summed, so its sums do not depend
+        on how many columns come with it.
+        """
+        arr = self._check(f, weighted=True, columns=True)
+        op = self.op
+        w = op.weight
+        rows = np.ascontiguousarray(arr.T).reshape(-1, op.n)
+        G = rows * w
+        jump = np.sum(G * (G @ op.L0), axis=1)  # L0 is symmetric: row k is g_k^T L0
+        # minus the (L0 w) term of the jump, plus the exterior term
+        local = np.sum(rows * rows * (w * (op.weighted_tail - op.L0 @ w)), axis=1)
+        vals = op.grid.cell_volume * (jump + local)
+        return float(vals[0]) if arr.ndim == 1 else vals
 
     def exterior_gap_bound(self, f: np.ndarray) -> float:
         """Upper bound on the frozen-weight substitution error (2d mode)."""
@@ -381,12 +394,11 @@ class FormEvaluator:
         hd = op.grid.cell_volume
         return float(hd * np.sum(f * f * w * op.kappa * np.abs(w - w_ext_max)))
 
-    def _check(self, f, weighted: bool = False) -> np.ndarray:
+    def _check(self, f, weighted: bool = False, columns: bool = False) -> np.ndarray:
         arr = np.asarray(f, dtype=float)
-        if arr.shape != (self.op.n,):
-            raise ContractError(
-                f"form argument must have shape ({self.op.n},), got {arr.shape}"
-            )
+        if arr.shape != (self.op.n,) and not (columns and arr.ndim == 2 and len(arr) == self.op.n):
+            shapes = f"({self.op.n},) or ({self.op.n}, m)" if columns else f"({self.op.n},)"
+            raise ContractError(f"form argument must have shape {shapes}, got {arr.shape}")
         if weighted and self.op.c <= 0.0:
             raise ContractError("weighted form needs a positive coupling c")
         return arr

@@ -37,7 +37,10 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #      1-d exterior tail from Gauss hypergeometric values (no quadrature)
 #   4  bottom eigenvalue (lambda_min, t_ref) by Lanczos from a positive start
 #      vector instead of a dense eigvalsh
-NUMERICS_EPOCH = 4
+#   5  H is never stored: Lanczos acts through L0 v - W v, the weighted form is
+#      g^T L0 g - sum f^2 w (L0 w), and the operator suite's weighted row mass
+#      is the exponential action on w instead of a full kernel
+NUMERICS_EPOCH = 5
 
 
 def load_current(path: str) -> dict | None:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hardyheat.cli import main
 from hardyheat.errors import ConfigError, ParameterDomainError
 from hardyheat.grids import build_grid
-from hardyheat.estimators import blowup_diagnostic, t_ref
+from hardyheat.estimators import blowup_diagnostic, t_ref, weighted_row_mass
 from hardyheat.evolution import heat_kernel, minimal_solution
 from hardyheat.operators import assemble_operator, load_operator
 from hardyheat.runstore import NUMERICS_EPOCH, RunStore
@@ -534,6 +534,38 @@ def test_all_equals_each_part_run_alone():
     assert _json(run_suite(scn, "all")["checks"]) == _json(alone)
 
 
+def test_operator_suite_peaks_at_one_matrix():
+    # 2-d h 0.1/0.05 (n = 1600): the one n x n array alive is the level's L0;
+    # H, a heat kernel, L0 - L0^T or a masked copy of L0 would each add 8 n^2 bytes
+    import tracemalloc
+
+    raw = base_raw(d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[0.1, 0.05])
+    scn = scenario_from_dict(raw)
+    n = build_grid(scn.domain_spec(), 0.05).n
+    tracemalloc.start()
+    try:
+        report = run_suite(scn, "operator")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"]
+    assert peak <= 1.25 * 8 * n**2
+
+
+def test_operator_row_mass_matches_the_kernel_row_mass():
+    # the suite's eps comes from exp(-tH) w as one action; a full kernel gives the same
+    scn = scenario_from_dict(three_level_raw())
+    (check,) = [
+        c for c in run_suite(scn, "operator")["checks"]
+        if c["name"] == "weighted_submarkov_excess_shrinks"
+    ]
+    assert len(check["measured"]) == len(scn.h_levels) == 3
+    for h, eps in zip(scn.h_levels, check["measured"]):
+        op = assemble_operator(build_grid(scn.domain_spec(), h), scn.params, c=scn.c)
+        ker = heat_kernel(op, 0.1 * t_ref(op))
+        assert abs(eps - weighted_row_mass(ker, op.weight)["eps"]) <= 1e-12
+
+
 @pytest.fixture()
 def assembled(monkeypatch):
     """Weak references to every operator the suites assemble."""
@@ -928,6 +960,34 @@ class TestCli:
             main(["--threads", "0", "constants", "--d", "1", "--alpha", "0.5"])
         assert exc.value.code == 2
 
+    def test_late_threads_setting_warns(self, monkeypatch, capsys):
+        # numpy is loaded in this process, so BLAS keeps its thread count: say so
+        for var in THREAD_VARS:  # restored afterwards, although main sets them
+            monkeypatch.setenv(var, "2")
+        argv = ["constants", "--d", "1", "--alpha", "0.5"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        assert main(["--threads", "1", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert out == quiet.out and quiet.err == ""
+        assert err.count("\n") == 1
+        assert err.startswith("warning: --threads 1 comes after numpy was loaded")
+
+    def test_threads_in_a_fresh_process_do_not_warn(self):
+        import subprocess
+        import sys
+
+        import hardyheat
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hardyheat.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-m", "hardyheat.cli", "--threads", "1",
+             "constants", "--d", "1", "--alpha", "0.5"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert out.returncode == 0 and out.stderr == ""
+        assert json.loads(out.stdout)["c_star"] == pytest.approx(C_STAR, rel=1e-15)
+
     def test_verify_passing_suite(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "ok.json", base_raw())
         report_copy = str(tmp_path / "report.json")
@@ -1002,11 +1062,24 @@ class TestCli:
         def digest(a):
             return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
 
+        # eigsh gets a LinearOperator on op.apply: key it by the (L0, W) of that op
+        keys = {}
+        real_linop = hardyheat.estimators.LinearOperator
+
+        def linop(shape, matvec, **kwargs):
+            A = real_linop(shape, matvec=matvec, **kwargs)
+            keys[id(A)] = (digest(matvec.__self__.L0), digest(matvec.__self__.W))
+            return A
+
+        monkeypatch.setattr(hardyheat.estimators, "LinearOperator", linop)
+
         def counted(mod, name, key):
             real = getattr(mod, name)
 
             def wrapper(*args, **kwargs):
-                if isinstance(calls[key], list):
+                if key == "eigsh":
+                    calls[key].append(keys[id(args[0])])
+                elif isinstance(calls[key], list):
                     calls[key].append(digest(args[0]))
                 else:
                     calls[key] += 1
@@ -1024,8 +1097,9 @@ class TestCli:
         assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) == 0
         # L0 on each of the three levels and H on the finest: four bottoms
         assert len(calls["eigsh"]) == len(set(calls["eigsh"])) == 4
-        # H on each level (operator heat kernels) and L0 on the finest (Duhamel)
-        assert len(calls["eigh"]) == len(set(calls["eigh"])) == 4
+        # H and L0 on the finest level (kernels and Duhamel); the operator suite
+        # takes its row mass from one exponential action, not a full kernel
+        assert len(calls["eigh"]) == len(set(calls["eigh"])) == 2
         # one live operator: lp assembles its three levels again (8 before)
         assert calls["assemble"] == 6
         assert calls["validate"] == 1 and calls["grids"] == 3
