@@ -138,8 +138,10 @@ def _load_scenario_with_overrides(args, path: str):
     """The scenario at ``path`` with --seed applied."""
     import dataclasses
 
-    from .scenario import load_scenario
+    from .scenario import is_seed, load_scenario
 
+    if args.seed is not None and not is_seed(args.seed):
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     scn = load_scenario(path)
     if args.seed is not None:
         scn = dataclasses.replace(scn, seed=args.seed)

@@ -1,4 +1,4 @@
-"""Dense assembly of the restricted (Dirichlet) fractional operator on a grid.
+"""Matrix-free assembly of the restricted (Dirichlet) fractional operator on a grid.
 
 For nodes x_i with cell volume h^d the jump weights are
 
@@ -6,10 +6,12 @@ For nodes x_i with cell volume h^d the jump weights are
     J_ij = A * h**d * |x_i - x_j|**(-d-alpha)                     (far field)
 
 with exact cell integration for nearest neighbours (closed form in 1d, fixed
-tensor Gauss-Legendre in 2d) and midpoint quadrature beyond; in 2d J is read
-from one table indexed by the cell offset.  The diagonal is sum_j J_ij +
-kappa_i, where kappa is the exact exterior mass (closed form; incomplete beta
-values in 2d)
+tensor Gauss-Legendre in 2d) and midpoint quadrature beyond.  On the uniform
+grid J_ij depends on the cell offset of i and j only, so one table indexed by
+the offset holds all of J: J is Toeplitz in 1d and block-Toeplitz in 2d, and
+J v is one FFT convolution with the circulant extension of the table.  The
+diagonal of L0 is sum_j J_ij + kappa_i, where kappa is the exact exterior mass
+(closed form; incomplete beta values in 2d)
 
     kappa(x) = A * integral of |x - y|**(-d-alpha) over the complement of the box.
 
@@ -17,8 +19,11 @@ Because the kernel is convex along each coordinate away from its pole, the
 midpoint rule never overshoots a cell integral; together with exact
 neighbour cells this makes the matrix of a sub-box dominate the restriction
 of the full-box matrix entrywise, which is what the kernel-domination
-property test relies on.  An operator stores L0 alone; the full operator
-H = L0 - diag(min(V, k)) with V(x) = c |x|**(-alpha) is derived from it.
+property test relies on.  An operator stores the table, its DFT, the diagonal,
+kappa and V: O(n) numbers.  H = L0 - diag(min(V, k)) with V(x) = c |x|**(-alpha)
+acts through ``apply``; a dense H is built on demand only where a dense
+matrix is needed: the eigendecomposition, the exponential action and the
+operator artifact.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh
 from scipy.special import betainc, betaincc, hyp2f1
 
@@ -182,32 +188,61 @@ def _near_weight_2d(alpha: float, ox: int, oy: int, order: int = 32) -> float:
     return float(np.sum(w2 * r2 ** (-0.5 * (2.0 + alpha))))
 
 
-def _jump_matrix(grid: Grid, A: float, alpha: float) -> np.ndarray:
+def _jump_table(grid: Grid, A: float, alpha: float) -> np.ndarray:
+    """J as a function of the cell offset: table[k] in 1d, table[kx, ky] in 2d.
+
+    J_ij = table[|offset of i - offset of j|]; table is 0 at offset 0, holds
+    the exact cell integrals next to it and the midpoint values beyond.
+    """
     h = grid.h
     if grid.dim == 1:
-        x = grid.nodes
-        diff = np.abs(x[:, None] - x[None, :])
-        np.fill_diagonal(diff, 1.0)
-        J = A * h * diff ** (-1.0 - alpha)
-        np.fill_diagonal(J, 0.0)
-        wadj = A * h ** (-alpha) * _adjacent_weight_1d(alpha)
-        idx = np.arange(grid.n - 1)
-        J[idx, idx + 1] = wadj
-        J[idx + 1, idx] = wadj
-        return J
-    # J depends only on the cell offset (|di|, |dj|): fill an nx x ny table
-    # once and index it with the per-axis offsets of node ix * ny + iy
-    ix, iy = (np.arange(int(round((b - a) / h))) for a, b in grid.bounds)
-    r2 = np.add.outer(ix * ix, iy * iy).astype(float)
-    r2[0, 0] = 1.0
-    table = r2 ** (-0.5 * (2.0 + alpha))
-    table[0, 0] = 0.0
-    table[1, 0] = table[0, 1] = _near_weight_2d(alpha, 1, 0)
-    table[1, 1] = _near_weight_2d(alpha, 1, 1)
+        r = np.arange(grid.n, dtype=float)
+        r[0] = 1.0
+        table = r ** (-1.0 - alpha)
+        table[1] = _adjacent_weight_1d(alpha)
+    else:
+        ix, iy = (np.arange(int(round((b - a) / h))) for a, b in grid.bounds)
+        r2 = np.add.outer(ix * ix, iy * iy).astype(float)
+        r2[0, 0] = 1.0
+        table = r2 ** (-0.5 * (2.0 + alpha))
+        table[1, 0] = table[0, 1] = _near_weight_2d(alpha, 1, 0)
+        table[1, 1] = _near_weight_2d(alpha, 1, 1)
+    table.flat[0] = 0.0
     table *= A * h ** (-alpha)
-    offx = np.abs(np.subtract.outer(ix, ix))
-    offy = np.abs(np.subtract.outer(iy, iy))
-    return table[offx[:, None, :, None], offy[None, :, None, :]].reshape(grid.n, grid.n)
+    return table
+
+
+def _circulant_symbol(table: np.ndarray) -> np.ndarray:
+    """Real DFT of the even extension of ``table`` to twice its size per axis.
+
+    The extension is table[0..k-1], 0, table[k-1..1] along each axis, so the
+    circulant it defines holds J as its leading block and J v is the first
+    block of one circular convolution.  The extension is even, so its DFT is
+    real up to roundoff, which is dropped.
+    """
+    padded = np.pad(table, [(0, 1)] * table.ndim)
+    ext = padded[np.ix_(*(np.r_[0:k + 1, k - 1:0:-1] for k in table.shape))]
+    return np.fft.rfftn(ext).real.copy()
+
+
+def _jump_view(table: np.ndarray) -> np.ndarray:
+    """J as a read-only strided view of the mirrored table, 0 on the diagonal.
+
+    J[i, j] in 1d and J[ix, iy, jx, jy] in 2d (node ix * ny + iy).  Along an
+    axis of k cells the mirrored table holds offset o at index o + k - 1, so
+    window k - 1 - i, the i-th once the window axes are reversed, is row i:
+    J[i, j] = table[|j - i|].  No entry is stored twice; a reshape of a slice
+    to (rows, n) copies only that slice.
+    """
+    mirrored = table[np.ix_(*(abs(np.arange(1 - k, k)) for k in table.shape))]
+    return sliding_window_view(mirrored, table.shape)[(slice(None, None, -1),) * table.ndim]
+
+
+def _row_blocks(table: np.ndarray) -> list[slice]:
+    """Slices of the first axis of ``_jump_view(table)``, each holding about 2**16 entries."""
+    n = table.size
+    step = max(1, (1 << 16) * len(table) // n**2)
+    return [slice(a, a + step) for a in range(0, len(table), step)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +251,15 @@ def _jump_matrix(grid: Grid, A: float, alpha: float) -> np.ndarray:
 
 @dataclass
 class DiscreteOperator:
-    """Dense operator H = L0 - diag(min(V, k)) on one grid; L0 is its one n x n array.
+    """H = L0 - diag(min(V, k)) on one grid, stored as O(n) arrays.
 
-    L0 is -J off the diagonal.  Truncated copies and the ``free`` view share it;
-    H acts through ``apply`` and is formed only when read, as a new array.
-    ``beta`` and ``weight`` give the ground state of c.
+    L0 = diag(diag) - J, where the jump weights J depend on the cell offset
+    only: ``table`` holds them per offset and ``symbol`` is the DFT of its
+    circulant extension, so ``apply`` computes J v by FFT.  ``diag`` is
+    sum_j J_ij + kappa_i.  No n x n array is stored: ``J`` is a strided view of
+    the table, and ``H`` builds a new dense array on each read.  Truncated
+    copies share every array, the ``free`` view every array but V.  ``beta`` and
+    ``weight`` give the ground state of c.
     """
 
     grid: Grid
@@ -230,7 +269,9 @@ class DiscreteOperator:
     intensity: float
     kappa: np.ndarray
     V: np.ndarray
-    L0: np.ndarray
+    table: np.ndarray
+    symbol: np.ndarray
+    diag: np.ndarray
 
     @property
     def n(self) -> int:
@@ -242,18 +283,40 @@ class DiscreteOperator:
         return self.V if self.k is None else np.minimum(self.V, self.k)
 
     @property
+    def J(self) -> np.ndarray:
+        """The jump weights, a read-only view of the table (see ``_jump_view``)."""
+        return _jump_view(self.table)
+
+    def row_blocks(self) -> list[slice]:
+        """Slices of the first axis of ``J``, each holding about 2**16 entries of it."""
+        return _row_blocks(self.table)
+
+    @property
     def H(self) -> np.ndarray:
-        """A new array L0 - diag(W) on each read, never cached: the caller owns it
-        and may overwrite it.  Use ``apply`` to act on vectors."""
-        H = self.L0.copy()
-        H.flat[:: self.n + 1] -= self.W
+        """A new dense array diag(diag - W) - J on each read, never cached: the
+        caller owns it and may overwrite it.  Use ``apply`` to act on vectors."""
+        n = self.n
+        H = np.empty((n, n))
+        J = self.J
+        np.negative(J, out=H.reshape(J.shape))
+        H.flat[:: n + 1] = self.diag - self.W
         return H
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """H v = L0 v - W v for v of shape (n,) or (n, m), without forming H."""
+        """H v = (diag - W) v - J v for v of shape (n,) or (n, m), J v by FFT.
+
+        Each column is transformed on its own, so a column of a batch equals
+        the single-vector result bit for bit.
+        """
         v = np.asarray(v, dtype=float)
-        W = self.W if v.ndim == 1 else self.W[:, None]
-        return self.L0 @ v - W * v
+        rows = v.T.reshape(-1, self.n)
+        shape = self.table.shape
+        size, axes = [2 * k for k in shape], list(range(1, len(shape) + 1))
+        f = np.fft.rfftn(rows.reshape(-1, *shape), s=size, axes=axes)
+        f *= self.symbol
+        Jv = np.fft.irfftn(f, s=size, axes=axes)[(slice(None), *map(slice, shape))]
+        out = (self.diag - self.W) * rows - Jv.reshape(rows.shape)
+        return out[0] if v.ndim == 1 else out.T
 
     @cached_property
     def beta(self) -> float:
@@ -276,7 +339,7 @@ class DiscreteOperator:
 
     @cached_property
     def free(self) -> "DiscreteOperator":
-        """The free operator (c = 0) on the same L0."""
+        """The free operator (c = 0), H = L0, on the same table."""
         return replace(self, c=0.0, k=None, V=np.zeros(self.n))
 
     @cached_property
@@ -296,7 +359,7 @@ class DiscreteOperator:
         return k is None or k >= float(np.max(self.V))
 
     def with_truncation(self, k: float | None) -> "DiscreteOperator":
-        """Same L0, kappa and V, different potential cutoff.
+        """Same table, diag, kappa and V, different potential cutoff.
 
         When this operator's cutoff and k both saturate, the copy keeps its
         own k but shares the spectrum, if this operator has solved it already.
@@ -312,7 +375,7 @@ class DiscreteOperator:
 def assemble_operator(
     grid: Grid, params: FractionalParams, c: float = 0.0, k: float | None = None
 ) -> DiscreteOperator:
-    """Assemble L0, kappa and V on ``grid``.
+    """Assemble the jump table, its symbol, the diagonal, kappa and V on ``grid``.
 
     c = 0 gives the free restricted operator (V identically zero); c > 0 adds
     the attractive inverse-power potential c |x|**(-alpha) truncated at k
@@ -326,17 +389,17 @@ def assemble_operator(
     if k is not None and not (k > 0.0):
         raise ContractError(f"truncation level must be positive, got {k}")
     A = intensity_constant(params)
-    L0 = _jump_matrix(grid, A, params.alpha)
+    table = _jump_table(grid, A, params.alpha)
     dom = grid.bounds[0] if grid.dim == 1 else grid.bounds
     kap = np.asarray(killing_term(grid.nodes, dom, params), dtype=float)
-    # L0 = -J off the diagonal and sum_j J_ij + kappa_i on it, built in place;
-    # fixed summation order per row (numpy pairwise) for reproducibility
-    rowsum = L0.sum(axis=1)
-    np.negative(L0, out=L0)
-    np.fill_diagonal(L0, rowsum + kap)
+    # row sums of J by blocks of whole rows, each row summed in numpy's fixed
+    # pairwise order (as a row of the dense matrix would be), for reproducibility
+    J = _jump_view(table)
+    rowsum = np.concatenate([J[s].reshape(-1, grid.n).sum(axis=1) for s in _row_blocks(table)])
     V = c * grid.radii ** (-params.alpha) if c > 0.0 else np.zeros(grid.n)
     return DiscreteOperator(
-        grid=grid, params=params, c=float(c), k=k, intensity=A, kappa=kap, V=V, L0=L0,
+        grid=grid, params=params, c=float(c), k=k, intensity=A, kappa=kap, V=V,
+        table=table, symbol=_circulant_symbol(table), diag=rowsum + kap,
     )
 
 
@@ -349,7 +412,8 @@ class FormEvaluator:
     """Evaluates the plain, potential and ground-state quadratic forms.
 
     All values carry the h^d volume factor, i.e. they approximate the
-    continuum integrals.  The ground-state ("weighted") form takes its exterior
+    continuum integrals.  L0 acts through ``op.free.apply`` (FFT), so no form
+    builds a matrix.  The ground-state ("weighted") form takes its exterior
     term from ``DiscreteOperator.weighted_tail``, which freezes the weight at
     the node in 2d; ``exterior_gap_bound`` quantifies that substitution.
     """
@@ -358,7 +422,7 @@ class FormEvaluator:
 
     def plain(self, f: np.ndarray) -> float:
         f = self._check(f)
-        return float(self.op.grid.cell_volume * (f @ (self.op.L0 @ f)))
+        return float(self.op.grid.cell_volume * (f @ self.op.free.apply(f)))
 
     def hardy(self, f: np.ndarray) -> float:
         f = self._check(f)
@@ -370,18 +434,20 @@ class FormEvaluator:
 
         With J = -L0 off the diagonal and g = f w, the jump part
         (1/2) sum_ij J_ij (f_i - f_j)^2 w_i w_j equals g^T L0 g - sum_i f_i^2 w_i (L0 w)_i
-        (the diagonal of L0 cancels), so one matrix product serves every column.
-        Each f is a contiguous row while it is summed, so its sums do not depend
-        on how many columns come with it.
+        (the diagonal of L0 cancels), so one batched action of L0 serves every
+        column.  Each f is a contiguous row while it is summed, and each column
+        is transformed on its own, so its value does not depend on how many
+        columns come with it.
         """
         arr = self._check(f, weighted=True, columns=True)
         op = self.op
+        free = op.free
         w = op.weight
         rows = np.ascontiguousarray(arr.T).reshape(-1, op.n)
         G = rows * w
-        jump = np.sum(G * (G @ op.L0), axis=1)  # L0 is symmetric: row k is g_k^T L0
+        jump = np.sum(G * free.apply(G.T).T, axis=1)
         # minus the (L0 w) term of the jump, plus the exterior term
-        local = np.sum(rows * rows * (w * (op.weighted_tail - op.L0 @ w)), axis=1)
+        local = np.sum(rows * rows * (w * (op.weighted_tail - free.apply(w))), axis=1)
         vals = op.grid.cell_volume * (jump + local)
         return float(vals[0]) if arr.ndim == 1 else vals
 

@@ -40,7 +40,9 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #   5  H is never stored: Lanczos acts through L0 v - W v, the weighted form is
 #      g^T L0 g - sum f^2 w (L0 w), and the operator suite's weighted row mass
 #      is the exponential action on w instead of a full kernel
-NUMERICS_EPOCH = 5
+#   6  matrix-free operator: J v by FFT of the jump-offset table, and the 1-d
+#      table A h^-alpha k^(-1-alpha) exact in the offset k (no node differences)
+NUMERICS_EPOCH = 6
 
 
 def load_current(path: str) -> dict | None:

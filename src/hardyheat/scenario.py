@@ -12,7 +12,7 @@ hand-editable and diff-friendly.  Keys:
     times    list of floats, or strings "F*tref"           (required)
     times_unit  "tref" (default) or "absolute"
     k        list of truncation levels (default: automatic schedule)
-    seed     int (default 0)
+    seed     non-negative int (default 0)
     inner_half_width  float (default half the inradius)
     t0_factor  float (default 0.1; blow-up probe time in T_ref units)
 
@@ -134,6 +134,11 @@ def is_level(v) -> bool:
     return _is_real(v) and v > 0
 
 
+def is_seed(v) -> bool:
+    """A seed is a non-negative integer, as numpy's generators take it: the rule of ``seed`` and of --seed."""
+    return type(v) is int and v >= 0  # bool is an int subclass
+
+
 def _type_error(key, want, got):
     return ConfigError(f"scenario key {key!r} must be {want}, got {got!r}")
 
@@ -244,8 +249,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
             raise ConfigError(f"k schedule must be strictly increasing, got {list(ks)}")
 
     seed = raw.get("seed", _OPTIONAL["seed"])
-    if type(seed) is not int:
-        raise _type_error("seed", "an integer", seed)
+    if not is_seed(seed):
+        raise _type_error("seed", "a non-negative integer", seed)
     ihw = raw.get("inner_half_width", _OPTIONAL["inner_half_width"])
     if ihw is not None and (not _is_real(ihw) or ihw <= 0):
         raise _type_error("inner_half_width", "a finite positive number", ihw)
@@ -357,7 +362,11 @@ def load_scenario(path: str) -> Scenario:
 
 
 def build_u0(spec: str, grid) -> np.ndarray:
-    """Materialize a u0 spec on a grid (unit height or unit cell mass)."""
+    """Materialize a u0 spec on a grid (unit height or unit cell mass).
+
+    A csv file must hold one finite, nonnegative value per node; anything
+    else is a ConfigError here, before any operator is assembled.
+    """
     kind, arg = _parse_u0(spec)
     r = grid.radii
     if kind == "ball":
@@ -379,4 +388,8 @@ def build_u0(spec: str, grid) -> np.ndarray:
         raise ConfigError(
             f"u0 csv has {vals.shape[0] if vals.ndim else 0} rows, grid has {grid.n} nodes"
         )
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"u0 csv {arg!r} holds non-finite values")
+    if np.any(vals < 0.0):
+        raise ConfigError(f"u0 csv {arg!r} holds negative values, min = {float(np.min(vals)):.3e}")
     return vals.astype(float)

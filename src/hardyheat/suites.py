@@ -155,27 +155,27 @@ def _harmonicity_defect(op) -> float:
     """RMS relative defect of L0 acting on op.weight over the probe band (1-d, as the tail)."""
     grid, beta = op.grid, op.beta
     target = multiplier(beta, op.params) * grid.radii ** (-beta - op.params.alpha)
-    lhs = op.L0 @ op.weight
+    lhs = op.free.apply(op.weight)
     rhs = target + op.weighted_tail
     band = _probe_band(grid)
     rel = np.abs(lhs[band] - rhs[band]) / np.abs(rhs[band])
     return float(np.sqrt(np.mean(rel**2)))
 
 
-def _jump_extremes(L0: np.ndarray) -> tuple[float, float]:
+def _jump_extremes(op) -> tuple[float, float]:
     """(max |J - J^T|, min J_ij with J_ii = 0), by blocks of rows: no n x n temporary.
 
-    J = -L0 off the diagonal and 0 on it, so |J - J^T| = |L0 - L0^T|.
+    Each block of rows of J and the matching block of its columns are read
+    from the table (``op.J``) on their own, so an offset error in reading it
+    shows as asymmetry.
     """
-    n = len(L0)
-    step = max(1, (1 << 16) // n)
+    J, n, d = op.J, op.n, op.grid.dim
     asym, jmin = 0.0, np.inf
-    for i0 in range(0, n, step):
-        rows = slice(i0, min(i0 + step, n))
-        asym = max(asym, float(np.max(np.abs(L0[rows] - L0[:, rows].T))))
-        J = -L0[rows]
-        J[np.arange(len(J)), np.arange(rows.start, rows.stop)] = 0.0
-        jmin = min(jmin, float(np.min(J)))
+    for s in op.row_blocks():
+        rows = J[s].reshape(-1, n)
+        cols = J[(slice(None),) * d + (s,)].reshape(n, -1)
+        asym = max(asym, float(np.max(np.abs(rows - cols.T))))
+        jmin = min(jmin, float(np.min(rows)))
     return asym, jmin
 
 
@@ -212,12 +212,11 @@ def _run_operator(scn: Scenario, run: _Run) -> list[dict]:
     for h in scn.h_levels:
         op = run.operator(h)
         grid = op.grid
-        asym, jmin = _jump_extremes(op.L0)
+        asym, jmin = _jump_extremes(op)
         checks.append(_check(f"jump_symmetric_h{h:g}", asym, 0.0, "exact", asym == 0.0))
         checks.append(_check(f"jump_nonnegative_h{h:g}", jmin, ">= 0", "exact", jmin >= 0.0))
-        rowgap = float(
-            np.max(np.abs(np.sum(op.L0, axis=1) - op.kappa) / op.kappa)
-        )
+        # L0 1 = kappa: the row sums of J cancel against the diagonal
+        rowgap = float(np.max(np.abs(op.free.apply(np.ones(op.n)) - op.kappa) / op.kappa))
         checks.append(
             _check(f"rowsum_matches_killing_h{h:g}", rowgap, 0.0, "rel 1e-10", rowgap <= 1e-10)
         )
@@ -301,7 +300,7 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
     checks.append(_check("kernel_positive", kmin, "> 0", "strict", kmin > 0.0))
     if len(times) >= 2:
         t1, t2 = float(times[0]), float(times[1])
-        # in place, and dropped after use: the run keeps the operator's L0 and
+        # in place, and dropped after use: the run keeps the operator's
         # spectrum alive meanwhile, so these n x n arrays set the peak memory
         lhs = kernels[0].P @ kernels[1].P
         lhs *= grid.cell_volume

@@ -188,6 +188,54 @@ def jump_matrix_2d_broadcast(nodes, h: float, A: float, alpha: float,
     return J
 
 
+def jump_matrix(grid, A: float, alpha: float, near) -> np.ndarray:
+    """Dense J by the package's retired assembly, one n x n array.
+
+    1-d: midpoint weights A h |x_i - x_j|**(-1-alpha) from the node
+    coordinates, built in place, with A h**(-alpha) ``near`` next to the
+    diagonal.  2-d: the cell-offset table (midpoint values, ``near`` = the
+    dimensionless axis and diagonal cell integrals) gathered by the per-axis
+    offsets of node ix * ny + iy.  Node differences carry the rounding of the
+    node coordinates, so the 1-d entries differ from A h**(-alpha) k**(-1-alpha)
+    by up to about (1 + alpha) (b - a) / h ulp (none for a dyadic h).
+    """
+    h = grid.h
+    if grid.dim == 1:
+        x = grid.nodes
+        J = np.subtract.outer(x, x)
+        np.abs(J, out=J)
+        np.fill_diagonal(J, 1.0)
+        np.power(J, -1.0 - alpha, out=J)
+        J *= A * h
+        np.fill_diagonal(J, 0.0)
+        idx = np.arange(grid.n - 1)
+        J[idx, idx + 1] = J[idx + 1, idx] = A * h ** (-alpha) * near
+        return J
+    ix, iy = (np.arange(int(round((b - a) / h))) for a, b in grid.bounds)
+    r2 = np.add.outer(ix * ix, iy * iy).astype(float)
+    r2[0, 0] = 1.0
+    table = r2 ** (-0.5 * (2.0 + alpha))
+    table[0, 0] = 0.0
+    table[1, 0] = table[0, 1] = near[0]
+    table[1, 1] = near[1]
+    table *= A * h ** (-alpha)
+    offx = np.abs(np.subtract.outer(ix, ix))
+    offy = np.abs(np.subtract.outer(iy, iy))
+    return table[offx[:, None, :, None], offy[None, :, None, :]].reshape(grid.n, grid.n)
+
+
+def dense_h(J: np.ndarray, kappa: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """H = -J with sum_j J_ij + kappa_i - W_i on the diagonal, overwriting J.
+
+    The same arithmetic, in the same order, as ``three_array_operator``, in
+    one n x n array.
+    """
+    rowsum = J.sum(axis=1)
+    np.negative(J, out=J)
+    J.flat[:: len(J) + 1] = rowsum + kappa - W
+    return J
+
+
 def three_array_operator(J: np.ndarray, kappa: np.ndarray, V: np.ndarray, k=None):
     """(J, L0, H) as three separate dense arrays, each built from a copy.
 

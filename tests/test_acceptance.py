@@ -146,7 +146,7 @@ def _harmonicity_defect(op, beta):
     target = multiplier(beta, op.params) * r ** (-beta - op.params.alpha)
     tail = np.asarray(exterior_power_tail(grid.nodes, grid.bounds[0], op.params, beta))
     band = _probe_band(grid)
-    rel = np.abs((op.L0 @ w)[band] - (target + tail)[band]) / np.abs((target + tail)[band])
+    rel = np.abs(op.free.apply(w)[band] - (target + tail)[band]) / np.abs((target + tail)[band])
     return float(np.sqrt(np.mean(rel**2)))
 
 

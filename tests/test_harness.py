@@ -169,6 +169,12 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="'seed'"):
             scenario_from_dict(base_raw(seed=True))
 
+    def test_negative_seed_is_rejected_when_parsed(self):
+        # numpy's generators take non-negative seeds only
+        with pytest.raises(ConfigError, match="'seed' must be a non-negative integer, got -1"):
+            scenario_from_dict(base_raw(seed=-1))
+        assert scenario_from_dict(base_raw(seed=0)).seed == 0
+
     @pytest.mark.parametrize("key, value", [
         ("alpha", True), ("c", True), ("c", False), ("domain", [-1.0, True]),
         ("h", True), ("h", [True]), ("times", [True]), ("k", [True]),
@@ -535,8 +541,8 @@ def test_all_equals_each_part_run_alone():
 
 
 def test_operator_suite_peaks_at_one_matrix():
-    # 2-d h 0.1/0.05 (n = 1600): the one n x n array alive is the level's L0;
-    # H, a heat kernel, L0 - L0^T or a masked copy of L0 would each add 8 n^2 bytes
+    # 2-d h 0.1/0.05 (n = 1600): an operator holds no n x n array, and the suite
+    # forms none; H, a heat kernel or a dense J would each add 8 n^2 bytes
     import tracemalloc
 
     raw = base_raw(d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[0.1, 0.05])
@@ -714,6 +720,23 @@ class TestBuildU0:
         np.savetxt(path, np.ones(5), delimiter=",")
         with pytest.raises(ConfigError, match="grid has"):
             build_u0(f"csv:{path}", grid)
+
+    @pytest.mark.parametrize("bad, message", [
+        (-0.5, "holds negative values, min = -5.000e-01"),
+        (-1e-300, "holds negative values"),
+        (float("nan"), "holds non-finite values"),
+        (float("inf"), "holds non-finite values"),
+    ])
+    def test_csv_values_must_be_finite_and_nonnegative(self, grid, tmp_path, bad, message):
+        vals = np.ones(grid.n)
+        vals[3] = bad
+        path = tmp_path / "bad.csv"
+        np.savetxt(path, vals, delimiter=",")
+        with pytest.raises(ConfigError, match=message):
+            build_u0(f"csv:{path}", grid)
+        vals[3] = -0.0  # a signed zero is nonnegative
+        np.savetxt(path, vals, delimiter=",")
+        assert build_u0(f"csv:{path}", grid)[3] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1062,13 +1085,13 @@ class TestCli:
         def digest(a):
             return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
 
-        # eigsh gets a LinearOperator on op.apply: key it by the (L0, W) of that op
+        # eigsh gets a LinearOperator on op.apply: key it by the (jump table, W) of that op
         keys = {}
         real_linop = hardyheat.estimators.LinearOperator
 
         def linop(shape, matvec, **kwargs):
             A = real_linop(shape, matvec=matvec, **kwargs)
-            keys[id(A)] = (digest(matvec.__self__.L0), digest(matvec.__self__.W))
+            keys[id(A)] = (digest(matvec.__self__.table), digest(matvec.__self__.W))
             return A
 
         monkeypatch.setattr(hardyheat.estimators, "LinearOperator", linop)
@@ -1193,6 +1216,40 @@ class TestCli:
         assert rc == 2
         assert "covers no grid cell at h = 0.01" in capsys.readouterr().err
         assert os.listdir(os.path.join(store_root, "trajectories")) == []
+
+    @pytest.mark.parametrize("bad, message", [
+        (-0.5, "holds negative values"), (float("nan"), "holds non-finite values"),
+    ], ids=["negative", "nan"])
+    @pytest.mark.parametrize("command", ["evolve", "verify-sharp"])
+    def test_bad_csv_u0_exits_2_before_assembly(
+        self, tmp_path, store_root, capsys, no_assembly, bad, message, command
+    ):
+        # before, evolve and the sharp suite assembled the operator (and evolve
+        # solved t_ref) before the state check rejected these values
+        vals = np.ones(400)
+        vals[150] = bad
+        np.savetxt(tmp_path / "u0.csv", vals, delimiter=",")
+        raw = base_raw(u0=f"csv:{tmp_path / 'u0.csv'}", h=[0.005])
+        path = write_scenario(tmp_path, "csv.json", raw)
+        argv = ["evolve"] if command == "evolve" else ["verify", "--suite", "sharp"]
+        rc = main(["--out", store_root, *argv, "--scenario", path])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["operator", "kernel"])
+    def test_negative_seed_exits_2_before_assembly(
+        self, tmp_path, store_root, capsys, no_assembly, suite
+    ):
+        # the kernel suite draws no random numbers, and exited 0 with seed -1;
+        # the operator suite died in numpy's generator with a traceback
+        path = write_scenario(tmp_path, "ok.json", base_raw(h=[0.05, 0.025]))
+        rc = main(["--out", store_root, "--seed", "-1", "verify", "--suite", suite, "--scenario", path])
+        assert rc == 2
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        path = write_scenario(tmp_path, "neg.json", base_raw(h=[0.05, 0.025], seed=-1))
+        rc = main(["--out", store_root, "verify", "--suite", suite, "--scenario", path])
+        assert rc == 2
+        assert "'seed' must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_evolve_scheme_override_is_checked_before_anything_runs(
         self, tmp_path, store_root, capsys, no_assembly

@@ -1,6 +1,5 @@
-"""Assembly of the dense nonlocal operator and its quadratic forms."""
+"""Assembly of the matrix-free nonlocal operator, its dense form and its quadratic forms."""
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -18,7 +17,6 @@ from hardyheat.grids import build_grid
 from hardyheat.operators import (
     FormEvaluator,
     _adjacent_weight_1d,
-    _jump_matrix,
     _near_weight_2d,
     assemble_operator,
     exterior_power_tail,
@@ -156,25 +154,51 @@ def test_near_weight_2d_matches_quadrature():
 # ---------------------------------------------------------------------------
 
 def _jump(op):
-    """The jump weights of ``op``: -L0 off the diagonal, 0 on it (as the operator suite reads them)."""
-    return np.where(np.eye(op.n, dtype=bool), 0.0, -op.L0)
+    """The jump weights of ``op`` as an (n, n) array, read from its table as the operator suite reads them."""
+    return op.J.reshape(op.n, op.n)
+
+
+def _oracle_jump(op):
+    """J by the retired dense assembly (``oracles.jump_matrix``), with the package's near-cell weights."""
+    p = op.params
+    near = (_adjacent_weight_1d(p.alpha) if p.d == 1
+            else (_near_weight_2d(p.alpha, 1, 0), _near_weight_2d(p.alpha, 1, 1)))
+    return oracles.jump_matrix(op.grid, intensity_constant(p), p.alpha, near)
+
+
+def _oracle_ulps(op):
+    """Entrywise gap allowed between the dense L0 and the oracle's, in ulp of the oracle.
+
+    2-d: 0, the same table gathered the same way.  1-d: the oracle's node
+    differences x_i - x_j carry up to 4 (b - a) u of rounding, relative error
+    4 n u at offsets >= h, which the power 1 + alpha scales; the row sums add
+    2 log2(n) ulp and the products a few more.  A dyadic h rounds nothing.
+    """
+    if op.grid.dim == 2:
+        return 0.0
+    n, alpha = op.n, op.params.alpha
+    return (1.0 + alpha) * (4 * n + 1) + 2 * np.log2(n) + 8
 
 
 def test_assembly_structure_1d():
     grid = build_grid((-1.0, 1.0), 0.02)
     op = assemble_operator(grid, P1, c=0.0)
     n = grid.n
-    J = _jump_matrix(grid, intensity_constant(P1), P1.alpha)
+    J = _jump(op)
     assert J.shape == (n, n)
     assert np.max(np.abs(J - J.T)) == 0.0
     assert np.min(J) >= 0.0
     assert np.all(np.diag(J) == 0.0)
     # off-diagonal of the generator is minus the jump matrix
-    off = op.L0 - np.diag(np.diag(op.L0))
-    assert_allclose(off, -(J - np.diag(np.diag(J))), rtol=0, atol=0)
-    assert np.array_equal(_jump(op), J)
+    L0 = op.free.H
+    off = L0 - np.diag(np.diag(L0))
+    assert_allclose(off, -J, rtol=0, atol=0)
+    assert np.array_equal(np.diag(L0), op.diag)
+    # the retired node-difference J, to the rounding of its node differences
+    ref = _oracle_jump(op)
+    assert np.all(np.abs(J - ref) <= _oracle_ulps(op) * np.spacing(ref))
     # row sums collapse to the killing rate
-    assert_allclose(op.L0.sum(axis=1), op.kappa, rtol=1e-10)
+    assert_allclose(L0.sum(axis=1), op.kappa, rtol=1e-10)
 
 
 def test_adjacent_entries_use_cell_integration():
@@ -203,7 +227,7 @@ def test_assembly_structure_2d():
     J = _jump(op)
     assert np.max(np.abs(J - J.T)) == 0.0
     assert np.min(J) >= 0.0
-    assert_allclose(op.L0.sum(axis=1), op.kappa, rtol=1e-10)
+    assert_allclose(op.free.H.sum(axis=1), op.kappa, rtol=1e-10)
     # axis neighbor and diagonal neighbor get the cached cell integrals
     A, h = op.intensity, grid.h
     d0 = grid.nodes[:, None, :] - grid.nodes[None, :, :]
@@ -241,12 +265,13 @@ def test_potential_and_truncation():
     c = 0.5 * hardy_constant(P1)
     op = assemble_operator(grid, P1, c=c, k=None)
     assert_allclose(op.V, c * grid.radii ** (-P1.alpha))
-    assert_allclose(op.H, op.L0 - np.diag(op.V))
+    L0 = op.free.H
+    assert_allclose(op.H, L0 - np.diag(op.V))
     trunc = op.with_truncation(1.0)
     assert_allclose(trunc.W, np.minimum(op.V, 1.0))
-    assert_allclose(trunc.H, op.L0 - np.diag(np.minimum(op.V, 1.0)))
-    # L0, kappa, V are shared, not recomputed
-    assert trunc.L0 is op.L0
+    assert_allclose(trunc.H, L0 - np.diag(np.minimum(op.V, 1.0)))
+    # the jump table, its symbol, the diagonal, kappa and V are shared, not recomputed
+    assert trunc.table is op.table and trunc.symbol is op.symbol and trunc.diag is op.diag
     assert trunc.kappa is op.kappa
     back = trunc.with_truncation(None)
     assert_allclose(back.H, op.H)
@@ -281,13 +306,21 @@ def _single_matrix_case(name):
     "name", ["d1", "d2", "d2_truncated", "d1_assembled_truncated", "d1_free"]
 )
 def test_single_matrix_operator_matches_three_array_oracle(name):
+    # 2-d: the dense H, L0 and J equal the retired assembly's bits; 1-d: the
+    # table is exact in the offset, so they differ by the oracle's node-difference
+    # rounding (``_oracle_ulps``), and W is subtracted bit for bit as there
     op, V, k = _single_matrix_case(name)
-    J0 = _jump_matrix(op.grid, intensity_constant(op.params), op.params.alpha)
-    J, L0, H = oracles.three_array_operator(J0, op.kappa, V, k)
-    assert np.array_equal(_bits(op.L0), _bits(L0))
-    assert np.array_equal(_bits(_jump(op)), _bits(J))
-    assert np.array_equal(_bits(op.H), _bits(H))
-    assert np.array_equal(_bits(op.W), _bits(V if k is None else np.minimum(V, k)))
+    J, L0, H = oracles.three_array_operator(_oracle_jump(op), op.kappa, V, k)
+    ulps = _oracle_ulps(op)
+    for got, want in ((op.free.H, L0), (_jump(op), J)):
+        assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
+    if op.grid.dim == 2:
+        assert np.array_equal(_bits(op.free.H), _bits(L0))
+        assert np.array_equal(_bits(_jump(op)), _bits(J))
+        assert np.array_equal(_bits(op.H), _bits(H))
+    W = V if k is None else np.minimum(V, k)
+    assert np.array_equal(_bits(op.W), _bits(W))
+    assert np.array_equal(_bits(np.diag(op.H)), _bits(op.diag - W))
 
 
 @pytest.mark.parametrize("name", ["d1", "d2"])
@@ -295,7 +328,7 @@ def test_weighted_form_matches_jump_oracle(name):
     # the package expands the square (one matrix product); the oracle sums
     # J (f_i - f_j)^2 w_i w_j term by term
     op, V, k = _single_matrix_case(name)
-    J0 = _jump_matrix(op.grid, intensity_constant(op.params), op.params.alpha)
+    J0 = _oracle_jump(op)
     ev = FormEvaluator(op)
     w, wkill = op.weight, op.weighted_tail
     rng = np.random.default_rng(5)
@@ -313,7 +346,7 @@ def test_weighted_form_matches_jump_oracle(name):
 @pytest.mark.parametrize("name", ["d1", "d2"])
 def test_weighted_form_takes_columns(name):
     # a batch of columns gives each column's own value, to roundoff of the
-    # diagonal energy scale h^d sum_i L0_ii (f_i w_i)^2
+    # diagonal energy scale h^d sum_i L0_ii (f_i w_i)^2, L0_ii = op.diag
     op, V, k = _single_matrix_case(name)
     ev = FormEvaluator(op)
     rng = np.random.default_rng(7)
@@ -323,7 +356,7 @@ def test_weighted_form_takes_columns(name):
     F = np.column_stack(cols)
     batch = ev.weighted(F)
     assert batch.shape == (F.shape[1],)
-    scale = op.grid.cell_volume * (np.diag(op.L0) @ (F * op.weight[:, None]) ** 2)
+    scale = op.grid.cell_volume * (op.diag @ (F * op.weight[:, None]) ** 2)
     for f, got, s in zip(cols, batch, scale):
         assert abs(got - ev.weighted(f)) <= 1e-15 * s
     assert np.array_equal(ev.weighted(F[:, :1]), [ev.weighted(F[:, 0])])
@@ -363,32 +396,36 @@ def _square_arrays(op):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_operator_stores_one_matrix_shared_by_truncation_and_free(d):
+    # no n x n array at all: the jump table (O(n)) is the one representation,
+    # shared by truncated copies and the free view
     if d == 1:
         op = assemble_operator(build_grid((-1.0, 1.0), 0.05), P1, c=0.5 * hardy_constant(P1))
     else:
         grid = build_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.2)
         op = assemble_operator(grid, P2, c=0.3 * hardy_constant(P2))
-    assert _square_arrays(op) == ["L0"]
+    assert _square_arrays(op) == []
+    assert all(v.size <= 2 * (op.n + len(op.table)) for v in vars(op).values() if isinstance(v, np.ndarray))
     trunc = op.with_truncation(2.0)
-    assert _square_arrays(trunc) == ["L0"]
-    assert trunc.L0 is op.L0
-    assert op.free.L0 is op.L0
+    assert _square_arrays(trunc) == []
+    assert trunc.table is op.table and op.free.table is op.table
+    assert trunc.diag is op.diag and op.free.diag is op.diag
     assert (op.free.c, op.free.k) == (0.0, None)
     assert not np.any(op.free.V)
     # the free view is built once per operator, so its spectrum is cached once
     assert op.free is op.free
     free = assemble_operator(op.grid, op.params)
     for o in (op, trunc, op.free, free):
-        # H is a new array on each read, owned by the caller: never cached, never L0
+        # H is a new array on each read, owned by the caller: never cached
         H = o.H
-        assert H is not o.H and H is not o.L0
+        assert H is not o.H
         assert np.array_equal(_bits(H), _bits(o.H))
         H *= -2.0
         assert not np.array_equal(_bits(H), _bits(o.H))
         o.spectrum, lambda_min(o)
-        assert _square_arrays(o) == ["L0"]
-    assert np.array_equal(_bits(op.free.H), _bits(op.L0))
-    assert np.array_equal(_bits(free.H), _bits(free.L0))
+        assert _square_arrays(o) == []
+    # the free view is the freshly assembled free operator bit for bit
+    assert np.array_equal(_bits(op.free.H), _bits(free.H))
+    assert np.array_equal(_bits(np.diag(op.H)), _bits(op.diag - op.V))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -405,6 +442,67 @@ def test_apply_is_h_times_v(d, k):
     assert np.all(np.abs(op.apply(V) - H @ V) <= 1e-14 * scale)
     assert np.all(np.abs(op.apply(V[:, 0]) - H @ V[:, 0]) <= 1e-14 * scale[:, 0])
     assert op.apply(V[:, 0]).shape == (op.n,)
+
+
+_APPLY_GRIDS = {
+    "d1_n200": (P1, (-1.0, 1.0), 0.01),
+    "d1_n800": (P1, (-1.0, 1.0), 0.0025),
+    "d1_n4096": (P1, (-1.0, 1.0), 2.0 / 4096),
+    "d2_n400": (FractionalParams(2, 1.0), ((-1.0, 1.0), (-1.0, 1.0)), 0.1),
+    "d2_n1600": (FractionalParams(2, 1.0), ((-1.0, 1.0), (-1.0, 1.0)), 0.05),
+    "d2_n2304": (FractionalParams(2, 1.5), ((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 24),
+    "d2_n960_40x24": (P2, ((-1.0, 1.0), (-0.6, 0.6)), 0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_APPLY_GRIDS))
+@pytest.mark.parametrize("frac, k", [(0.0, None), (0.5, None), (0.5, 4.0)], ids=["bare", "half", "truncated"])
+def test_apply_matches_dense_oracle(name, frac, k):
+    # the FFT action against the retired dense H, entrywise to 1e-14 of |H||V|
+    # plus, in 1-d, the oracle's own node-difference rounding (``_oracle_ulps``)
+    params, dom, h = _APPLY_GRIDS[name]
+    op = assemble_operator(build_grid(dom, h), params, c=frac * hardy_constant(params), k=k)
+    V = np.random.default_rng(11).normal(size=(op.n, 3))
+    H = oracles.dense_h(_oracle_jump(op), op.kappa, op.W)
+    want = H @ V
+    absH = np.abs(H, out=H)
+    scale = absH @ np.abs(V)
+    rounding = np.finfo(float).eps * _oracle_ulps(op) * (scale + np.abs(op.W)[:, None] * np.abs(V))
+    del H, absH
+    got = op.apply(V)
+    assert got.shape == V.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * scale + rounding)
+
+
+@pytest.mark.parametrize("name", ["d1_n800", "d2_n960_40x24"])
+def test_apply_column_of_a_batch_is_the_single_apply(name):
+    params, dom, h = _APPLY_GRIDS[name]
+    op = assemble_operator(build_grid(dom, h), params, c=0.5 * hardy_constant(params))
+    V = np.random.default_rng(13).normal(size=(op.n, 5))
+    for o in (op, op.with_truncation(2.0), op.free):
+        batch = o.apply(V)
+        for j in range(V.shape[1]):
+            assert np.array_equal(_bits(batch[:, j]), _bits(o.apply(V[:, j])))
+        assert np.array_equal(_bits(o.apply(V[:, :1])[:, 0]), _bits(o.apply(V[:, 0])))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_assembly_allocates_no_matrix(d):
+    # 1-d n = 4096, 2-d n = 1600: the row sums read J by blocks, nothing n x n is formed
+    import tracemalloc
+
+    if d == 1:
+        grid, params = build_grid((-1.0, 1.0), 2.0 / 4096), P1
+    else:
+        grid, params = build_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.05), FractionalParams(2, 1.0)
+    tracemalloc.start()
+    try:
+        op = assemble_operator(grid, params, c=0.5 * hardy_constant(params))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.n == (4096 if d == 1 else 1600)
+    assert peak < 0.05 * 8 * op.n**2
 
 
 def test_lambda_min_allocates_no_matrix():
@@ -480,9 +578,10 @@ def test_free_generator_is_positive_definite(cells, alpha):
     p = FractionalParams(1, alpha)
     grid = build_grid((-1.0, 1.0), 2.0 / cells)
     op = assemble_operator(grid, p, c=0.0)
-    assert np.max(np.abs(op.L0 - op.L0.T)) == 0.0
-    assert_allclose(op.L0.sum(axis=1), op.kappa, rtol=1e-9)
-    eig = np.linalg.eigvalsh(op.L0)
+    L0 = op.H
+    assert np.max(np.abs(L0 - L0.T)) == 0.0
+    assert_allclose(L0.sum(axis=1), op.kappa, rtol=1e-9)
+    eig = np.linalg.eigvalsh(L0)
     assert eig[0] > 0.0
 
 
@@ -500,7 +599,7 @@ def test_harmonic_profile_defect_shrinks():
         target = multiplier(beta, P1) * r ** (-beta - P1.alpha)
         tail = np.asarray(exterior_power_tail(grid.nodes, (-1.0, 1.0), P1, beta))
         band = (r >= 0.25) & (np.minimum(grid.nodes + 1.0, 1.0 - grid.nodes) >= 0.25)
-        rel = np.abs((op.L0 @ w)[band] - (target + tail)[band]) / np.abs(
+        rel = np.abs(op.free.apply(w)[band] - (target + tail)[band]) / np.abs(
             (target + tail)[band]
         )
         defects.append(float(np.sqrt(np.mean(rel**2))))
@@ -644,14 +743,27 @@ def test_operator_format_version_guard(tmp_path):
         load_operator(base)
 
 
-def _synthetic_operator():
-    """A free 1-d operator whose H (= L0) holds 1e-05, 1e+16, 5e-324, -0.0 and skipped zeros."""
-    op = assemble_operator(build_grid((-1.0, 1.0), 0.25), P1)
-    H = np.zeros((op.n, op.n))
+def _synthetic_matrix():
+    """A symmetric 8 x 8 matrix holding 1e-05, 1e+16, 5e-324, -0.0 and skipped zeros."""
+    H = np.zeros((8, 8))
     np.fill_diagonal(H, [1e-05, 1e+16, -0.0, 5e-324, 2.5, -3.0, 0.1, 1.0 / 3.0])
     for i, j, v in [(0, 1, 5e-324), (0, 7, 1e+16), (2, 5, 1e-05), (3, 4, -1e-300)]:
         H[i, j] = H[j, i] = v
-    return dataclasses.replace(op, L0=H)
+    return H
+
+
+def _save_matrix(H, base: str) -> str:
+    """An operator artifact whose CSV holds ``H``, written by the artifact writer; its CSV path.
+
+    The header comes from ``save_operator`` on a free operator of the same n;
+    the CSV is then rewritten from H by ``write_csv`` and ``triangle_blocks``
+    as ``save_operator`` writes it, and the header takes the new digest.
+    """
+    save_operator(assemble_operator(build_grid((-1.0, 1.0), 2.0 / len(H)), P1), base)
+    sha = write_csv(base + ".csv", "i,j,value", triangle_blocks(H, skip_zeros=True))
+    header = json.loads(Path(base + ".json").read_text())
+    Path(base + ".json").write_text(json.dumps(dict(header, sha256=sha)))
+    return base + ".csv"
 
 
 def _operator_case(name):
@@ -662,20 +774,25 @@ def _operator_case(name):
         return assemble_operator(build_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.1), P2, c=0.3 * hardy_constant(P2))
     if name == "truncated":
         return assemble_operator(build_grid((-1.0, 1.0), 0.05), P1, c=0.5 * hardy_constant(P1), k=4.0)
-    return _synthetic_operator()
+    return None  # synthetic: a matrix no operator assembles
 
 
 @pytest.mark.parametrize("name", ["d1_partial_block", "d2_n400", "truncated", "synthetic"])
 def test_operator_csv_matches_loop_oracle(tmp_path, name):
     op = _operator_case(name)
     base = str(tmp_path / "op")
-    csv_path, json_path = save_operator(op, base)
+    if op is None:
+        want = _synthetic_matrix()
+        csv_path, json_path = _save_matrix(want, base), base + ".json"
+    else:
+        want = op.H
+        csv_path, json_path = save_operator(op, base)
     payload = Path(csv_path).read_bytes()
-    assert payload == oracles.operator_csv_loop(op.H)
+    assert payload == oracles.operator_csv_loop(want)
     assert json.loads(Path(json_path).read_text())["sha256"] == hashlib.sha256(payload).hexdigest()
     _, H = load_operator(base)
-    assert np.array_equal(H.view(np.int64), op.H.view(np.int64))
-    assert np.array_equal(H.view(np.int64), oracles.operator_from_csv_loop(payload, op.n).view(np.int64))
+    assert np.array_equal(H.view(np.int64), want.view(np.int64))
+    assert np.array_equal(H.view(np.int64), oracles.operator_from_csv_loop(payload, len(want)).view(np.int64))
 
 
 def test_operator_csv_small_blocks(tmp_path, monkeypatch):
@@ -683,12 +800,12 @@ def test_operator_csv_small_blocks(tmp_path, monkeypatch):
     import hardyheat.operators as ops
 
     monkeypatch.setattr(ops, "_BLOCK_ROWS", 7)
-    op = _synthetic_operator()
+    want = _synthetic_matrix()
     base = str(tmp_path / "op")
-    csv_path, _ = save_operator(op, base)
-    assert Path(csv_path).read_bytes() == oracles.operator_csv_loop(op.H)
+    csv_path = _save_matrix(want, base)
+    assert Path(csv_path).read_bytes() == oracles.operator_csv_loop(want)
     _, H = load_operator(base)
-    assert np.array_equal(H.view(np.int64), op.H.view(np.int64))
+    assert np.array_equal(H.view(np.int64), want.view(np.int64))
 
 
 def test_kernel_and_state_csv_match_loop_oracles(tmp_path):
