@@ -5,7 +5,7 @@ The package is organised bottom-up:
 
 - ``specfun``    gamma-based constants, the power-multiplier map and its inverse
 - ``grids``      cell-centered grids avoiding the origin and the boundary
-- ``operators``  dense assembly of the restricted jump operator and its forms
+- ``operators``  matrix-free assembly of the restricted jump operator and its forms
 - ``evolution``  semigroup propagation, kernels, monotone truncation limits
 - ``estimators`` kernel comparisons, exponent fits, integrability scans,
                  blow-up diagnostics

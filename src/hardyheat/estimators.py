@@ -5,7 +5,8 @@ check suites assert on: two-sided kernel comparisons against the ground-state
 product, ultracontractive envelopes, local singularity exponents, integrability
 scans across grid refinement, weighted mass bounds, sharp-constant probes for
 the weighted Sobolev quotient, and the joint refinement/truncation blow-up
-diagnostic for supercritical couplings.
+diagnostic for supercritical couplings.  Kernel estimators take the ground-state
+weight w from the kernel's operator (``op.weight``).
 """
 
 from __future__ import annotations
@@ -69,9 +70,17 @@ def t_ref(op: DiscreteOperator, lam_free: float | None = None) -> float:
 # kernel comparisons
 # ---------------------------------------------------------------------------
 
-def kernel_sandwich(
-    kernels: list[KernelMatrix], w: np.ndarray, inner_half_width: float | None = None
-) -> dict:
+_ENVELOPE_DECADES = 1.5  # the t-span, in decades, that an envelope must cover
+
+
+def _weighted_sups(kernels: list[KernelMatrix]) -> list[float]:
+    """sup over the grid of p_t(x, y) / (w(x) w(y)) for each kernel, w = ``op.weight``."""
+    w = kernels[0].operator.weight
+    ww = np.outer(w, w)
+    return [float(np.max(k.P / ww)) for k in kernels]
+
+
+def kernel_sandwich(kernels: list[KernelMatrix], inner_half_width: float | None = None) -> dict:
     """Two-sided comparison of p_t against w(x) w(y) on an inner box.
 
     The box is ``Grid.inner_box(inner_half_width)``: by default half the
@@ -83,11 +92,10 @@ def kernel_sandwich(
     """
     if not kernels:
         raise ContractError("at least one kernel is required")
-    grid = kernels[0].operator.grid
-    d = kernels[0].operator.params.d
-    alpha = kernels[0].operator.params.alpha
-    inner_half_width, mask = grid.inner_box(inner_half_width)
-    wm = np.asarray(w, dtype=float)[mask]
+    op = kernels[0].operator
+    d, alpha = op.params.d, op.params.alpha
+    inner_half_width, mask = op.grid.inner_box(inner_half_width)
+    wm = op.weight[mask]
     ww = np.outer(wm, wm)
     per_t = []
     for ker in kernels:
@@ -113,7 +121,7 @@ def kernel_sandwich(
     }
 
 
-def ultracontractive_envelope(kernels: list[KernelMatrix], w: np.ndarray) -> dict:
+def ultracontractive_envelope(kernels: list[KernelMatrix]) -> dict:
     """sup over the grid and over t of t^(d/alpha) * p_t(x,y) / (w(x) w(y)).
 
     The exponent d/alpha matches the short-time on-diagonal scale of the free
@@ -124,17 +132,14 @@ def ultracontractive_envelope(kernels: list[KernelMatrix], w: np.ndarray) -> dic
     if not kernels:
         raise ContractError("at least one kernel is required")
     t_all = [k.t for k in kernels]
-    if max(t_all) < 10**1.5 * min(t_all):
+    if max(t_all) < 10**_ENVELOPE_DECADES * min(t_all):
         raise ContractError(
-            f"t-grid must span >= 1.5 decades, got [{min(t_all):g}, {max(t_all):g}]"
+            f"t-grid must span >= {_ENVELOPE_DECADES} decades, got [{min(t_all):g}, {max(t_all):g}]"
         )
     p = kernels[0].operator.params
     expn = p.d / p.alpha
-    wv = np.asarray(w, dtype=float)
-    ww = np.outer(wv, wv)
     per_t = []
-    for ker in kernels:
-        sup = float(np.max(ker.P / ww))
+    for ker, sup in zip(kernels, _weighted_sups(kernels)):
         per_t.append({"t": ker.t, "sup_ratio": sup, "value": sup * ker.t**expn})
     vals = [q["value"] for q in per_t]
     i_max = int(np.argmax(vals))
@@ -146,7 +151,7 @@ def ultracontractive_envelope(kernels: list[KernelMatrix], w: np.ndarray) -> dic
     }
 
 
-def critical_envelope_exponent(kernels: list[KernelMatrix], w: np.ndarray) -> dict:
+def critical_envelope_exponent(kernels: list[KernelMatrix]) -> dict:
     """Fit sup_x,y p_t/(ww) ~ t^-gamma and compare with the critical cap.
 
     At the critical coupling the two-sided comparison only supports an
@@ -158,10 +163,8 @@ def critical_envelope_exponent(kernels: list[KernelMatrix], w: np.ndarray) -> di
     prm = kernels[0].operator.params
     p_crit = 0.5 * (1.0 + prm.d / (prm.d - prm.alpha))
     cap = p_crit / (p_crit - 1.0)
-    wv = np.asarray(w, dtype=float)
-    ww = np.outer(wv, wv)
     ts = np.array([k.t for k in kernels])
-    sups = np.array([float(np.max(k.P / ww)) for k in kernels])
+    sups = np.array(_weighted_sups(kernels))
     small = ts <= np.median(ts)
     slope = float(np.polyfit(np.log(ts[small]), np.log(sups[small]), 1)[0])
     gamma_fit = -slope
@@ -189,19 +192,17 @@ class ExponentFit:
     verdict: bool | None = None
 
 
-def singularity_exponent(
-    u: np.ndarray, grid: Grid, target: float | None = None, window=None
-) -> ExponentFit:
+def singularity_exponent(u: np.ndarray, grid: Grid, target: float | None = None) -> ExponentFit:
     """Least-squares slope of log u against log |x| on a radial window.
 
-    The window and its node count are ``Grid.slope_window``'s; by default it
-    is (2h, 0.1 * half-width).  With a ``target`` the verdict checks
+    The window and its node count are ``Grid.slope_window``'s: (2h, 0.1 *
+    half-width).  With a ``target`` the verdict checks
     |slope - target| <= max(0.05, 2 * stderr).
     """
     uv = np.asarray(u, dtype=float)
     if uv.shape != (grid.n,):
         raise ContractError(f"profile must have shape ({grid.n},), got {uv.shape}")
-    lo, hi, mask = grid.slope_window(window)
+    lo, hi, mask = grid.slope_window()
     n_in = int(np.sum(mask))
     if np.any(uv[mask] <= 0.0):
         raise ContractError("profile must be strictly positive on the fit window")
@@ -279,16 +280,16 @@ def lp_scan(profiles: list[tuple[Grid, np.ndarray]], p: float, beta: float) -> d
 # weighted mass bounds
 # ---------------------------------------------------------------------------
 
-def weighted_row_mass(kernel: KernelMatrix, w: np.ndarray) -> dict:
+def weighted_row_mass(kernel: KernelMatrix) -> dict:
     """Excess of the kernel's action on w over w itself (sub-invariance gap).
 
     Reports eps = max_i ( (exp(-tH) w)_i / w_i - 1 ).  Nonpositive eps means
     w is an exact supersolution on the grid; a small positive eps shrinking
     under refinement is the discrete signature of the same bound.
     """
-    wv = np.asarray(w, dtype=float)
     op = kernel.operator
-    ratios = (kernel.P @ wv) * op.grid.cell_volume / wv
+    w = op.weight
+    ratios = (kernel.P @ w) * op.grid.cell_volume / w
     return {
         "t": kernel.t,
         "eps": float(np.max(ratios) - 1.0),
@@ -297,9 +298,7 @@ def weighted_row_mass(kernel: KernelMatrix, w: np.ndarray) -> dict:
     }
 
 
-def weighted_l1_bound(
-    kernel: KernelMatrix, w: np.ndarray, u0_list: list[np.ndarray]
-) -> dict:
+def weighted_l1_bound(kernel: KernelMatrix, u0_list: list[np.ndarray]) -> dict:
     """L2 norm of the evolved state against the weighted L1 size of the data.
 
     For each u0, ratio = ||exp(-tH) u0||_{L2,h} / ||u0||_{L1(w),h}.  All
@@ -309,17 +308,16 @@ def weighted_l1_bound(
     """
     op = kernel.operator
     hd = op.grid.cell_volume
-    wv = np.asarray(w, dtype=float)
-    ww = np.outer(wv, wv)
-    ratio_cap = float(np.max(kernel.P / ww))
-    w_l2 = float(np.sqrt(hd * np.sum(wv**2)))
+    w = op.weight
+    (ratio_cap,) = _weighted_sups([kernel])
+    w_l2 = float(np.sqrt(hd * np.sum(w**2)))
     bound = ratio_cap * w_l2
     ratios = []
     for u0 in u0_list:
         uv = np.asarray(u0, dtype=float)
         ut = (kernel.P @ uv) * hd
         num = float(np.sqrt(hd * np.sum(ut**2)))
-        den = float(hd * np.sum(np.abs(uv) * wv))
+        den = float(hd * np.sum(np.abs(uv) * w))
         if den <= 0.0:
             raise ContractError("initial state has zero weighted L1 mass")
         ratios.append(num / den)
@@ -335,15 +333,10 @@ def weighted_l1_bound(
 # sharp-constant probe for the weighted Sobolev quotient
 # ---------------------------------------------------------------------------
 
-def sobolev_quotient(
-    evaluator: FormEvaluator,
-    p: float,
-    n_random: int = 50,
-    seed: int = 0,
-) -> dict:
+def sobolev_quotient(evaluator: FormEvaluator, p: float, seed: int = 0) -> dict:
     """max over test vectors of ||f^2||_{L^p(w^2)} / weighted_form(f).
 
-    Test set: ``n_random`` interior-supported Gaussian vectors (fixed seed)
+    Test set: 50 interior-supported Gaussian vectors (fixed seed)
     plus near-singular profiles |x|^-gamma for 8 gammas from 0.1 to 0.95
     times the weight exponent.  Vectors whose form value vanishes at
     roundoff scale are flagged and skipped rather than producing an infinite
@@ -359,7 +352,7 @@ def sobolev_quotient(
     rng = np.random.default_rng(seed)
     interior = grid.face_distance >= 0.25 * grid.half_width
     samples: list[tuple[str, np.ndarray]] = []
-    for i in range(n_random):
+    for i in range(50):
         f = np.zeros(grid.n)
         f[interior] = rng.standard_normal(int(np.sum(interior)))
         samples.append((f"random-{i}", f))
@@ -473,7 +466,7 @@ def blowup_diagnostic(
     # a single level (max V <= 1 on this grid) cannot show growth
     growing = bool(len(probes) >= 2 and np.all(np.diff(probes) > 0.0))
     lam_decreasing = bool(np.all(np.diff(lam_mins) < 0.0))
-    gaps_growing = bool(np.all(np.diff(gaps) > 0.0)) if len(gaps) >= 2 else lam_decreasing
+    gaps_growing = bool(np.all(np.diff(gaps) > 0.0))  # >= 3 levels give >= 2 gaps
     return BlowupReport(
         c=float(c),
         c_star=c_star,

@@ -77,15 +77,15 @@ class Grid:
             raise ConfigError(f"comparison box of half-width {hw:g} holds fewer than 2 nodes")
         return hw, mask
 
-    def slope_window(self, window=None) -> tuple[float, float, np.ndarray]:
+    def slope_window(self) -> tuple[float, float, np.ndarray]:
         """(lo, hi, mask of the nodes with lo <= |x| <= hi) for a radial slope fit.
 
-        The default window (2h, 0.1 * half-width) keeps clear of both the
-        innermost cells (where the discretization smears the profile) and the
-        boundary decay.  ConfigError unless 0 < lo < hi; ContractError when
-        fewer than 6 nodes fall inside.
+        The window (2h, 0.1 * half-width) keeps clear of both the innermost
+        cells (where the discretization smears the profile) and the boundary
+        decay.  ConfigError unless 0 < lo < hi; ContractError when fewer than
+        6 nodes fall inside.
         """
-        lo, hi = window if window is not None else (2.0 * self.h, 0.1 * self.half_width)
+        lo, hi = 2.0 * self.h, 0.1 * self.half_width
         if not (0.0 < lo < hi):
             raise ConfigError(f"bad radial window ({lo}, {hi})")
         r = self.radii

@@ -332,7 +332,7 @@ class DiscreteOperator:
     def weighted_tail(self) -> np.ndarray:
         """Weighted exterior term, shared by the weighted form and the harmonicity defect:
         the exact tail in 1d; in 2d kappa * w, the weight frozen at the node
-        (``FormEvaluator.exterior_gap_bound`` bounds the error)."""
+        (``FormEvaluator.exterior_gap_bound`` estimates the error; it is no bound)."""
         if self.params.d == 1:
             return exterior_power_tail(self.grid.nodes, self.grid.bounds[0], self.params, self.beta)
         return self.kappa * self.weight
@@ -415,7 +415,8 @@ class FormEvaluator:
     continuum integrals.  L0 acts through ``op.free.apply`` (FFT), so no form
     builds a matrix.  The ground-state ("weighted") form takes its exterior
     term from ``DiscreteOperator.weighted_tail``, which freezes the weight at
-    the node in 2d; ``exterior_gap_bound`` quantifies that substitution.
+    the node in 2d; ``exterior_gap_bound`` estimates the error of that
+    substitution, but does not bound it.
     """
 
     op: DiscreteOperator
@@ -452,7 +453,13 @@ class FormEvaluator:
         return float(vals[0]) if arr.ndim == 1 else vals
 
     def exterior_gap_bound(self, f: np.ndarray) -> float:
-        """Upper bound on the frozen-weight substitution error (2d mode)."""
+        """Estimate of the frozen-weight substitution error (2d mode); not a bound.
+
+        On 2-d alpha = 1, c = 0.5 c*, h = 0.1, for the operator suite's three
+        seed-0 probe vectors f, |hardy(w f) - weighted(f)| is 7.5e-2, 1.27e-1
+        and 1.57e-1 while this returns 3.4e-2, 7.0e-2 and 6.4e-2; h = 0.05
+        gives the same picture.
+        """
         f = self._check(f, weighted=True)
         op = self.op
         w = op.weight

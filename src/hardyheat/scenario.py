@@ -386,7 +386,8 @@ def build_u0(spec: str, grid) -> np.ndarray:
         raise ConfigError(f"u0 csv {arg!r} is unreadable: {exc}") from None
     if vals.shape != (grid.n,):
         raise ConfigError(
-            f"u0 csv has {vals.shape[0] if vals.ndim else 0} rows, grid has {grid.n} nodes"
+            f"u0 csv {arg!r} must hold one value per line, one line per node: "
+            f"read shape {vals.shape}, grid has {grid.n} nodes"
         )
     if not np.all(np.isfinite(vals)):
         raise ConfigError(f"u0 csv {arg!r} holds non-finite values")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .estimators import (
+    _ENVELOPE_DECADES,
     blowup_diagnostic,
     critical_envelope_exponent,
     kernel_sandwich,
@@ -30,7 +31,7 @@ from .estimators import (
     weighted_row_mass,
 )
 from .evolution import duhamel_residual, evolve, heat_kernel, minimal_solution
-from .operators import FormEvaluator, assemble_operator
+from .operators import DiscreteOperator, FormEvaluator, assemble_operator
 from .scenario import Scenario, all_parts, validate_for_suite
 from .specfun import beta_of_c, coupling_regime, hardy_constant, multiplier
 from .threads import thread_setting
@@ -53,10 +54,10 @@ def run_suite(scn: Scenario, suite: str) -> dict:
 
     A scenario that breaks a rule of the suite (for 'all', of any part it
     runs) raises ConfigError before anything is assembled.  The parts of one
-    call share a ``_Run``: the grids and u0 that validation built, one live
-    operator with its cached spectra, and each level's bottom
-    eigenvalues, so that each eigenproblem is solved once per call.  Nothing
-    of it outlives the call.
+    call share a ``_Run``: the grids and u0 that validation built, each
+    level's operator with its cached spectra, and each level's bottom
+    eigenvalues, so that each level is assembled and each eigenproblem
+    solved once per call.  Nothing of it outlives the call.
     """
     run = _Run(scn, suite)
     if suite == "all":
@@ -81,28 +82,25 @@ def run_suite(scn: Scenario, suite: str) -> dict:
 class _Run:
     """What the parts of one ``run_suite`` call share.
 
-    Grids and u0 come from the validation; operators are untruncated
-    (k = None).  Only the operator of the level last asked for is held:
-    ``operator`` ends on the finest grid, where ``kernel`` and ``sharp`` run,
-    so those share it with its cached spectra, while memory stays that
-    of one level.  A level asked for again (``lp`` walks every level) is
-    assembled again.  Bottom eigenvalues and reference times are kept per
-    level as scalars, so no level solves one twice.
+    Grids and u0 come from the validation.  Each level's untruncated
+    (k = None) operator is assembled the first time it is asked for and kept:
+    it holds O(n) numbers, so ``lp`` reuses the levels that ``operator``
+    built, and ``kernel`` and ``sharp`` share the finest one with its cached
+    H spectrum.  Bottom eigenvalues are kept per operator as scalars, so no
+    level solves one twice; a reference time is 1/lambda of the free one.
     """
 
     def __init__(self, scn: Scenario, suite: str):
         grids, self._u0 = validate_for_suite(scn, suite)  # for 'all', also each part's rules
         self._grids = dict(zip(scn.h_levels, grids))
         self._scn = scn
-        self._op = None
+        self._ops: dict[float, DiscreteOperator] = {}
         self._bottom: dict[tuple, float] = {}
-        self._t_ref: dict[float, float] = {}
 
     def operator(self, h: float):
-        if self._op is None or self._op.grid.h != h:
-            self._op = None  # release the previous level before assembling
-            self._op = assemble_operator(self._grids[h], self._scn.params, c=self._scn.c, k=None)
-        return self._op
+        if h not in self._ops:
+            self._ops[h] = assemble_operator(self._grids[h], self._scn.params, c=self._scn.c, k=None)
+        return self._ops[h]
 
     def u0(self, grid) -> np.ndarray:
         return self._u0[grid.h]
@@ -114,10 +112,7 @@ class _Run:
         return self._bottom[key]
 
     def t_ref(self, op) -> float:
-        h = op.grid.h
-        if h not in self._t_ref:
-            self._t_ref[h] = t_ref(op, self.lambda_min(op.free))
-        return self._t_ref[h]
+        return t_ref(op, self.lambda_min(op.free))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +285,6 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
     tr = run.t_ref(op)
     times = scn.resolve_times(tr)
     kernels = [heat_kernel(op, float(t)) for t in times]
-    w = op.weight
     checks = []
     asym = max(
         float(np.max(np.abs(k.P - k.P.T)) / np.max(k.P)) for k in kernels
@@ -309,7 +303,7 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
         ck = float(np.max(np.abs(lhs, out=lhs)) / np.max(rhs))
         del lhs, rhs
         checks.append(_check("chapman_kolmogorov", ck, 0.0, "rel 1e-8", ck <= 1e-8))
-    sand = kernel_sandwich(kernels, w, scn.inner_half_width)
+    sand = kernel_sandwich(kernels, scn.inner_half_width)
     checks.append(
         _check("sandwich_lower_positive", sand["c_lower"], "> 0", "strict", sand["c_lower"] > 0.0)
     )
@@ -323,8 +317,8 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
         )
     )
     span = float(times[-1] / times[0])
-    if span >= 10**1.5:
-        env = ultracontractive_envelope(kernels, w)
+    if span >= 10**_ENVELOPE_DECADES:
+        env = ultracontractive_envelope(kernels)
         checks.append(
             _check(
                 "envelope_finite",
@@ -335,7 +329,7 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
             )
         )
         if coupling_regime(scn.c, scn.params) == "critical" and len(kernels) >= 3:
-            crit = critical_envelope_exponent(kernels, w)
+            crit = critical_envelope_exponent(kernels)
             checks.append(
                 _check(
                     "critical_exponent_within_cap",
@@ -347,7 +341,7 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
             )
     if scn.c > 0.0:
         mid = kernels[len(kernels) // 2]
-        wrm = weighted_row_mass(mid, w)
+        wrm = weighted_row_mass(mid)
         checks.append(
             _check("weighted_row_mass_eps", wrm["eps"], "<= 0.05", "abs 0.05", wrm["eps"] <= 0.05)
         )
@@ -360,7 +354,7 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
     R = grid.inradius
     radii = [0.2 * R, 0.1 * R, 0.05 * R, 4 * grid.h, 2 * grid.h]
     u0s = [(grid.radii <= r).astype(float) for r in radii if np.any(grid.radii <= r)]
-    wl1 = weighted_l1_bound(kernels[len(kernels) // 2], w, u0s)
+    wl1 = weighted_l1_bound(kernels[len(kernels) // 2], u0s)
     checks.append(
         _check(
             "weighted_l1_within_certificate",
@@ -411,7 +405,7 @@ def _run_sharp(scn: Scenario, run: _Run) -> list[dict]:
     critical = coupling_regime(scn.c, p) == "critical"
     p_exp = 0.5 * (1.0 + p.d / (p.d - p.alpha)) if critical else p.d / (p.d - p.alpha)
     ev = FormEvaluator(op)
-    sq = sobolev_quotient(ev, p_exp, n_random=50, seed=scn.seed)
+    sq = sobolev_quotient(ev, p_exp, seed=scn.seed)
     checks.append(
         _check(
             "sobolev_quotient_finite",
@@ -421,10 +415,10 @@ def _run_sharp(scn: Scenario, run: _Run) -> list[dict]:
             bool(np.isfinite(sq["best_quotient"])) and sq["n_flagged"] == 0,
         )
     )
-    res65 = duhamel_residual(traj, op.free, n_quad=65)
+    res65 = duhamel_residual(traj, n_quad=65)
     worst65 = max(res65.values())
     checks.append(_check("duhamel_residual_65", worst65, "<= 1e-3", "rel 1e-3", worst65 <= 1e-3))
-    res129 = duhamel_residual(traj, op.free, n_quad=129)
+    res129 = duhamel_residual(traj, n_quad=129)
     t_last = float(traj.times[-1])
     ratio = res129[t_last] / res65[t_last] if res65[t_last] > 0 else 0.0
     checks.append(

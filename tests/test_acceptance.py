@@ -72,7 +72,6 @@ def kernel_bundle(ops):
     """Heat kernels over two couplings, three grids, and a 100x time span."""
     bundle = {}
     for cf in (0.5, 1.0):
-        beta = beta_of_c(cf * C_STAR, PARAMS)
         per_n = {}
         for h, n in ((0.01, 200), (0.005, 400), (0.0025, 800)):
             op = ops[(cf, h)]
@@ -80,7 +79,6 @@ def kernel_bundle(ops):
             factors = (0.1,) if n == 200 else T_FACTORS
             per_n[n] = {
                 "op": op,
-                "w": op.grid.radii ** (-beta),
                 "kernels": {f: heat_kernel(op, f * tr) for f in factors},
             }
         bundle[cf] = per_n
@@ -207,9 +205,8 @@ def test_criterion_03_minimal_solution_monotone(reference_run):
 
 
 def test_criterion_04_duhamel_residual(reference_run):
-    free_op = assemble_operator(reference_run["op"].grid, PARAMS, c=0.0)
-    r65 = duhamel_residual(reference_run["traj"], free_op, n_quad=65)
-    r129 = duhamel_residual(reference_run["traj"], free_op, n_quad=129)
+    r65 = duhamel_residual(reference_run["traj"], n_quad=65)
+    r129 = duhamel_residual(reference_run["traj"], n_quad=129)
     worst65 = max(r65.values())
     t_last = float(reference_run["traj"].times[-1])
     ratio = r129[t_last] / r65[t_last]
@@ -238,7 +235,7 @@ def test_criterion_05_kernel_sandwich(kernel_bundle):
         for n in (400, 800):
             b = kernel_bundle[cf][n]
             kers = [b["kernels"][f] for f in t_subset]
-            sands[n] = kernel_sandwich(kers, b["w"], 0.5)
+            sands[n] = kernel_sandwich(kers, 0.5)
         spreads = [p["spread"] for p in sands[800]["per_t"]]
         stab = [
             a["spread"] / b["spread"]
@@ -269,7 +266,7 @@ def test_criterion_06_ultracontractive_envelope(kernel_bundle):
         envs = {}
         for n in (400, 800):
             b = kernel_bundle[cf][n]
-            envs[n] = ultracontractive_envelope(list(b["kernels"].values()), b["w"])
+            envs[n] = ultracontractive_envelope(list(b["kernels"].values()))
         e400, e800 = envs[400]["envelope"], envs[800]["envelope"]
         finite = np.isfinite(e800) and e800 > 0.0
         rel = abs(e800 - e400) / e800
@@ -393,9 +390,7 @@ def test_criterion_11_weighted_row_mass(kernel_bundle):
     ok, details = True, []
     for cf in (0.5, 1.0):
         epss = [
-            weighted_row_mass(
-                kernel_bundle[cf][n]["kernels"][0.1], kernel_bundle[cf][n]["w"]
-            )["eps"]
+            weighted_row_mass(kernel_bundle[cf][n]["kernels"][0.1])["eps"]
             for n in (200, 400, 800)
         ]
         excess = [max(e, 0.0) for e in epss]
@@ -417,7 +412,7 @@ def test_criterion_12_weighted_l1_extension(kernel_bundle):
         grid = b["op"].grid
         radii = [0.2, 0.1, 0.05, 4 * grid.h, 2 * grid.h]
         u0s = [(grid.radii <= r).astype(float) for r in radii]
-        wl1 = weighted_l1_bound(b["kernels"][0.5], b["w"], u0s)
+        wl1 = weighted_l1_bound(b["kernels"][0.5], u0s)
         ok = ok and wl1["all_within"]
         details.append(
             f"c={cf}c*: max quotient {max(wl1['ratios']):.3f} vs bound {wl1['bound']:.3f}"

@@ -23,7 +23,7 @@ from hardyheat.estimators import (
 from hardyheat.evolution import heat_kernel
 from hardyheat.grids import build_grid
 from hardyheat.operators import FormEvaluator, assemble_operator
-from hardyheat.specfun import FractionalParams, beta_of_c, hardy_constant
+from hardyheat.specfun import FractionalParams, hardy_constant
 
 P1 = FractionalParams(1, 0.5)
 CSTAR = hardy_constant(P1)
@@ -37,12 +37,6 @@ def free_op():
 @pytest.fixture(scope="module")
 def half_op():
     return assemble_operator(build_grid((-1.0, 1.0), 0.01), P1, c=0.5 * CSTAR)
-
-
-@pytest.fixture(scope="module")
-def half_weight(half_op):
-    beta = beta_of_c(0.5 * CSTAR, P1)
-    return half_op.grid.radii ** (-beta)
 
 
 def test_lambda_min_matches_full_eigensolve(free_op):
@@ -108,8 +102,7 @@ def test_t_ref_frozen_reference():
 def test_kernel_sandwich_free_reduction(free_op):
     # with w = 1 the machinery reports plain kernel bounds on the inner box
     kernels = [heat_kernel(free_op, t) for t in (0.5, 1.0)]
-    w = np.ones(free_op.n)
-    rep = kernel_sandwich(kernels, w, 0.5)
+    rep = kernel_sandwich(kernels, 0.5)
     assert rep["c_lower"] > 0.0
     assert np.isfinite(rep["spread_max"])
     assert rep["n_nodes"] == 50
@@ -120,32 +113,30 @@ def test_kernel_sandwich_free_reduction(free_op):
 
 def test_kernel_sandwich_rejects_box_touching_boundary(free_op):
     kernels = [heat_kernel(free_op, 0.5)]
-    w = np.ones(free_op.n)
     with pytest.raises(ConfigError):
-        kernel_sandwich(kernels, w, 1.0)
+        kernel_sandwich(kernels, 1.0)
     with pytest.raises(ConfigError):
-        kernel_sandwich(kernels, w, 1.5)
+        kernel_sandwich(kernels, 1.5)
 
 
-def test_kernel_sandwich_spread_shrinks_with_t(half_op, half_weight):
+def test_kernel_sandwich_spread_shrinks_with_t(half_op):
     # late kernels factorize toward the ground state, tightening the spread
     ks = [heat_kernel(half_op, t) for t in (0.1, 1.0)]
-    rep = kernel_sandwich(ks, half_weight, 0.5)
+    rep = kernel_sandwich(ks, 0.5)
     spreads = [q["spread"] for q in rep["per_t"]]
     assert spreads[1] < spreads[0]
 
 
 def test_envelope_requires_wide_t_grid(free_op):
-    w = np.ones(free_op.n)
     ks = [heat_kernel(free_op, t) for t in (0.5, 1.0)]
     with pytest.raises(ContractError):
-        ultracontractive_envelope(ks, w)
+        ultracontractive_envelope(ks)
 
 
-def test_envelope_finite_and_locates_max(half_op, half_weight):
+def test_envelope_finite_and_locates_max(half_op):
     ts = [0.05, 0.1, 0.5, 1.0, 2.0]
     ks = [heat_kernel(half_op, t) for t in ts]
-    rep = ultracontractive_envelope(ks, half_weight)
+    rep = ultracontractive_envelope(ks)
     assert rep["exponent"] == pytest.approx(2.0)  # d/alpha
     assert np.isfinite(rep["envelope"]) and rep["envelope"] > 0.0
     assert rep["t_at_max"] in ts
@@ -155,17 +146,15 @@ def test_envelope_finite_and_locates_max(half_op, half_weight):
 
 def test_critical_exponent_cap():
     op = assemble_operator(build_grid((-1.0, 1.0), 0.01), P1, c=CSTAR)
-    beta = beta_of_c(CSTAR, P1)
-    w = op.grid.radii ** (-beta)
     ts = [0.05, 0.1, 0.5, 1.0, 2.0]
     ks = [heat_kernel(op, t) for t in ts]
-    rep = critical_envelope_exponent(ks, w)
+    rep = critical_envelope_exponent(ks)
     # p = (1 + d/(d-alpha))/2 = 1.5 for d=1, alpha=0.5, so the cap is 3
     assert rep["p"] == pytest.approx(1.5)
     assert rep["cap"] == pytest.approx(3.0)
     assert rep["within_cap"]
     with pytest.raises(ContractError):
-        critical_envelope_exponent(ks[:2], w)
+        critical_envelope_exponent(ks[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +175,13 @@ def test_singularity_exponent_recovers_power_law():
 def test_singularity_exponent_window_control():
     grid = build_grid((-1.0, 1.0), 0.005)
     u = grid.radii ** (-0.25)
-    fit = singularity_exponent(u, grid, window=(0.03, 0.6))
-    assert fit.window == (0.03, 0.6)
-    assert fit.spans_decade  # realized node span exceeds one decade
-    assert fit.verdict is None  # no target given
+    assert singularity_exponent(u, grid).verdict is None  # no target given
+    coarse = build_grid((-1.0, 1.0), 0.1)  # window (2h, 0.1 * half-width) = (0.2, 0.1)
     with pytest.raises(ConfigError):
-        singularity_exponent(u, grid, window=(0.5, 0.05))
+        singularity_exponent(coarse.radii ** (-0.25), coarse)
+    sparse = build_grid((-1.0, 1.0), 0.04)  # window (0.08, 0.1) holds 2 nodes
     with pytest.raises(ContractError):
-        singularity_exponent(u, grid, window=(0.05, 0.06))  # too few nodes
+        singularity_exponent(sparse.radii ** (-0.25), sparse)  # too few nodes
     with pytest.raises(ContractError):
         singularity_exponent(np.zeros(grid.n), grid)
     with pytest.raises(ContractError):
@@ -236,9 +224,9 @@ def test_lp_scan_validation():
 # weighted mass bounds
 # ---------------------------------------------------------------------------
 
-def test_weighted_row_mass_supersolution(half_op, half_weight):
+def test_weighted_row_mass_supersolution(half_op):
     ker = heat_kernel(half_op, 0.1)
-    rep = weighted_row_mass(ker, half_weight)
+    rep = weighted_row_mass(ker)
     # the harmonic profile strictly dominates its own evolution on the grid
     assert rep["eps"] <= 1e-10
     assert rep["ratio_min"] <= rep["ratio_max"] <= 1.0 + 1e-10
@@ -246,15 +234,15 @@ def test_weighted_row_mass_supersolution(half_op, half_weight):
 
 def test_weighted_row_mass_free_case(free_op):
     ker = heat_kernel(free_op, 0.2)
-    rep = weighted_row_mass(ker, np.ones(free_op.n))
+    rep = weighted_row_mass(ker)
     assert rep["eps"] <= 1e-12
 
 
-def test_weighted_l1_bound(half_op, half_weight):
+def test_weighted_l1_bound(half_op):
     ker = heat_kernel(half_op, 0.1)
     grid = half_op.grid
     u0s = [(grid.radii <= r).astype(float) for r in (0.2, 0.05, 2.5 * grid.h)]
-    rep = weighted_l1_bound(ker, half_weight, u0s)
+    rep = weighted_l1_bound(ker, u0s)
     assert rep["all_within"]
     assert len(rep["ratios"]) == 3
     assert max(rep["ratios"]) <= rep["bound"]
@@ -266,8 +254,8 @@ def test_weighted_l1_bound(half_op, half_weight):
 
 def test_sobolev_quotient_deterministic(half_op):
     ev = FormEvaluator(half_op)
-    rep1 = sobolev_quotient(ev, 2.0, n_random=20, seed=5)
-    rep2 = sobolev_quotient(ev, 2.0, n_random=20, seed=5)
+    rep1 = sobolev_quotient(ev, 2.0, seed=5)
+    rep2 = sobolev_quotient(ev, 2.0, seed=5)
     assert rep1["best_quotient"] == rep2["best_quotient"]
     assert rep1["n_flagged"] == 0
     assert np.isfinite(rep1["best_quotient"]) and rep1["best_quotient"] > 0.0
@@ -276,7 +264,7 @@ def test_sobolev_quotient_deterministic(half_op):
 
 def test_sobolev_quotient_includes_near_singular_family(half_op):
     ev = FormEvaluator(half_op)
-    rep = sobolev_quotient(ev, 2.0, n_random=5, seed=1)
+    rep = sobolev_quotient(ev, 2.0, seed=1)
     labels = [s for s in rep.get("flagged", [])]
     assert rep["n_samples"] >= 5 + 8  # random bumps plus the power family
     assert rep["best_label"]

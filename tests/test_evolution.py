@@ -206,34 +206,24 @@ def test_duhamel_residual_small_and_shrinks(hardy_op):
     grid = hardy_op.grid
     u0 = (grid.radii <= 0.2).astype(float)
     traj = evolve(hardy_op, u0, [0.0, 0.1, 0.5])
-    free = assemble_operator(grid, P1, c=0.0)
-    res65 = duhamel_residual(traj, free, n_quad=65)
+    res65 = duhamel_residual(traj, n_quad=65)
     assert set(res65) == {0.1, 0.5}
     assert max(res65.values()) <= 1e-5
-    res129 = duhamel_residual(traj, free, n_quad=129)
+    res129 = duhamel_residual(traj, n_quad=129)
     assert res129[0.5] <= 0.3 * res65[0.5]
 
 
-def test_duhamel_contracts(hardy_op, free_op):
+def test_duhamel_contracts(hardy_op):
     grid = hardy_op.grid
     u0 = (grid.radii <= 0.2).astype(float)
     traj = evolve(hardy_op, u0, [0.0, 0.1])
-    free = assemble_operator(grid, P1, c=0.0)
     with pytest.raises(ConfigError):
-        duhamel_residual(traj, free, n_quad=64)
+        duhamel_residual(traj, n_quad=64)
     with pytest.raises(ConfigError):
-        duhamel_residual(traj, free, n_quad=31)
-    with pytest.raises(ContractError):
-        duhamel_residual(traj, hardy_op, n_quad=65)  # potential not zero
-    with pytest.raises(ContractError):
-        duhamel_residual(traj, free_op, n_quad=65)  # wrong grid
-    shifted = assemble_operator(build_grid((-0.8, 1.2), 0.01), P1, c=0.0)
-    assert shifted.n == traj.operator.n
-    with pytest.raises(ContractError):
-        duhamel_residual(traj, shifted, n_quad=65)  # same n, other domain
+        duhamel_residual(traj, n_quad=31)
     late = evolve(hardy_op, u0, [0.1, 0.5])
     with pytest.raises(ContractError):
-        duhamel_residual(late, free, n_quad=65)
+        duhamel_residual(late, n_quad=65)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +273,7 @@ def test_duhamel_matches_dense_step_recursion(oracle_case):
     times = [0.0] + [f * tr for f in ORACLE_FACTORS]
     traj = evolve(op, u0, times)
     for n_quad in (65, 129):
-        got = duhamel_residual(traj, free, n_quad=n_quad)
+        got = duhamel_residual(traj, n_quad=n_quad)
         ref = oracles.duhamel_residual_dense(
             traj.times, traj.states, op.H, free.H, op.W, n_quad
         )

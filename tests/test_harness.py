@@ -320,12 +320,12 @@ class TestSuiteRules:
         raw = base_raw(u0=f"csv:{path}", h=[0.01, 0.005, 0.0025])
         scn = scenario_from_dict(raw)
         validate_for_suite(scn, "sharp")
-        with pytest.raises(ConfigError, match="u0 csv has 800 rows, grid has 200 nodes"):
+        with pytest.raises(ConfigError, match=r"read shape \(800,\), grid has 200 nodes"):
             validate_for_suite(scn, "lp")
         np.savetxt(path, np.ones(200), delimiter=",")
-        with pytest.raises(ConfigError, match="u0 csv has 200 rows, grid has 800 nodes"):
+        with pytest.raises(ConfigError, match=r"read shape \(200,\), grid has 800 nodes"):
             validate_for_suite(scenario_from_dict(raw), "sharp")
-        with pytest.raises(ConfigError, match="u0 csv has 200 rows, grid has 800 nodes"):
+        with pytest.raises(ConfigError, match=r"read shape \(200,\), grid has 800 nodes"):
             validate_for_suite(scenario_from_dict(dict(raw, c="2*cstar")), "blowup")
         validate_for_suite(scenario_from_dict(raw), "operator")  # operator and kernel never build u0
 
@@ -569,7 +569,7 @@ def test_operator_row_mass_matches_the_kernel_row_mass():
     for h, eps in zip(scn.h_levels, check["measured"]):
         op = assemble_operator(build_grid(scn.domain_spec(), h), scn.params, c=scn.c)
         ker = heat_kernel(op, 0.1 * t_ref(op))
-        assert abs(eps - weighted_row_mass(ker, op.weight)["eps"]) <= 1e-12
+        assert abs(eps - weighted_row_mass(ker)["eps"]) <= 1e-12
 
 
 @pytest.fixture()
@@ -614,6 +614,26 @@ def test_no_operator_outlives_run_suite(assembled, monkeypatch):
     with pytest.raises(RuntimeError, match="stop"):
         run_suite(scn, "all")
     assert len(assembled) > 0 and _alive(assembled) == 0
+
+
+def test_after_sharp_the_run_holds_only_the_finest_h_spectrum(monkeypatch):
+    # lp reuses every level; of their spectra only the finest H, which kernel
+    # and sharp share, is still cached (the Duhamel L0 went with the trajectory)
+    import hardyheat.suites
+
+    scn = scenario_from_dict(three_level_raw())
+    cached = {}
+    real = hardyheat.suites._RUNNERS["lp"]
+
+    def lp(scn, run):
+        for h, op in run._ops.items():
+            free = vars(op).get("free")
+            cached[h] = ("spectrum" in vars(op), free is not None and "spectrum" in vars(free))
+        return real(scn, run)
+
+    monkeypatch.setitem(hardyheat.suites._RUNNERS, "lp", lp)
+    assert run_suite(scn, "all")["passed"]
+    assert cached == {h: (h == scn.h_levels[-1], False) for h in scn.h_levels}
 
 
 def test_back_to_back_runs_give_the_bytes_of_separate_runs():
@@ -720,6 +740,15 @@ class TestBuildU0:
         np.savetxt(path, np.ones(5), delimiter=",")
         with pytest.raises(ConfigError, match="grid has"):
             build_u0(f"csv:{path}", grid)
+
+    def test_csv_of_several_columns_is_named_as_such(self, tmp_path):
+        # 2 rows of 2 values on a 2-node grid: the row count matches, the shape does not
+        two = build_grid((-1.0, 1.0), 1.0)
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, np.ones((2, 2)), delimiter=",")
+        msg = r"one value per line, one line per node: read shape \(2, 2\), grid has 2 nodes"
+        with pytest.raises(ConfigError, match=msg):
+            build_u0(f"csv:{path}", two)
 
     @pytest.mark.parametrize("bad, message", [
         (-0.5, "holds negative values, min = -5.000e-01"),
@@ -1123,14 +1152,14 @@ class TestCli:
         # H and L0 on the finest level (kernels and Duhamel); the operator suite
         # takes its row mass from one exponential action, not a full kernel
         assert len(calls["eigh"]) == len(set(calls["eigh"])) == 2
-        # one live operator: lp assembles its three levels again (8 before)
-        assert calls["assemble"] == 6
+        # every level is kept: lp reuses the three that the operator suite assembled
+        assert calls["assemble"] == 3
         assert calls["validate"] == 1 and calls["grids"] == 3
         capsys.readouterr()
         # a cache hit computes nothing
         assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) == 0
         assert "(cached report" in capsys.readouterr().out
-        assert (calls["assemble"], calls["validate"], calls["grids"]) == (6, 1, 3)
+        assert (calls["assemble"], calls["validate"], calls["grids"]) == (3, 1, 3)
 
     def test_verify_unknown_scenario_key_exits_2(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "extra.json", base_raw(extra=1))
