@@ -22,8 +22,7 @@ of the full-box matrix entrywise, which is what the kernel-domination
 property test relies on.  An operator stores the table, its DFT, the diagonal,
 kappa and V: O(n) numbers.  H = L0 - diag(min(V, k)) with V(x) = c |x|**(-alpha)
 acts through ``apply``; a dense H is built on demand only where a dense
-matrix is needed: the eigendecomposition, the exponential action and the
-operator artifact.
+matrix is needed: the eigendecomposition and the operator artifact.
 """
 
 from __future__ import annotations

@@ -42,7 +42,10 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #      is the exponential action on w instead of a full kernel
 #   6  matrix-free operator: J v by FFT of the jump-offset table, and the 1-d
 #      table A h^-alpha k^(-1-alpha) exact in the offset k (no node differences)
-NUMERICS_EPOCH = 6
+#   7  matrix-free exponential action: a truncated Taylor series through
+#      op.apply with the exact shift and 1-norm, instead of expm_multiply on
+#      a dense -tH
+NUMERICS_EPOCH = 7
 
 
 def load_current(path: str) -> dict | None:

@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 from scipy.linalg import eigvalsh, expm, lu_factor, lu_solve
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import betainc
 
 mp.mp.dps = 40
@@ -306,6 +307,15 @@ def bottom_eigenvalue_dense(H: np.ndarray) -> float:
 def dense_propagator(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-t H) by dense Pade scaling and squaring (scipy.linalg.expm)."""
     return expm(-float(t) * H)
+
+
+def expm_action_dense(H: np.ndarray, t: float, u0: np.ndarray) -> np.ndarray:
+    """exp(-t H) u0 by scipy's expm_multiply on the dense -t H.
+
+    Past a 1-norm of about 63 it picks its Taylor degree from onenormest,
+    which draws from the global numpy random state.
+    """
+    return expm_multiply(-float(t) * H, np.asarray(u0, dtype=float))
 
 
 def theta_steps(H: np.ndarray, u0: np.ndarray, t: float, n_steps: int, theta: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from hardyheat.evolution import (
     minimal_solution,
 )
 from hardyheat.grids import build_grid
-from hardyheat.operators import assemble_operator
+from hardyheat.operators import DiscreteOperator, assemble_operator
 from hardyheat.specfun import FractionalParams, hardy_constant
 
 import oracles
@@ -292,3 +292,95 @@ def test_spectrum_cached_per_operator(hardy_op):
     # a lower cutoff subtracts less potential, so the spectrum moves up
     assert lam_k[0] > lam[0]
     assert_allclose((Q_k * lam_k) @ Q_k.T, trunc.H, rtol=0, atol=1e-12 * np.max(np.abs(trunc.H)))
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free exponential action against scipy's dense expm_multiply
+# ---------------------------------------------------------------------------
+
+ACTION_GRIDS = {
+    "d1-n200": ((-1.0, 1.0), 2.0 / 200, P1),
+    "d1-n800": ((-1.0, 1.0), 2.0 / 800, P1),
+    "d1-n4096": ((-1.0, 1.0), 2.0 / 4096, P1),
+    "d2-n400": (((-1.0, 1.0), (-1.0, 1.0)), 0.1, P2),
+    "d2-n1600": (((-1.0, 1.0), (-1.0, 1.0)), 0.05, P2),
+}
+# the last factor puts ||A - mu I||_1 past 63.4, where condition (3.13) of
+# Al-Mohy & Higham fails and expm_multiply sizes its steps by onenormest
+ACTION_FACTORS = (0.01, 0.5, 10.0)
+
+
+@pytest.fixture(scope="module", params=list(ACTION_GRIDS))
+def action_grid(request):
+    """(grid, params, t_ref) for each grid of the action comparison."""
+    bounds, h, params = ACTION_GRIDS[request.param]
+    grid = build_grid(bounds, h)
+    return grid, params, t_ref(assemble_operator(grid, params))
+
+
+@pytest.mark.parametrize(
+    "c_factor, truncated", [(0.0, False), (0.5, False), (1.0, False), (3.0, False), (3.0, True)]
+)
+def test_evolve_matches_dense_expm_multiply(action_grid, c_factor, truncated):
+    grid, params, tr = action_grid
+    op = assemble_operator(grid, params, c=c_factor * hardy_constant(params))
+    if truncated:
+        op = op.with_truncation(0.5 * float(np.max(op.V)))
+    u0 = (grid.radii <= 0.4).astype(float)
+    times = [f * tr for f in ACTION_FACTORS]
+    traj = evolve(op, u0, times)
+    H = op.H
+    for t, state in zip(times, traj.states):
+        ref = oracles.expm_action_dense(H, t, u0)
+        assert np.linalg.norm(state - ref) <= 1e-13 * np.linalg.norm(ref)
+    A = -times[-1] * H
+    A.flat[:: op.n + 1] -= np.trace(A) / op.n
+    assert np.linalg.norm(A, 1) > 63.4
+
+
+@pytest.mark.parametrize("factor", [0.5, 10.0])
+def test_evolve_ignores_the_global_random_state(factor):
+    op = assemble_operator(build_grid((-1.0, 1.0), 2.0 / 800), P1, c=hardy_constant(P1))
+    u0 = (op.grid.radii <= 0.4).astype(float)
+    t = factor * t_ref(op)
+    saved = np.random.get_state()
+    try:
+        runs = []
+        for seed in (0, 1, None):
+            if seed is not None:
+                np.random.seed(seed)
+            runs.append(evolve(op, u0, [t]).states.tobytes())
+    finally:
+        np.random.set_state(saved)
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_trajectories_never_form_the_dense_operator(monkeypatch):
+    op = assemble_operator(build_grid((-1.0, 1.0), 0.01), P1, c=hardy_constant(P1))
+    u0 = (op.grid.radii <= 0.2).astype(float)
+    tr = t_ref(op)
+
+    def dense(self):
+        raise AssertionError("a trajectory formed the dense H")
+
+    monkeypatch.setattr(DiscreteOperator, "H", property(dense))
+    evolve(op, u0, [0.5 * tr, 10.0 * tr])
+    _, rep = minimal_solution(op, u0, [0.1 * tr, 0.5 * tr])
+    assert len(rep["k_levels"]) > 1
+
+
+def test_evolve_allocates_no_matrix():
+    # one 1-d n = 4096 action: the Taylor terms are vectors, op.apply works in O(n)
+    import tracemalloc
+
+    op = assemble_operator(build_grid((-1.0, 1.0), 2.0 / 4096), P1, c=0.5 * hardy_constant(P1))
+    u0 = (op.grid.radii <= 0.4).astype(float)
+    t = 0.5 * t_ref(op)
+    tracemalloc.start()
+    try:
+        evolve(op, u0, [t])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.n == 4096
+    assert peak < 0.05 * 8 * op.n**2
