@@ -18,10 +18,10 @@ from scipy.linalg import eigvalsh  # noqa: F401  unused; bench/spans.py traces t
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, ContractError
-from .evolution import KernelMatrix, heat_kernel, minimal_solution
-from .grids import Grid, build_grid
-from .operators import DiscreteOperator, FormEvaluator, assemble_operator
-from .specfun import FractionalParams, coupling_regime, hardy_constant
+from .evolution import KernelMatrix, minimal_solution
+from .grids import Grid, halves
+from .operators import DiscreteOperator, FormEvaluator
+from .specfun import coupling_regime, hardy_constant
 
 __all__ = [
     "lambda_min",
@@ -245,9 +245,8 @@ def lp_scan(profiles: list[tuple[Grid, np.ndarray]], p: float, beta: float) -> d
             raise ContractError("profile shape does not match its grid")
         hs.append(grid.h)
         sums.append(float(grid.cell_volume * np.sum(np.abs(uv) ** p)))
-    for h1, h2 in zip(hs, hs[1:]):
-        if not np.isclose(h1 / h2, 2.0, rtol=1e-9):
-            raise ContractError(f"grids must halve h between levels, got {hs}")
+    if not halves(hs):
+        raise ContractError(f"grids must halve h between levels, got {hs}")
     inc = np.diff(sums)
     d_dim = profiles[0][0].dim
     expected = d_dim - p * beta
@@ -380,7 +379,6 @@ def sobolev_quotient(evaluator: FormEvaluator, p: float, seed: int = 0) -> dict:
         "flagged": flagged,
         "best_quotient": best,
         "best_label": best_label,
-        "quotients_max": best,
         "quotients_median": float(np.median(quotients)),
     }
 
@@ -407,17 +405,14 @@ class BlowupReport:
 
 
 def blowup_diagnostic(
-    params: FractionalParams,
-    c: float,
-    domain,
-    h_levels,
-    u0_builder=None,
-    t0_factor: float = 0.1,
-    k_schedule=None,
+    ops: list[DiscreteOperator], u0: np.ndarray, t0: float, k_schedule=None
 ) -> BlowupReport:
     """Joint refinement/truncation probe of instantaneous mass loss for c > c*.
 
-    ConfigError unless ``coupling_regime`` calls c supercritical.
+    ``ops`` are the untruncated operators of one coupling, coarse to fine;
+    ``u0`` is the initial datum on the finest grid and ``t0`` the absolute
+    probe time.  ContractError for fewer than 3 levels; ConfigError unless
+    ``coupling_regime`` calls their c supercritical.
 
     Three signatures are collected: (i) the bottom eigenvalue of H across
     halving grids must decrease with growing gaps (spectral collapse), (ii)
@@ -429,21 +424,22 @@ def blowup_diagnostic(
     ``minimal_solution`` on the finest grid, so a probe value that falls as k
     grows raises InvariantViolation.
     """
+    if len(ops) < 3:
+        raise ContractError("blow-up diagnostic needs at least 3 grid levels")
+    op = ops[-1]
+    params, c = op.params, op.c
     c_star = hardy_constant(params)
     if coupling_regime(c, params) != "supercritical":
         raise ConfigError(
             f"blow-up diagnostic expects a supercritical coupling; got c={c:g}, "
             f"c*={c_star:g}"
         )
-    hs = sorted(float(h) for h in np.atleast_1d(h_levels))[::-1]
-    if len(hs) < 3:
-        raise ContractError("blow-up diagnostic needs at least 3 grid levels")
+    hs = [lvl.grid.h for lvl in ops]
     beta_star = params.beta_star
     lam_mins, mech = [], []
-    for h in hs:
-        grid = build_grid(domain, h)
-        op = assemble_operator(grid, params, c=c, k=None)
-        lam_mins.append(lambda_min(op))
+    for lvl in ops:
+        grid = lvl.grid
+        lam_mins.append(lambda_min(lvl))
         r0 = 0.5 * grid.inradius
         ball = grid.radii <= r0
         mech.append(
@@ -455,12 +451,7 @@ def blowup_diagnostic(
     gaps = [a - b for a, b in zip(lam_mins, lam_mins[1:])]
     slope = float(np.polyfit(np.log(1.0 / np.array(hs)), mech, 1)[0])
     expected = 2.0 if params.d == 1 else 2.0 * np.pi
-    # probe along the truncation schedule on the finest grid, the loop's last
-    t0 = t0_factor * t_ref(op)
-    if u0_builder is None:
-        u0 = _default_bump(op.grid)
-    else:
-        u0 = np.asarray(u0_builder(op.grid), dtype=float)
+    # probe along the truncation schedule on the finest grid
     _, probe = minimal_solution(op, u0, [t0], k_schedule)
     probes = probe["probe_values"]
     # a single level (max V <= 1 on this grid) cannot show growth
@@ -482,10 +473,3 @@ def blowup_diagnostic(
         blow_up=bool(lam_decreasing and gaps_growing and growing),
         detail={"t0": t0, "probe_node": probe["probe_node"]},
     )
-
-
-def _default_bump(grid: Grid) -> np.ndarray:
-    """Smooth positive bump supported well inside the domain."""
-    r = grid.radii / grid.half_width
-    u = np.where(r < 0.8, np.exp(-1.0 / np.maximum(1e-12, 0.64 - r * r)), 0.0)
-    return u / np.max(u)

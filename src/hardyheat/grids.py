@@ -99,6 +99,11 @@ class Grid:
         return lo, hi, mask
 
 
+def halves(hs) -> bool:
+    """True when each spacing of ``hs`` is half the one before it: the rule of ``lp`` levels."""
+    return all(np.isclose(h1 / h2, 2.0, rtol=1e-9) for h1, h2 in zip(hs, hs[1:]))
+
+
 def _axis_centers(a: float, b: float, h: float, axis: int) -> np.ndarray:
     extent = b - a
     if extent <= 0:

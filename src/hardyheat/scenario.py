@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .grids import build_grid
+from .grids import build_grid, halves
 from .specfun import FractionalParams, coupling_regime, hardy_constant
 
 __all__ = [
@@ -330,6 +330,10 @@ def validate_for_suite(scn: Scenario, suite: str) -> tuple[list, dict]:
         levels = {"operator": 2, "lp": 3, "blowup": 3}.get(name, 1)
         if len(scn.h_levels) < levels:
             raise ConfigError(f"suite {name!r} needs at least {levels} grid levels")
+        if name == "lp" and not halves(scn.h_levels):  # lp_scan's rule
+            raise ConfigError(
+                f"suite 'lp': grids must halve h between levels, got {list(scn.h_levels)}"
+            )
         if name == "kernel":
             try:
                 finest.inner_box(scn.inner_half_width)

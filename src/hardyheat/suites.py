@@ -85,9 +85,10 @@ class _Run:
     Grids and u0 come from the validation.  Each level's untruncated
     (k = None) operator is assembled the first time it is asked for and kept:
     it holds O(n) numbers, so ``lp`` reuses the levels that ``operator``
-    built, and ``kernel`` and ``sharp`` share the finest one with its cached
-    H spectrum.  Bottom eigenvalues are kept per operator as scalars, so no
-    level solves one twice; a reference time is 1/lambda of the free one.
+    built, ``blowup`` hands every level to the diagnostic, and ``kernel`` and
+    ``sharp`` share the finest one with its cached H spectrum.  Bottom
+    eigenvalues are kept per operator as scalars, so no level solves one
+    twice; a reference time is 1/lambda of the free one.
     """
 
     def __init__(self, scn: Scenario, suite: str):
@@ -339,14 +340,13 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
                     crit["within_cap"],
                 )
             )
+    mid = kernels[len(kernels) // 2]
     if scn.c > 0.0:
-        mid = kernels[len(kernels) // 2]
         wrm = weighted_row_mass(mid)
         checks.append(
             _check("weighted_row_mass_eps", wrm["eps"], "<= 0.05", "abs 0.05", wrm["eps"] <= 0.05)
         )
     else:
-        mid = kernels[len(kernels) // 2]
         mass = float(np.max(np.sum(mid.P, axis=1) * grid.cell_volume))
         checks.append(
             _check("free_row_mass_submarkov", mass, "<= 1", "abs 1e-12", mass <= 1.0 + 1e-12)
@@ -354,7 +354,7 @@ def _run_kernel(scn: Scenario, run: _Run) -> list[dict]:
     R = grid.inradius
     radii = [0.2 * R, 0.1 * R, 0.05 * R, 4 * grid.h, 2 * grid.h]
     u0s = [(grid.radii <= r).astype(float) for r in radii if np.any(grid.radii <= r)]
-    wl1 = weighted_l1_bound(kernels[len(kernels) // 2], u0s)
+    wl1 = weighted_l1_bound(mid, u0s)
     checks.append(
         _check(
             "weighted_l1_within_certificate",
@@ -496,15 +496,11 @@ def _run_lp(scn: Scenario, run: _Run) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _run_blowup(scn: Scenario, run: _Run) -> list[dict]:
+    ops = [run.operator(h) for h in scn.h_levels]
+    finest = ops[-1]
     try:
         rep = blowup_diagnostic(
-            scn.params,
-            scn.c,
-            scn.domain_spec(),
-            scn.h_levels,
-            u0_builder=run.u0,
-            t0_factor=scn.t0_factor,
-            k_schedule=scn.k_schedule,
+            ops, run.u0(finest.grid), scn.t0_factor * run.t_ref(finest), k_schedule=scn.k_schedule
         )
     except InvariantViolation as exc:  # the probe fell as k grew
         return [_check("probe_monotone_in_k", str(exc), "strictly increasing", "strict", False)]

@@ -337,10 +337,9 @@ def test_criterion_08_lp_threshold_scan(lp_profiles):
 def test_criterion_09_blowup_signatures(ops):
     ok, details = True, []
     for cf in (1.1, 1.5, 3.0):
-        rep = blowup_diagnostic(
-            PARAMS, cf * C_STAR, DOMAIN, H_LEVELS,
-            u0_builder=lambda g: build_u0("ball:0.2", g),
-        )
+        levels = [assemble_operator(build_grid(DOMAIN, h), PARAMS, c=cf * C_STAR) for h in H_LEVELS]
+        finest = levels[-1]
+        rep = blowup_diagnostic(levels, build_u0("ball:0.2", finest.grid), 0.1 * t_ref(finest))
         lam_dec = all(b < a for a, b in zip(rep.lambda_mins, rep.lambda_mins[1:]))
         gaps_grow = all(b > a for a, b in zip(rep.gaps, rep.gaps[1:]))
         probe10 = rep.probe_growth >= 10.0

@@ -23,6 +23,7 @@ from hardyheat.estimators import (
 from hardyheat.evolution import heat_kernel
 from hardyheat.grids import build_grid
 from hardyheat.operators import FormEvaluator, assemble_operator
+from hardyheat.scenario import build_u0
 from hardyheat.specfun import FractionalParams, hardy_constant
 
 P1 = FractionalParams(1, 0.5)
@@ -274,8 +275,15 @@ def test_sobolev_quotient_includes_near_singular_family(half_op):
 # supercritical diagnostic
 # ---------------------------------------------------------------------------
 
+def blowup_levels(c, domain, h_levels):
+    """The diagnostic's inputs as a suite run hands them over: the untruncated
+    operators coarse to fine, u0 = ball:0.2 and t0 = 0.1 t_ref on the finest grid."""
+    ops = [assemble_operator(build_grid(domain, h), P1, c=c) for h in h_levels]
+    return ops, build_u0("ball:0.2", ops[-1].grid), 0.1 * t_ref(ops[-1])
+
+
 def test_blowup_diagnostic_supercritical():
-    rep = blowup_diagnostic(P1, 3.0 * CSTAR, (-1.0, 1.0), [0.04, 0.02, 0.01])
+    rep = blowup_diagnostic(*blowup_levels(3.0 * CSTAR, (-1.0, 1.0), [0.04, 0.02, 0.01]))
     assert rep.c_star == pytest.approx(CSTAR)
     assert len(rep.lambda_mins) == 3
     assert all(b < a for a, b in zip(rep.lambda_mins, rep.lambda_mins[1:]))
@@ -290,7 +298,7 @@ def test_blowup_diagnostic_supercritical():
 def test_blowup_probe_schedule_increases_for_shallow_potential():
     # on this coarse grid max V < 1, so the only probe level is max V itself
     c = 1.1 * CSTAR
-    rep = blowup_diagnostic(P1, c, (-0.8, 0.8), [0.4, 0.2, 0.1])
+    rep = blowup_diagnostic(*blowup_levels(c, (-0.8, 0.8), [0.4, 0.2, 0.1]))
     vmax = c * 0.05 ** (-P1.alpha)
     assert vmax < 1.0
     assert np.all(np.diff(rep.probe_k) > 0.0)
@@ -314,11 +322,13 @@ def test_blowup_probe_falling_in_k_is_an_invariant_violation(monkeypatch):
 
     monkeypatch.setattr(hardyheat.evolution, "evolve", falling)
     with pytest.raises(InvariantViolation, match="increase with the cutoff"):
-        blowup_diagnostic(P1, 3.0 * CSTAR, (-1.0, 1.0), [0.04, 0.02, 0.01], k_schedule=[1.0, 4.0])
+        blowup_diagnostic(
+            *blowup_levels(3.0 * CSTAR, (-1.0, 1.0), [0.04, 0.02, 0.01]), k_schedule=[1.0, 4.0]
+        )
 
 
 def test_blowup_diagnostic_validation():
     with pytest.raises(ConfigError):
-        blowup_diagnostic(P1, 0.5 * CSTAR, (-1.0, 1.0), [0.04, 0.02, 0.01])
+        blowup_diagnostic(*blowup_levels(0.5 * CSTAR, (-1.0, 1.0), [0.04, 0.02, 0.01]))
     with pytest.raises(ContractError):
-        blowup_diagnostic(P1, 3.0 * CSTAR, (-1.0, 1.0), [0.04, 0.02])
+        blowup_diagnostic(*blowup_levels(3.0 * CSTAR, (-1.0, 1.0), [0.04, 0.02]))

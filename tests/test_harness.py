@@ -372,8 +372,9 @@ def test_one_regime_rule_near_the_critical_coupling(e, regime):
     _, rep = minimal_solution(op, build_u0("ball:0.3", grid), [0.01])
     assert rep["mode"] == ("divergence" if supercritical else "convergence")
 
+    levels = [assemble_operator(build_grid([-1.0, 1.0], h), params, c=c) for h in (0.2, 0.1, 0.05)]
     try:
-        blowup_diagnostic(params, c, [-1.0, 1.0], [0.2, 0.1, 0.05])
+        blowup_diagnostic(levels, build_u0("ball:0.2", levels[-1].grid), 0.1 * t_ref(levels[-1]))
     except ConfigError:
         assert not supercritical
     else:
@@ -474,7 +475,8 @@ def propagating_1d_scenarios(draw):
     """A suite that runs minimal_solution and a 1-d scenario on h in {0.04, 0.02, 0.01}.
 
     c is drawn from [0.3c*, c*] for sharp and lp and from (c*, 3c*] for
-    blowup; lp and blowup get all three levels, which they need.  Most draws
+    blowup; lp and blowup get all three levels, which they need, and lp
+    sometimes 0.04/0.025/0.01 instead, which parse time must reject.  Most draws
     get past parse time, so the exponential action is fuzzed through every
     level of minimal_solution.
     """
@@ -482,6 +484,8 @@ def propagating_1d_scenarios(draw):
     levels = [0.04, 0.02, 0.01]
     if suite == "sharp":
         levels = draw(st.lists(st.sampled_from(levels), min_size=1, max_size=3, unique=True))
+    if suite == "lp":  # the second triple tiles every domain but does not halve
+        levels = draw(st.sampled_from([levels, [0.04, 0.025, 0.01]]))
     if suite == "blowup":
         factor = draw(st.floats(1.0, 3.0, exclude_min=True))
     else:
@@ -862,15 +866,14 @@ def store_root(tmp_path):
 
 @pytest.fixture()
 def no_assembly(monkeypatch):
-    """Fail the test if a suite, the blow-up diagnostic or a CLI command assembles an operator."""
-    import hardyheat.estimators
+    """Fail the test if a suite or a CLI command assembles an operator."""
     import hardyheat.operators
     import hardyheat.suites
 
     def assemble(*args, **kwargs):
         raise AssertionError("an operator was assembled")
 
-    for mod in (hardyheat.suites, hardyheat.estimators, hardyheat.operators):
+    for mod in (hardyheat.suites, hardyheat.operators):
         monkeypatch.setattr(mod, "assemble_operator", assemble)
 
 
@@ -900,6 +903,62 @@ def _fresh_modules(code: str, *argv: str) -> list:
         capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def count_calls(monkeypatch) -> dict:
+    """Count the solves, assemblies, validations and grid builds of what runs next.
+
+    An ``eigsh`` solve is keyed by the (jump table, W) of the operator it acts
+    on and an ``eigh`` by its matrix, so a repeated solve shows as a repeated
+    key.  ``build_grid`` is counted under every name that holds it.
+    """
+    import hashlib
+    import sys
+
+    import hardyheat.estimators
+    import hardyheat.operators
+    import hardyheat.scenario
+    import hardyheat.suites
+
+    calls = {"eigsh": [], "eigh": [], "assemble": 0, "validate": 0, "grids": 0}
+
+    def digest(a):
+        return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    # eigsh gets a LinearOperator on op.apply: key it by the (jump table, W) of that op
+    keys = {}
+    real_linop = hardyheat.estimators.LinearOperator
+
+    def linop(shape, matvec, **kwargs):
+        A = real_linop(shape, matvec=matvec, **kwargs)
+        keys[id(A)] = (digest(matvec.__self__.table), digest(matvec.__self__.W))
+        return A
+
+    monkeypatch.setattr(hardyheat.estimators, "LinearOperator", linop)
+
+    def counted(mod, name, key):
+        real = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            if key == "eigsh":
+                calls[key].append(keys[id(args[0])])
+            elif isinstance(calls[key], list):
+                calls[key].append(digest(args[0]))
+            else:
+                calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(hardyheat.estimators, "eigsh", "eigsh")
+    counted(hardyheat.operators, "eigh", "eigh")
+    counted(hardyheat.suites, "assemble_operator", "assemble")
+    counted(hardyheat.suites, "validate_for_suite", "validate")
+    counted(hardyheat.scenario, "validate_for_suite", "validate")
+    for mod in [m for n, m in sys.modules.items() if n.startswith("hardyheat.")]:
+        if hasattr(mod, "build_grid"):
+            counted(mod, "build_grid", "grids")
+    return calls
 
 
 class TestCli:
@@ -1102,49 +1161,7 @@ class TestCli:
     def test_verify_all_solves_each_eigenproblem_once(
         self, tmp_path, store_root, capsys, monkeypatch
     ):
-        import hashlib
-
-        import hardyheat.estimators
-        import hardyheat.operators
-        import hardyheat.scenario
-        import hardyheat.suites
-
-        calls = {"eigsh": [], "eigh": [], "assemble": 0, "validate": 0, "grids": 0}
-
-        def digest(a):
-            return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
-
-        # eigsh gets a LinearOperator on op.apply: key it by the (jump table, W) of that op
-        keys = {}
-        real_linop = hardyheat.estimators.LinearOperator
-
-        def linop(shape, matvec, **kwargs):
-            A = real_linop(shape, matvec=matvec, **kwargs)
-            keys[id(A)] = (digest(matvec.__self__.table), digest(matvec.__self__.W))
-            return A
-
-        monkeypatch.setattr(hardyheat.estimators, "LinearOperator", linop)
-
-        def counted(mod, name, key):
-            real = getattr(mod, name)
-
-            def wrapper(*args, **kwargs):
-                if key == "eigsh":
-                    calls[key].append(keys[id(args[0])])
-                elif isinstance(calls[key], list):
-                    calls[key].append(digest(args[0]))
-                else:
-                    calls[key] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(mod, name, wrapper)
-
-        counted(hardyheat.estimators, "eigsh", "eigsh")
-        counted(hardyheat.operators, "eigh", "eigh")
-        counted(hardyheat.suites, "assemble_operator", "assemble")
-        counted(hardyheat.suites, "validate_for_suite", "validate")
-        counted(hardyheat.scenario, "validate_for_suite", "validate")
-        counted(hardyheat.scenario, "build_grid", "grids")
+        calls = count_calls(monkeypatch)
         path = write_scenario(tmp_path, "three.json", three_level_raw())
         assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) == 0
         # L0 on each of the three levels and H on the finest: four bottoms
@@ -1159,6 +1176,21 @@ class TestCli:
         # a cache hit computes nothing
         assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) == 0
         assert "(cached report" in capsys.readouterr().out
+        assert (calls["assemble"], calls["validate"], calls["grids"]) == (3, 1, 3)
+
+    def test_verify_blowup_builds_each_level_once(self, tmp_path, store_root, capsys, monkeypatch):
+        # the diagnostic reads the run's levels, so no grid or operator is built twice
+        calls = count_calls(monkeypatch)
+        path = write_scenario(tmp_path, "three.json", three_level_raw(c="3*cstar"))
+        assert main(["--out", store_root, "verify", "--suite", "blowup", "--scenario", path]) == 0
+        # H on each of the three levels and L0 on the finest (t_ref): four bottoms
+        assert len(calls["eigsh"]) == len(set(calls["eigsh"])) == 4
+        assert calls["eigh"] == []
+        assert (calls["assemble"], calls["validate"], calls["grids"]) == (3, 1, 3)
+        capsys.readouterr()
+        assert main(["--out", store_root, "verify", "--suite", "blowup", "--scenario", path]) == 0
+        assert "(cached report" in capsys.readouterr().out
+        assert len(calls["eigsh"]) == 4
         assert (calls["assemble"], calls["validate"], calls["grids"]) == (3, 1, 3)
 
     def test_verify_unknown_scenario_key_exits_2(self, tmp_path, store_root, capsys):
@@ -1238,6 +1270,17 @@ class TestCli:
         rc = main(["--out", store_root, "verify", "--suite", suite, "--scenario", path])
         assert rc == 2
         assert f"u0 'ball:0.001' covers no grid cell at h = {h:g}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["lp", "all"])
+    def test_non_halving_lp_levels_exit_2_before_assembly(
+        self, tmp_path, store_root, capsys, no_assembly, suite
+    ):
+        # lp's halving rule holds at parse time, also where 'all' runs lp after three other parts
+        path = write_scenario(tmp_path, "uneven.json", base_raw(h=[0.01, 0.004, 0.002]))
+        rc = main(["--out", store_root, "verify", "--suite", suite, "--scenario", path])
+        assert rc == 2
+        assert ("suite 'lp': grids must halve h between levels, got [0.01, 0.004, 0.002]"
+                in capsys.readouterr().err)
 
     def test_evolve_checks_u0_before_assembly(self, tmp_path, store_root, capsys, no_assembly):
         path = write_scenario(tmp_path, "tiny_ball.json", base_raw(u0="ball:0.001", h=[0.01]))
