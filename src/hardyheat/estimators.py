@@ -411,8 +411,9 @@ def blowup_diagnostic(
 
     ``ops`` are the untruncated operators of one coupling, coarse to fine;
     ``u0`` is the initial datum on the finest grid and ``t0`` the absolute
-    probe time.  ContractError for fewer than 3 levels; ConfigError unless
-    ``coupling_regime`` calls their c supercritical.
+    probe time.  ContractError for fewer than 3 levels or levels that do not
+    halve h (``grids.halves``); ConfigError unless ``coupling_regime`` calls
+    their c supercritical.
 
     Three signatures are collected: (i) the bottom eigenvalue of H across
     halving grids must decrease with growing gaps (spectral collapse), (ii)
@@ -426,6 +427,9 @@ def blowup_diagnostic(
     """
     if len(ops) < 3:
         raise ContractError("blow-up diagnostic needs at least 3 grid levels")
+    hs = [lvl.grid.h for lvl in ops]
+    if not halves(hs):
+        raise ContractError(f"grids must halve h between levels, got {hs}")
     op = ops[-1]
     params, c = op.params, op.c
     c_star = hardy_constant(params)
@@ -434,7 +438,6 @@ def blowup_diagnostic(
             f"blow-up diagnostic expects a supercritical coupling; got c={c:g}, "
             f"c*={c_star:g}"
         )
-    hs = [lvl.grid.h for lvl in ops]
     beta_star = params.beta_star
     lam_mins, mech = [], []
     for lvl in ops:

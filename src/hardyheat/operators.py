@@ -41,7 +41,7 @@ from scipy.special import betainc, betaincc, hyp2f1
 
 from .errors import ConfigError, ContractError, ParameterDomainError
 from .grids import _MAX_DENSE_NODES, Grid
-from .specfun import FractionalParams, beta_of_c, gamma, intensity_constant
+from .specfun import FractionalParams, beta_of_c, intensity_constant
 
 __all__ = [
     "DiscreteOperator",
@@ -66,7 +66,7 @@ def _cos_power_integral(t: np.ndarray, alpha: float) -> np.ndarray:
     incomplete beta function; each branch keeps its beta argument <= 1/2.
     """
     a, b = 0.5, 0.5 * (1.0 + alpha)
-    half = 0.5 * math.sqrt(math.pi) * gamma(b) / gamma(1.0 + 0.5 * alpha)
+    half = 0.5 * math.sqrt(math.pi) * math.gamma(b) / math.gamma(1.0 + 0.5 * alpha)
     t2 = t * t
     near = betainc(a, b, t2 / (1.0 + t2))
     far = betaincc(b, a, 1.0 / (1.0 + t2))

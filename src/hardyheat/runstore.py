@@ -45,7 +45,9 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #   7  matrix-free exponential action: a truncated Taylor series through
 #      op.apply with the exact shift and 1-norm, instead of expm_multiply on
 #      a dense -tH
-NUMERICS_EPOCH = 7
+#   8  constants from math.gamma instead of a Lanczos gamma, and beta(c) by
+#      bisection to adjacent doubles instead of bisection plus secant polish
+NUMERICS_EPOCH = 8
 
 
 def load_current(path: str) -> dict | None:

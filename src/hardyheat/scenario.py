@@ -330,9 +330,9 @@ def validate_for_suite(scn: Scenario, suite: str) -> tuple[list, dict]:
         levels = {"operator": 2, "lp": 3, "blowup": 3}.get(name, 1)
         if len(scn.h_levels) < levels:
             raise ConfigError(f"suite {name!r} needs at least {levels} grid levels")
-        if name == "lp" and not halves(scn.h_levels):  # lp_scan's rule
+        if name in ("lp", "blowup") and not halves(scn.h_levels):  # their estimators' rule
             raise ConfigError(
-                f"suite 'lp': grids must halve h between levels, got {list(scn.h_levels)}"
+                f"suite {name!r}: grids must halve h between levels, got {list(scn.h_levels)}"
             )
         if name == "kernel":
             try:

@@ -14,10 +14,11 @@ alpha in (0, min(2, d)):
   the eigenvalue in  L |x|**(-beta) = lam(beta) * |x|**(-beta-alpha)  for
   beta in (0, d-alpha),
 
-where G is the Gamma function.  lam is symmetric about beta_star = (d-alpha)/2,
-strictly increasing on (0, beta_star], and lam(beta_star) = c_star, so every
-coupling c in (0, c_star] has a unique matching exponent beta(c) in
-(0, beta_star].  The harmonic profile for coupling c is w_c(x) = |x|**(-beta(c)).
+where G is the Gamma function, taken from ``math.gamma``.  lam is symmetric
+about beta_star = (d-alpha)/2, strictly increasing on (0, beta_star], and
+lam(beta_star) = c_star, so every coupling c in (0, c_star] has a unique
+matching exponent beta(c) in (0, beta_star].  The harmonic profile for
+coupling c is w_c(x) = |x|**(-beta(c)).
 ``coupling_regime`` is the one place a coupling is compared with c_star.
 """
 
@@ -30,45 +31,12 @@ from .errors import InvariantViolation, ParameterDomainError
 
 __all__ = [
     "FractionalParams",
-    "gamma",
     "intensity_constant",
     "hardy_constant",
     "multiplier",
     "beta_of_c",
     "coupling_regime",
 ]
-
-# Lanczos coefficients, g = 7, n = 9.  Good to ~15 significant digits in
-# double precision for positive real arguments.
-_LANCZOS_G = 7.0
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma function via the Lanczos approximation with reflection for x < 1/2."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ParameterDomainError(f"gamma undefined at non-positive integer {x}")
-    if x < 0.5:
-        # reflection: G(x) G(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_P[0]
-    for i in range(1, len(_LANCZOS_P)):
-        acc += _LANCZOS_P[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
 
 @dataclass(frozen=True)
 class FractionalParams:
@@ -100,15 +68,15 @@ def intensity_constant(params: FractionalParams) -> float:
     d, a = params.d, params.alpha
     return (
         a
-        * gamma(0.5 * (d + a))
-        / (2.0 ** (1.0 - a) * math.pi ** (0.5 * d) * gamma(1.0 - 0.5 * a))
+        * math.gamma(0.5 * (d + a))
+        / (2.0 ** (1.0 - a) * math.pi ** (0.5 * d) * math.gamma(1.0 - 0.5 * a))
     )
 
 
 def hardy_constant(params: FractionalParams) -> float:
     """Critical coupling c_star of the inverse-power form inequality."""
     d, a = params.d, params.alpha
-    return 2.0**a * (gamma(0.25 * (d + a)) / gamma(0.25 * (d - a))) ** 2
+    return 2.0**a * (math.gamma(0.25 * (d + a)) / math.gamma(0.25 * (d - a))) ** 2
 
 
 def multiplier(beta: float, params: FractionalParams) -> float:
@@ -121,9 +89,9 @@ def multiplier(beta: float, params: FractionalParams) -> float:
         )
     return (
         2.0**a
-        * gamma(0.5 * (a + beta))
-        * gamma(0.5 * (d - beta))
-        / (gamma(0.5 * beta) * gamma(0.5 * (d - a - beta)))
+        * math.gamma(0.5 * (a + beta))
+        * math.gamma(0.5 * (d - beta))
+        / (math.gamma(0.5 * beta) * math.gamma(0.5 * (d - a - beta)))
     )
 
 
@@ -142,9 +110,9 @@ def coupling_regime(c: float, params: FractionalParams) -> str:
 def beta_of_c(c: float, params: FractionalParams) -> float:
     """Invert the multiplier: the unique beta in (0, beta_star] with lam(beta) = c.
 
-    Bracketing bisection on [~0, beta_star] driven to machine-level bracket
-    width, followed by a secant polish.  Requires c > 0, not supercritical;
-    a critical c maps to beta_star exactly.
+    Bisection on [~0, beta_star] until the bracket ends are adjacent doubles,
+    so lam(beta) - c changes sign between beta and a neighbouring double.
+    Requires c > 0, not supercritical; a critical c maps to beta_star exactly.
     """
     cstar = hardy_constant(params)
     c = float(c)
@@ -167,31 +135,15 @@ def beta_of_c(c: float, params: FractionalParams) -> float:
         lo *= 0.5
         if lo < 1e-300:
             raise ParameterDomainError(f"coupling c={c} too small to invert")
-    flo = multiplier(lo, params) - c
-    fhi = cstar - c
-    for _ in range(200):
-        if hi - lo <= 1e-16 * bstar:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = multiplier(mid, params) - c
-        if fmid < 0.0:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
+    # lam(lo) < c < lam(hi): bisect until the midpoint rounds to an end, that
+    # is, until lo and hi are adjacent doubles
     beta = 0.5 * (lo + hi)
-    # secant polish inside the final bracket
-    for _ in range(3):
-        if fhi == flo:
-            break
-        cand = hi - fhi * (hi - lo) / (fhi - flo)
-        if not (lo < cand < hi):
-            break
-        fc = multiplier(cand, params) - c
-        if fc < 0.0:
-            lo, flo = cand, fc
+    while lo < beta < hi:
+        if multiplier(beta, params) < c:
+            lo = beta
         else:
-            hi, fhi = cand, fc
-        beta = cand
+            hi = beta
+        beta = 0.5 * (lo + hi)
     if abs(multiplier(beta, params) - c) > 1e-12 * cstar:
         raise InvariantViolation(
             f"multiplier inversion failed to converge for c={c} (d={params.d}, "

@@ -20,10 +20,6 @@ from scipy.special import betainc
 mp.mp.dps = 40
 
 
-def mp_gamma(x: float) -> float:
-    return float(mp.gamma(mp.mpf(repr(float(x)))))
-
-
 def mp_intensity(d: int, alpha: float) -> float:
     """Jump-kernel constant via mpmath Gamma values."""
     a = mp.mpf(repr(float(alpha)))

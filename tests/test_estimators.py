@@ -332,3 +332,6 @@ def test_blowup_diagnostic_validation():
         blowup_diagnostic(*blowup_levels(0.5 * CSTAR, (-1.0, 1.0), [0.04, 0.02, 0.01]))
     with pytest.raises(ContractError):
         blowup_diagnostic(*blowup_levels(3.0 * CSTAR, (-1.0, 1.0), [0.04, 0.02]))
+    # refinements by 1.6 and by 2.5 give lambda_min drops that do not compare
+    with pytest.raises(ContractError, match="must halve h"):
+        blowup_diagnostic(*blowup_levels(3.0 * CSTAR, (-1.0, 1.0), [0.04, 0.025, 0.01]))

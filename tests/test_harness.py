@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hardyheat.cli import main
 from hardyheat.errors import ConfigError, ParameterDomainError
-from hardyheat.grids import build_grid
+from hardyheat.grids import build_grid, halves
 from hardyheat.estimators import blowup_diagnostic, t_ref, weighted_row_mass
 from hardyheat.evolution import heat_kernel, minimal_solution
 from hardyheat.operators import assemble_operator, load_operator
@@ -475,8 +475,8 @@ def propagating_1d_scenarios(draw):
     """A suite that runs minimal_solution and a 1-d scenario on h in {0.04, 0.02, 0.01}.
 
     c is drawn from [0.3c*, c*] for sharp and lp and from (c*, 3c*] for
-    blowup; lp and blowup get all three levels, which they need, and lp
-    sometimes 0.04/0.025/0.01 instead, which parse time must reject.  Most draws
+    blowup; lp and blowup get all three levels, which they need, or sometimes
+    0.04/0.025/0.01 instead, which parse time must reject.  Most draws
     get past parse time, so the exponential action is fuzzed through every
     level of minimal_solution.
     """
@@ -484,7 +484,7 @@ def propagating_1d_scenarios(draw):
     levels = [0.04, 0.02, 0.01]
     if suite == "sharp":
         levels = draw(st.lists(st.sampled_from(levels), min_size=1, max_size=3, unique=True))
-    if suite == "lp":  # the second triple tiles every domain but does not halve
+    if suite in ("lp", "blowup"):  # the second triple tiles every domain but does not halve
         levels = draw(st.sampled_from([levels, [0.04, 0.025, 0.01]]))
     if suite == "blowup":
         factor = draw(st.floats(1.0, 3.0, exclude_min=True))
@@ -514,6 +514,7 @@ def test_a_propagating_scenario_fails_at_parse_time_or_completes_its_suite(drawn
         validate_for_suite(scn, suite)
     except ConfigError:
         return
+    assert suite == "sharp" or halves(scn.h_levels), "uneven levels got past parse time"
     report = run_suite(scn, suite)
     assert report["checks"] and report["suite"] == suite
 
@@ -1271,15 +1272,17 @@ class TestCli:
         assert rc == 2
         assert f"u0 'ball:0.001' covers no grid cell at h = {h:g}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["lp", "all"])
+    @pytest.mark.parametrize("suite", ["lp", "all", "blowup"])
     def test_non_halving_lp_levels_exit_2_before_assembly(
         self, tmp_path, store_root, capsys, no_assembly, suite
     ):
-        # lp's halving rule holds at parse time, also where 'all' runs lp after three other parts
-        path = write_scenario(tmp_path, "uneven.json", base_raw(h=[0.01, 0.004, 0.002]))
+        # the halving rule of lp and blowup holds at parse time, also where
+        # 'all' runs lp after three other parts
+        checked, c = ("blowup", "3*cstar") if suite == "blowup" else ("lp", "0.5*cstar")
+        path = write_scenario(tmp_path, "uneven.json", base_raw(c=c, h=[0.01, 0.004, 0.002]))
         rc = main(["--out", store_root, "verify", "--suite", suite, "--scenario", path])
         assert rc == 2
-        assert ("suite 'lp': grids must halve h between levels, got [0.01, 0.004, 0.002]"
+        assert (f"suite {checked!r}: grids must halve h between levels, got [0.01, 0.004, 0.002]"
                 in capsys.readouterr().err)
 
     def test_evolve_checks_u0_before_assembly(self, tmp_path, store_root, capsys, no_assembly):
