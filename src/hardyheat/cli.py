@@ -8,7 +8,8 @@ violated invariant, 2 configuration/contract errors.
 At module level only ``errors`` and ``threads``, which import no numpy, are
 loaded; the rest comes after argument parsing, so that --threads can pin the
 BLAS thread count through the environment before numpy loads.  The setting
-is recorded in every report.
+is recorded in every report, and it also bounds the worker processes that
+format and parse artifact CSV blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--out", default=None, help="run store root (default $HARDYHEAT_OUT or ./hardyheat-runs)")
     ap.add_argument("--force", action="store_true", help="ignore cached reports")
-    ap.add_argument("--threads", type=int, default=None, help="pin BLAS/OpenMP thread count")
+    ap.add_argument("--threads", type=int, default=None,
+                    help="pin the BLAS/OpenMP thread count; also bounds the worker "
+                         "processes that format or parse artifact CSV blocks")
     ap.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -205,7 +208,7 @@ def _cmd_kernel(args) -> int:
     t_abs = args.t * t_ref(op)
     ker = heat_kernel(op, t_abs)
     base = store.path("kernels", f"{scn.run_id()}-t{args.t:g}")
-    write_csv(base + ".csv", "i,j,value", triangle_blocks(ker.P))
+    sha = write_csv(base + ".csv", "i,j,value", triangle_blocks(ker.P))
     header = {
         "scenario": scn.to_dict(),
         "t_factor": args.t,
@@ -213,6 +216,7 @@ def _cmd_kernel(args) -> int:
         "n": grid.n,
         "h": grid.h,
         "convention": "entries are exp(-tH)_ij / h^d (density)",
+        "sha256": sha,
     }
     write_json(base + ".json", header)
     print(f"wrote {base}.csv")

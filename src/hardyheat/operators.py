@@ -21,18 +21,24 @@ neighbour cells this makes the matrix of a sub-box dominate the restriction
 of the full-box matrix entrywise, which is what the kernel-domination
 property test relies on.  An operator stores the table, its DFT, the diagonal,
 kappa and V: O(n) numbers.  H = L0 - diag(min(V, k)) with V(x) = c |x|**(-alpha)
-acts through ``apply``; a dense H is built on demand only where a dense
-matrix is needed: the eigendecomposition and the operator artifact.
+acts through ``apply``; a dense H is built on demand only for the
+eigendecomposition, and the operator artifact forms H a block of rows at a
+time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import os
+import pickle
+import signal
+from contextlib import closing, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,6 +48,7 @@ from scipy.special import betainc, betaincc, hyp2f1
 from .errors import ConfigError, ContractError, ParameterDomainError
 from .grids import _MAX_DENSE_NODES, Grid
 from .specfun import FractionalParams, beta_of_c, intensity_constant
+from .threads import thread_setting
 
 __all__ = [
     "DiscreteOperator",
@@ -256,9 +263,9 @@ class DiscreteOperator:
     only: ``table`` holds them per offset and ``symbol`` is the DFT of its
     circulant extension, so ``apply`` computes J v by FFT.  ``diag`` is
     sum_j J_ij + kappa_i.  No n x n array is stored: ``J`` is a strided view of
-    the table, and ``H`` builds a new dense array on each read.  Truncated
-    copies share every array, the ``free`` view every array but V.  ``beta`` and
-    ``weight`` give the ground state of c.
+    the table, ``H`` builds a new dense array on each read and ``rows`` a
+    block of its rows.  Truncated copies share every array, the ``free`` view
+    every array but V.  ``beta`` and ``weight`` give the ground state of c.
     """
 
     grid: Grid
@@ -294,12 +301,20 @@ class DiscreteOperator:
     def H(self) -> np.ndarray:
         """A new dense array diag(diag - W) - J on each read, never cached: the
         caller owns it and may overwrite it.  Use ``apply`` to act on vectors."""
-        n = self.n
-        H = np.empty((n, n))
+        return self.rows(0, self.n)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of H as a new (stop - start, n) array.
+
+        Only the slab of ``J``'s first axis that holds them is copied: the
+        rows themselves in 1d, whole grid lines of ny nodes in 2d.
+        """
         J = self.J
-        np.negative(J, out=H.reshape(J.shape))
-        H.flat[:: n + 1] = self.diag - self.W
-        return H
+        per = self.n // len(J)
+        lo, hi = start // per, -(-stop // per)
+        out = np.negative(J[lo:hi], order="C").reshape(-1, self.n)[start - lo * per:stop - lo * per]
+        out[np.arange(stop - start), np.arange(start, stop)] = (self.diag - self.W)[start:stop]
+        return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """H v = (diag - W) v - J v for v of shape (n,) or (n, m), J v by FFT.
@@ -482,21 +497,125 @@ class FormEvaluator:
 
 _FORMAT_VERSION = 1
 _BLOCK_ROWS = 1 << 15  # CSV rows formatted, or parsed, at a time
+_ROW = "i8,i8,f8"  # one parsed operator CSV row
+
+
+def _cpus() -> int:
+    """Worker processes for artifact blocks: the ``--threads`` value, which the
+    CLI sets as the BLAS thread variables, else the CPUs this process may use."""
+    setting = thread_setting()
+    if setting is not None and setting.isdigit() and int(setting) > 0:
+        return int(setting)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blockwise(f, count: int):
+    """Yield f(k), a bytes object, for k = 0 ... count - 1, in order.
+
+    min(_cpus(), count) processes forked here compute the blocks, so they
+    inherit every input and are sent nothing: worker w computes k = w,
+    w + workers, ... and writes each result to its own pipe.  This process
+    reads block k from worker k % workers, so it holds one block at a time
+    while each worker holds at most its next one, waiting on its pipe.  A
+    worker's exception is raised here.  Every child is reaped before this
+    generator finishes or raises, and killed first when a block fails or the
+    caller closes the generator early.  With one worker, or without
+    ``os.fork``, this is the serial loop.
+    """
+    workers = min(_cpus(), count)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(f, range(count))
+        return
+    pids, pipes, done = [], [], False
+    try:
+        for w in range(workers):
+            r, wfd = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(f, range(w, count, workers), wfd, pipes)
+            finally:
+                os.close(wfd)
+            pids.append(pid)
+        for k in range(count):
+            yield _receive(pipes[k % workers])
+        done = True
+    finally:
+        if not done:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve(f, ks, fd: int, pipes) -> None:
+    """Body of a forked worker: send f(k) down ``fd`` for each k in ``ks``, then exit.
+
+    A message is a tag byte (b"b" for a block, b"e" for a pickled exception,
+    after which the worker stops), the length as 8 bytes, then the bytes.
+    Never returns: ``os._exit`` runs none of the parent's cleanup and flushes
+    none of its buffers.
+    """
+    code = 1
+    try:
+        for pipe in pipes:  # the read ends, which only the parent uses
+            pipe.close()
+        with open(fd, "wb") as out:
+            for k in ks:
+                try:
+                    tag, data = b"b", f(k)
+                except BaseException as exc:  # handed on: the parent raises it
+                    tag, data = b"e", pickle.dumps(exc)
+                out.write(tag + len(data).to_bytes(8, "little"))
+                out.write(data)
+                if tag == b"e":
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(pipe) -> bytes:
+    """The next block ``_serve`` sent down ``pipe``; raises the worker's exception."""
+    head = pipe.read(9)
+    size = int.from_bytes(head[1:], "little")
+    data = pipe.read(size)
+    if len(head) < 9 or len(data) < size:
+        raise RuntimeError("an artifact worker exited before sending its block")
+    if head[:1] == b"e":
+        raise pickle.loads(data)
+    return data
 
 
 def write_csv(path: str, header: str, blocks) -> str:
-    """Write ``header``, then blocks of columns as rows of reprs, to ``path``; return its sha256.
+    """Write ``header``, then the rows of each block, to ``path``; return its sha256.
 
-    Each block is formatted at once by ``_format_block``, which reprs every
-    distinct value of a column once and gathers the strings; the bytes are
-    those of one repr per entry.
+    ``blocks`` is a sequence of column tuples (a list, or ``triangle_blocks``).
+    Each block is formatted at once by ``_format_block``, in the workers of
+    ``_blockwise``; this process writes and hashes the blocks in order, so the
+    bytes are those of one repr per entry whatever the worker count.  The
+    file is written as ``<path>.<pid>.tmp`` and renamed into place; on an
+    error the temporary file is removed, so ``path`` keeps its previous
+    bytes, or stays absent, and is never left truncated.
     """
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for text in chain([header + "\n"], map(_format_block, blocks)):
-            data = text.encode()
-            fh.write(data)
-            digest.update(data)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    encoded = _blockwise(lambda k: _format_block(blocks[k]).encode(), len(blocks))
+    try:
+        with open(tmp, "wb") as fh, closing(encoded):
+            for data in chain([(header + "\n").encode()], encoded):
+                fh.write(data)
+                digest.update(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
     return digest.hexdigest()
 
 
@@ -532,28 +651,49 @@ def _format_block(cols) -> str:
     return (",".join(["%s"] * len(cols)) + "\n") * len(strings[0]) % flat
 
 
-def triangle_blocks(M: np.ndarray, skip_zeros: bool = False):
-    """Upper-triangle (i, j, M[i, j]) blocks, by rows; ``skip_zeros`` drops zeros off the diagonal."""
-    cols = np.arange(len(M))
-    step = max(1, _BLOCK_ROWS // len(M))
-    for i0 in range(0, len(M), step):
-        block, rows = M[i0:i0 + step], cols[i0:i0 + step, None]
+class triangle_blocks:
+    """Upper-triangle (i, j, M[i, j]) blocks by rows, as a sequence for ``write_csv``.
+
+    ``M`` is an n x n array, or a DiscreteOperator, whose rows of H are formed
+    per block by ``DiscreteOperator.rows``, so that no dense H exists.  A
+    block holds about _BLOCK_ROWS entries; ``skip_zeros`` drops zeros off the
+    diagonal.
+    """
+
+    def __init__(self, M, skip_zeros: bool = False):
+        if isinstance(M, DiscreteOperator):
+            self.n, self.rows = M.n, M.rows
+        else:
+            self.n, self.rows = len(M), lambda start, stop: M[start:stop]
+        self.skip_zeros = skip_zeros
+        self.step = max(1, _BLOCK_ROWS // self.n)
+
+    def __len__(self) -> int:
+        return -(-self.n // self.step)
+
+    def __getitem__(self, k: int):
+        if not 0 <= k < len(self):
+            raise IndexError(f"block {k} of {len(self)}")
+        i0 = k * self.step
+        i1 = min(i0 + self.step, self.n)
+        block, cols, rows = self.rows(i0, i1), np.arange(self.n), np.arange(i0, i1)[:, None]
         keep = cols >= rows
-        if skip_zeros:
+        if self.skip_zeros:
             keep &= (block != 0.0) | (cols == rows)
         i, j = np.nonzero(keep)
-        yield i + i0, j, block[keep]
+        return i + i0, j, block[keep]
 
 
 def save_operator(op: DiscreteOperator, base: str) -> tuple[str, str]:
     """Write <base>.csv (upper-triangle i,j,value of H) and <base>.json.
 
-    Zero entries off the diagonal are omitted.  The JSON header records the
-    grid, the physical constants and the sha256 of the CSV bytes.
+    Zero entries off the diagonal are omitted.  The rows of H are formed block
+    by block, never the whole matrix.  The JSON header records the grid, the
+    physical constants and the sha256 of the CSV bytes.
     """
     csv_path = base + ".csv"
     json_path = base + ".json"
-    sha = write_csv(csv_path, "i,j,value", triangle_blocks(op.H, skip_zeros=True))
+    sha = write_csv(csv_path, "i,j,value", triangle_blocks(op, skip_zeros=True))
     header = {
         "format_version": _FORMAT_VERSION,
         "n": op.n,
@@ -572,12 +712,60 @@ def save_operator(op: DiscreteOperator, base: str) -> tuple[str, str]:
     return csv_path, json_path
 
 
+def _row_block_starts(fh, digest) -> list[int]:
+    """Offsets in ``fh``, from its position on, of every _BLOCK_ROWS-th line start and of the end.
+
+    Reads the rest of the file 1 MiB at a time and feeds ``digest``.  Block k
+    runs from starts[k] to starts[k + 1]; the last one may be short.
+    """
+    starts = [fh.tell()]
+    end, lines = starts[0], 0
+    while buf := fh.read(1 << 20):
+        digest.update(buf)
+        ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == ord("\n"))
+        first = -(lines + 1) % _BLOCK_ROWS  # the newline that closes the next block
+        starts += (end + 1 + ends[first::_BLOCK_ROWS]).tolist()
+        lines += len(ends)
+        end += len(buf)
+    if starts[-1] != end:
+        starts.append(end)
+    return starts
+
+
+def _parse_rows(fh, starts: list[int], n: int, k: int) -> bytes:
+    """Row block k of an operator CSV, parsed and checked, as _ROW records.
+
+    ``os.pread`` reads the block without moving the file position, which
+    forked workers share.  Lines split as in a binary file, at b"\\n" only.
+    """
+    size = starts[k + 1] - starts[k]
+    if hasattr(os, "pread"):
+        chunk = os.pread(fh.fileno(), size, starts[k])
+    else:  # no fork either, so only the serial loop reads here
+        fh.seek(starts[k])
+        chunk = fh.read(size)
+    if len(chunk) != size:
+        raise ConfigError("operator CSV changed while it was read")
+    lines = list(io.BytesIO(chunk))
+    try:
+        rows = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ConfigError(f"malformed operator CSV row: {exc}") from None
+    i, j = rows["f0"], rows["f1"]
+    # loadtxt skips blank lines: a count mismatch is a blank row
+    if len(rows) != len(lines) or np.any(j < i) or i.min() < 0 or j.max() >= n:
+        raise ConfigError(f"operator CSV rows must be i,j,value with 0 <= i <= j < {n}")
+    return rows.tobytes()
+
+
 def load_operator(base: str) -> tuple[dict, np.ndarray]:
     """Read an artifact back as (header, H); each row is mirrored, so H is symmetric.
 
     ConfigError unless the header is a JSON object with an integer n and a
     sha256 string, every row is i,j,value with 0 <= i <= j < n, each diagonal
-    entry appears once and the CSV bytes match the header's sha256.
+    entry appears once and the CSV bytes match the header's sha256.  This
+    process hashes the CSV and finds its row blocks; the workers of
+    ``_blockwise`` parse the blocks, and the rows are scattered into H here.
     """
     with open(base + ".json", "rb") as fh:
         try:
@@ -601,18 +789,14 @@ def load_operator(base: str) -> tuple[dict, np.ndarray]:
         if fh.readline() != b"i,j,value\n":
             raise ConfigError("operator CSV missing the i,j,value header row")
         digest = hashlib.sha256(b"i,j,value\n")
-        while lines := list(islice(fh, _BLOCK_ROWS)):
-            digest.update(b"".join(lines))
-            try:
-                rows = np.loadtxt(lines, delimiter=",", dtype="i8,i8,f8", comments=None, ndmin=1)
-            except ValueError as exc:
-                raise ConfigError(f"malformed operator CSV row: {exc}") from None
-            i, j, v = rows["f0"], rows["f1"], rows["f2"]
-            # loadtxt skips blank lines: a count mismatch is a blank row
-            if len(rows) != len(lines) or np.any(j < i) or i.min() < 0 or j.max() >= n:
-                raise ConfigError(f"operator CSV rows must be i,j,value with 0 <= i <= j < {n}")
-            diag += np.bincount(i[i == j], minlength=n)
-            H[i, j] = H[j, i] = v
+        starts = _row_block_starts(fh, digest)
+        parsed = _blockwise(lambda k: _parse_rows(fh, starts, n, k), len(starts) - 1)
+        with closing(parsed):
+            for data in parsed:
+                rows = np.frombuffer(data, dtype=_ROW)
+                i, j = rows["f0"], rows["f1"]
+                diag += np.bincount(i[i == j], minlength=n)
+                H[i, j] = H[j, i] = rows["f2"]
     if digest.hexdigest() != header["sha256"]:
         raise ConfigError("operator artifact checksum mismatch; file corrupted?")
     if np.any(diag != 1):

@@ -1,5 +1,8 @@
 """The BLAS/OpenMP thread variables, which ``--threads`` sets before numpy loads BLAS.
 
+The artifact CSV writer and reader read the same setting as their bound on
+worker processes.
+
 Imports no numpy, so the CLI can import it before the thread count is pinned.
 """
 

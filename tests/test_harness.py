@@ -1,5 +1,6 @@
 """Scenario parsing, the run store, and the command line front end."""
 
+import hashlib
 import json
 import math
 import os
@@ -1436,6 +1437,42 @@ class TestCli:
             assert float(sv) == P[int(si), int(sj)], line
         with open(base + ".csv", "rb") as fh:
             assert fh.read() == oracles.kernel_csv_loop(P)
+
+    def test_kernel_header_records_the_csv_sha256(self, tmp_path, store_root, capsys):
+        path = write_scenario(tmp_path, "small.json", small_raw())
+        assert main(["--out", store_root, "kernel", "--scenario", path, "--t", "0.5"]) == 0
+        base = os.path.join(store_root, "kernels", f"{load_scenario(path).run_id()}-t0.5")
+        with open(base + ".json") as fh:
+            header = json.load(fh)
+        with open(base + ".csv", "rb") as fh:
+            assert header["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+    def test_threads_1_and_one_block_state_csvs_never_fork(
+        self, tmp_path, store_root, capsys, monkeypatch
+    ):
+        import hardyheat.operators
+
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        for var in THREAD_VARS:  # restored afterwards, although main sets them
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(hardyheat.operators, "_BLOCK_ROWS", 8)  # many blocks per artifact
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = write_scenario(tmp_path, "small.json", small_raw())
+        kernel = ["--out", store_root, "kernel", "--scenario", path, "--t", "0.5"]
+        with pytest.raises(AssertionError, match="os.fork called"):  # the patch is in effect
+            main(["--threads", "2", *kernel])
+        assert os.listdir(os.path.join(store_root, "kernels")) == []  # no temp file left
+        assert main(["--threads", "1", *kernel]) == 0
+        assert main([
+            "--threads", "1", "--out", store_root, "assemble", "--d", "1", "--alpha", "0.5",
+            "--domain=-1,1", "--h", "0.1", "--name", "op",
+        ]) == 0
+        load_operator(os.path.join(store_root, "operators", "op"))
+        # a state CSV is one block, so even two workers fork none
+        monkeypatch.setattr(hardyheat.operators, "_cpus", lambda: 2)
+        assert main(["--out", store_root, "evolve", "--scenario", path]) == 0
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_evolve_state_csv_matches_loop_oracle(self, tmp_path, store_root, capsys, d):

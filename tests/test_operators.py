@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import hardyheat.operators as ops
 from hardyheat.errors import ConfigError, ContractError, ParameterDomainError
 from hardyheat.estimators import lambda_min
 from hardyheat.evolution import heat_kernel
 from hardyheat.grids import build_grid
 from hardyheat.operators import (
+    DiscreteOperator,
     FormEvaluator,
     _adjacent_weight_1d,
     _near_weight_2d,
@@ -743,6 +746,26 @@ def test_operator_format_version_guard(tmp_path):
         load_operator(base)
 
 
+def _worker_counts(monkeypatch, block_rows=None):
+    """Yield 1, then 2 artifact workers, with ``_cpus`` patched to match.
+
+    The serial loop runs first, then the fork path, whatever the CPU count.
+    With ``block_rows``, the 2-worker pass uses blocks of that many rows, so
+    that a small file spans both workers.
+    """
+    for workers in (1, 2):
+        monkeypatch.setattr(ops, "_cpus", lambda: workers)
+        if workers == 2 and block_rows is not None:
+            monkeypatch.setattr(ops, "_BLOCK_ROWS", block_rows)
+        yield workers
+
+
+def _assert_no_children():
+    """Every artifact worker has been reaped: this process has no child left."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _synthetic_matrix():
     """A symmetric 8 x 8 matrix holding 1e-05, 1e+16, 5e-324, -0.0 and skipped zeros."""
     H = np.zeros((8, 8))
@@ -778,50 +801,102 @@ def _operator_case(name):
 
 
 @pytest.mark.parametrize("name", ["d1_partial_block", "d2_n400", "truncated", "synthetic"])
-def test_operator_csv_matches_loop_oracle(tmp_path, name):
+def test_operator_csv_matches_loop_oracle(tmp_path, monkeypatch, name):
     op = _operator_case(name)
-    base = str(tmp_path / "op")
-    if op is None:
-        want = _synthetic_matrix()
-        csv_path, json_path = _save_matrix(want, base), base + ".json"
-    else:
-        want = op.H
-        csv_path, json_path = save_operator(op, base)
-    payload = Path(csv_path).read_bytes()
-    assert payload == oracles.operator_csv_loop(want)
-    assert json.loads(Path(json_path).read_text())["sha256"] == hashlib.sha256(payload).hexdigest()
-    _, H = load_operator(base)
-    assert np.array_equal(H.view(np.int64), want.view(np.int64))
-    assert np.array_equal(H.view(np.int64), oracles.operator_from_csv_loop(payload, len(want)).view(np.int64))
+    want = _synthetic_matrix() if op is None else op.H
+
+    def no_dense_h(self):
+        raise AssertionError("save_operator formed a dense H")
+
+    # the writer forms H a block of rows at a time, never through op.H
+    monkeypatch.setattr(DiscreteOperator, "H", property(no_dense_h))
+    for _ in _worker_counts(monkeypatch):
+        base = str(tmp_path / "op")
+        if op is None:
+            csv_path, json_path = _save_matrix(want, base), base + ".json"
+        else:
+            csv_path, json_path = save_operator(op, base)
+        payload = Path(csv_path).read_bytes()
+        assert payload == oracles.operator_csv_loop(want)
+        assert json.loads(Path(json_path).read_text())["sha256"] == hashlib.sha256(payload).hexdigest()
+        _, H = load_operator(base)
+        assert np.array_equal(H.view(np.int64), want.view(np.int64))
+        assert np.array_equal(H.view(np.int64), oracles.operator_from_csv_loop(payload, len(want)).view(np.int64))
 
 
 def test_operator_csv_small_blocks(tmp_path, monkeypatch):
     # blocks of 7 rows: every block boundary falls inside a matrix row
-    import hardyheat.operators as ops
-
     monkeypatch.setattr(ops, "_BLOCK_ROWS", 7)
     want = _synthetic_matrix()
-    base = str(tmp_path / "op")
-    csv_path = _save_matrix(want, base)
-    assert Path(csv_path).read_bytes() == oracles.operator_csv_loop(want)
-    _, H = load_operator(base)
-    assert np.array_equal(H.view(np.int64), want.view(np.int64))
+    for _ in _worker_counts(monkeypatch):
+        base = str(tmp_path / "op")
+        csv_path = _save_matrix(want, base)
+        assert Path(csv_path).read_bytes() == oracles.operator_csv_loop(want)
+        _, H = load_operator(base)
+        assert np.array_equal(H.view(np.int64), want.view(np.int64))
+    _assert_no_children()
 
 
-def test_kernel_and_state_csv_match_loop_oracles(tmp_path):
+def test_kernel_and_state_csv_match_loop_oracles(tmp_path, monkeypatch):
     grid = build_grid((-1.0, 1.0), 2.0 / 300)
     op = assemble_operator(grid, P1, c=0.5 * hardy_constant(P1))
     P = heat_kernel(op, 0.05).P
     P[0, -1] = -0.0  # zeros are kept in kernel CSVs
-    path = tmp_path / "kernel.csv"
-    write_csv(str(path), "i,j,value", triangle_blocks(P))
-    assert path.read_bytes() == oracles.kernel_csv_loop(P)
-    for g in (grid, build_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.1)):
-        u = np.exp(-g.radii) * 1e-7
-        path = tmp_path / f"state{g.dim}.csv"
-        head = "x1,u" if g.dim == 1 else "x1,x2,u"
-        write_csv(str(path), head, [(*g.nodes.reshape(g.n, -1).T, u)])
-        assert path.read_bytes() == oracles.state_csv_loop(g.nodes, u)
+    for _ in _worker_counts(monkeypatch):
+        path = tmp_path / "kernel.csv"
+        write_csv(str(path), "i,j,value", triangle_blocks(P))
+        assert path.read_bytes() == oracles.kernel_csv_loop(P)
+        for g in (grid, build_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.1)):
+            u = np.exp(-g.radii) * 1e-7
+            path = tmp_path / f"state{g.dim}.csv"
+            head = "x1,u" if g.dim == 1 else "x1,x2,u"
+            write_csv(str(path), head, [(*g.nodes.reshape(g.n, -1).T, u)])
+            assert path.read_bytes() == oracles.state_csv_loop(g.nodes, u)
+    _assert_no_children()
+
+
+class _FailingBlocks:
+    """Five blocks of one i,j,value row each; reading block 2 raises."""
+
+    def __len__(self):
+        return 5
+
+    def __getitem__(self, k):
+        if k == 2:
+            raise RuntimeError("block 2 failed")
+        return np.array([k]), np.array([k]), np.array([0.5 * k])
+
+
+def test_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.csv"
+    for _ in _worker_counts(monkeypatch):
+        for previous in (None, b"i,j,value\n0,0,1.0\n"):
+            if previous is None:
+                path.unlink(missing_ok=True)
+            else:
+                path.write_bytes(previous)
+            with pytest.raises(RuntimeError, match="block 2 failed"):
+                write_csv(str(path), "i,j,value", _FailingBlocks())
+            assert (path.read_bytes() if path.exists() else None) == previous
+            assert list(tmp_path.iterdir()) == ([] if previous is None else [path])
+            _assert_no_children()
+
+
+def test_malformed_row_in_a_middle_block_raises_the_serial_message(tmp_path, monkeypatch):
+    # blocks of 4 rows; the bad row is the second of block 1 of 3
+    monkeypatch.setattr(ops, "_BLOCK_ROWS", 4)
+    rows = [f"{i},{j},1.0\n" for i in range(4) for j in range(i, 4)]
+    rows[5] = "1,3\n"
+    base = _write_raw_artifact(tmp_path, 4, "".join(rows).encode())
+    messages = []
+    for _ in _worker_counts(monkeypatch):
+        with pytest.raises(ConfigError) as info:
+            load_operator(base)
+        messages.append(str(info.value))
+        _assert_no_children()
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("malformed operator CSV row:")
+    assert "at row 2" in messages[0]  # counted within its block, as the serial reader counts
 
 
 def _csv_case(name):
@@ -843,15 +918,14 @@ def _csv_case(name):
 
 
 @pytest.mark.parametrize("name", ["d1_n1024", "d2_n400", "kernel", "repeated"])
-def test_csv_formats_each_distinct_value_once_with_loop_oracle_bytes(tmp_path, name):
-    import hardyheat.operators as ops
-
+def test_csv_formats_each_distinct_value_once_with_loop_oracle_bytes(tmp_path, monkeypatch, name):
     M, skip_zeros, want, table = _csv_case(name)
     blocks = list(triangle_blocks(M, skip_zeros=skip_zeros))
     assert all(isinstance(ops._column_strings(v)[0], str) == table for _, _, v in blocks)
     path = tmp_path / "m.csv"
-    write_csv(str(path), "i,j,value", blocks)
-    assert path.read_bytes() == want
+    for _ in _worker_counts(monkeypatch):
+        write_csv(str(path), "i,j,value", blocks)
+        assert path.read_bytes() == want
 
 
 def _write_raw_artifact(tmp_path, n, body: bytes) -> str:
@@ -877,12 +951,13 @@ def _write_raw_artifact(tmp_path, n, body: bytes) -> str:
     (b'{"format_version": 1, "n": 4, "sha256": 7}', "sha256"),
 ], ids=["not_json", "not_object", "string_n", "bool_n", "n_past_dense_limit",
         "missing_sha256", "numeric_sha256"])
-def test_load_operator_rejects_bad_header(tmp_path, header, match):
+def test_load_operator_rejects_bad_header(tmp_path, monkeypatch, header, match):
     base = str(tmp_path / "op")
     save_operator(assemble_operator(build_grid((-1.0, 1.0), 0.5), P1), base)
     (tmp_path / "op.json").write_bytes(header)
-    with pytest.raises(ConfigError, match=match):
-        load_operator(base)
+    for _ in _worker_counts(monkeypatch, block_rows=1):
+        with pytest.raises(ConfigError, match=match):
+            load_operator(base)
 
 
 @pytest.mark.parametrize("body, match", [
@@ -890,23 +965,26 @@ def test_load_operator_rejects_bad_header(tmp_path, header, match):
     (b"0,0,1.0\n0,1,2.0,3.0\n1,1,1.0\n", "malformed"),
     (b"0,0,1.0\n\n1,1,1.0\n", "must be i,j,value"),
 ], ids=["two_fields", "four_fields", "blank_row"])
-def test_load_operator_rejects_wrong_field_count(tmp_path, body, match):
+def test_load_operator_rejects_wrong_field_count(tmp_path, monkeypatch, body, match):
     base = _write_raw_artifact(tmp_path, 2, body)
-    with pytest.raises(ConfigError, match=match):
-        load_operator(base)
+    for _ in _worker_counts(monkeypatch, block_rows=1):
+        with pytest.raises(ConfigError, match=match):
+            load_operator(base)
 
 
 @pytest.mark.parametrize("row", [b"-1,0,5.0\n", b"0,2,5.0\n"], ids=["negative", "past_n"])
-def test_load_operator_rejects_index_out_of_range(tmp_path, row):
+def test_load_operator_rejects_index_out_of_range(tmp_path, monkeypatch, row):
     base = _write_raw_artifact(tmp_path, 2, b"0,0,1.0\n" + row + b"1,1,1.0\n")
-    with pytest.raises(ConfigError, match="0 <= i <= j < 2"):
-        load_operator(base)
+    for _ in _worker_counts(monkeypatch, block_rows=1):
+        with pytest.raises(ConfigError, match="0 <= i <= j < 2"):
+            load_operator(base)
 
 
-def test_load_operator_rejects_row_below_diagonal(tmp_path):
+def test_load_operator_rejects_row_below_diagonal(tmp_path, monkeypatch):
     base = _write_raw_artifact(tmp_path, 2, b"0,0,1.0\n1,0,5.0\n1,1,1.0\n")
-    with pytest.raises(ConfigError, match="0 <= i <= j < 2"):
-        load_operator(base)
+    for _ in _worker_counts(monkeypatch, block_rows=1):
+        with pytest.raises(ConfigError, match="0 <= i <= j < 2"):
+            load_operator(base)
 
 
 @pytest.mark.parametrize("body", [b"0,0,1.0\n", b"0,0,1.0\n0,0,1.0\n1,1,1.0\n"],
