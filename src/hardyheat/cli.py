@@ -233,7 +233,7 @@ def _print_checks(report: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    from .runstore import RunStore
+    from .runstore import RunStore, write_json
 
     # the suite's rules are checked by run_suite, before anything is computed
     scn = _load_scenario_with_overrides(args, args.scenario)
@@ -245,9 +245,7 @@ def _cmd_verify(args) -> int:
     n_fail = sum(1 for c in report["checks"] if not c["pass"])
     print(f"suite={args.suite} checks={len(report['checks'])} failures={n_fail}")
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(args.report, report)
     return 0 if report["passed"] else 1
 
 

@@ -87,13 +87,11 @@ def kernel_sandwich(kernels: list[KernelMatrix], inner_half_width: float | None 
     inradius, strictly inside the domain and holding at least 2 nodes.
 
     For each kernel the ratio field R = p_t / (w w) is reduced to its min
-    (the lower comparison constant at that t), max, and spread max/min.  The
-    product max(R) * t^{d/alpha} gives a per-t upper envelope constant.
+    (the lower comparison constant at that t), max, and spread max/min.
     """
     if not kernels:
         raise ContractError("at least one kernel is required")
     op = kernels[0].operator
-    d, alpha = op.params.d, op.params.alpha
     inner_half_width, mask = op.grid.inner_box(inner_half_width)
     wm = op.weight[mask]
     ww = np.outer(wm, wm)
@@ -108,7 +106,6 @@ def kernel_sandwich(kernels: list[KernelMatrix], inner_half_width: float | None 
                 "ratio_min": rmin,
                 "ratio_max": rmax,
                 "spread": rmax / rmin if rmin > 0.0 else np.inf,
-                "upper_envelope": rmax * ker.t ** (d / alpha),
             }
         )
     return {
@@ -117,7 +114,6 @@ def kernel_sandwich(kernels: list[KernelMatrix], inner_half_width: float | None 
         "per_t": per_t,
         "spread_max": max(p["spread"] for p in per_t),
         "c_lower": min(p["ratio_min"] for p in per_t),
-        "c_upper": max(p["upper_envelope"] for p in per_t),
     }
 
 
@@ -140,7 +136,7 @@ def ultracontractive_envelope(kernels: list[KernelMatrix]) -> dict:
     expn = p.d / p.alpha
     per_t = []
     for ker, sup in zip(kernels, _weighted_sups(kernels)):
-        per_t.append({"t": ker.t, "sup_ratio": sup, "value": sup * ker.t**expn})
+        per_t.append({"t": ker.t, "value": sup * ker.t**expn})
     vals = [q["value"] for q in per_t]
     i_max = int(np.argmax(vals))
     return {
@@ -173,7 +169,6 @@ def critical_envelope_exponent(kernels: list[KernelMatrix]) -> dict:
         "cap": cap,
         "p": p_crit,
         "within_cap": bool(gamma_fit <= cap + 0.1),
-        "t_small": ts[small].tolist(),
     }
 
 
@@ -187,7 +182,6 @@ class ExponentFit:
     stderr: float
     n_nodes: int
     window: tuple[float, float]
-    spans_decade: bool
     target: float | None = None
     verdict: bool | None = None
 
@@ -211,14 +205,12 @@ def singularity_exponent(u: np.ndarray, grid: Grid, target: float | None = None)
     coef, cov = np.polyfit(lx, ly, 1, cov=True)
     slope = float(coef[0])
     stderr = float(np.sqrt(cov[0, 0]))
-    spans = bool(np.exp(lx.max() - lx.min()) >= 10.0)
     verdict = None
     if target is not None:
         verdict = bool(abs(slope - target) <= max(0.05, 2.0 * stderr))
     return ExponentFit(
         slope=slope, stderr=stderr, n_nodes=n_in,
-        window=(float(lo), float(hi)), spans_decade=spans,
-        target=target, verdict=verdict,
+        window=(float(lo), float(hi)), target=target, verdict=verdict,
     )
 
 
@@ -397,7 +389,6 @@ class BlowupReport:
     probe_k: list[float]
     probe_values: list[float]
     probe_growth: float
-    mechanism_sums: list[float]
     mechanism_slope: float
     mechanism_expected: float
     blow_up: bool
@@ -470,7 +461,6 @@ def blowup_diagnostic(
         probe_k=probe["k_levels"],
         probe_values=probes,
         probe_growth=probe["probe_growth"],
-        mechanism_sums=mech,
         mechanism_slope=slope,
         mechanism_expected=expected,
         blow_up=bool(lam_decreasing and gaps_growing and growing),

@@ -16,8 +16,8 @@ from .errors import ConfigError, ContractError
 
 __all__ = ["Grid", "build_grid"]
 
+# Bounds the dense H that ``spectrum`` and the operator artifact form.
 _MAX_DENSE_NODES = 4096
-_MAX_CELLS_PER_AXIS_2D = 48
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ def _axis_centers(a: float, b: float, h: float, axis: int) -> np.ndarray:
     extent = b - a
     if extent <= 0:
         raise ConfigError(f"axis {axis}: empty interval ({a}, {b})")
-    # the one dense-node limit (a 2-d axis is capped lower, by _MAX_CELLS_PER_AXIS_2D);
-    # checked before dividing (inf) or allocating
+    # the early form of build_grid's node limit, checked before dividing (inf)
     if extent >= (_MAX_DENSE_NODES + 1) * h:
         raise ConfigError(
             f"axis {axis}: spacing h={h} puts more than {_MAX_DENSE_NODES} nodes on "
@@ -132,9 +131,10 @@ def build_grid(domain, h: float) -> Grid:
     """Build the cell-centered grid for an interval (a, b) or a box of them.
 
     ``domain`` is either a pair (a, b) or a sequence of such pairs, one per
-    axis (at most two axes for dense assembly).  The box must contain the
-    origin strictly, h must tile every axis into an even number of cells, and
-    the resulting nodes must keep distance >= h/2 from the origin.
+    axis; the jump table, the killing term and the FFT symbol are written for
+    at most two.  The box must contain the origin strictly, h must tile every
+    axis into an even number of cells, the grid holds at most
+    _MAX_DENSE_NODES nodes, and they keep distance >= h/2 from the origin.
     """
     if h is None or not np.isfinite(h) or h <= 0:
         raise ConfigError(f"grid spacing must be positive and finite, got {h}")
@@ -147,7 +147,7 @@ def build_grid(domain, h: float) -> Grid:
         raise ConfigError(f"domain must be (a, b) or a list of such pairs, got {domain}")
     dim = len(pairs)
     if dim > 2:
-        raise ConfigError("dense assembly supports 1 or 2 axes only")
+        raise ConfigError("the operator supports 1 or 2 axes only")
     for ax, (a, b) in enumerate(pairs):
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ConfigError(f"axis {ax}: domain must be bounded, got ({a}, {b})")
@@ -157,15 +157,15 @@ def build_grid(domain, h: float) -> Grid:
             )
 
     axes = [_axis_centers(a, b, h, ax) for ax, (a, b) in enumerate(pairs)]
+    n = int(np.prod([len(cs) for cs in axes]))
+    if n > _MAX_DENSE_NODES:
+        raise ConfigError(
+            f"spacing h={h} gives {n} nodes, past the dense-assembly limit of "
+            f"{_MAX_DENSE_NODES}"
+        )
     if dim == 1:
         nodes = axes[0]
     else:
-        for ax, cs in enumerate(axes):
-            if len(cs) > _MAX_CELLS_PER_AXIS_2D:
-                raise ConfigError(
-                    f"axis {ax}: {len(cs)} cells exceeds the 2-d limit of "
-                    f"{_MAX_CELLS_PER_AXIS_2D} per axis"
-                )
         xs, ys = np.meshgrid(axes[0], axes[1], indexing="ij")
         nodes = np.column_stack([xs.ravel(), ys.ravel()])
 

@@ -691,6 +691,8 @@ def save_operator(op: DiscreteOperator, base: str) -> tuple[str, str]:
     by block, never the whole matrix.  The JSON header records the grid, the
     physical constants and the sha256 of the CSV bytes.
     """
+    from .runstore import write_json  # the one JSON writer, imported on use as cli does
+
     csv_path = base + ".csv"
     json_path = base + ".json"
     sha = write_csv(csv_path, "i,j,value", triangle_blocks(op, skip_zeros=True))
@@ -706,9 +708,7 @@ def save_operator(op: DiscreteOperator, base: str) -> tuple[str, str]:
         "intensity": op.intensity,
         "sha256": sha,
     }
-    with open(json_path, "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, header)
     return csv_path, json_path
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 
 from .errors import ConfigError
 from .scenario import Scenario
@@ -64,12 +65,18 @@ def load_current(path: str) -> dict | None:
 
 
 def write_json(path: str, obj) -> None:
-    """Write ``obj`` as sorted, indented JSON atomically (temp file, then rename)."""
+    """Write ``obj`` as sorted, indented JSON atomically (temp file, then rename);
+    on an error the temp file is removed and ``path`` keeps its previous bytes."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class RunStore:

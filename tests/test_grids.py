@@ -89,7 +89,25 @@ def test_dense_limits():
         with pytest.raises(ConfigError, match="dense-assembly limit"):
             build_grid((-1.0, 1.0), h)
     with pytest.raises(ConfigError):
-        build_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.02)  # too many 2-d cells per axis
+        build_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.02)  # 100 x 100 nodes
+
+
+def test_one_node_limit_for_every_grid():
+    # the limit counts nodes over all axes, whatever their split
+    square = build_grid([(-1.0, 1.0), (-1.0, 1.0)], 1 / 32)
+    assert square.n == 64 * 64 == 4096
+    assert square.nodes.shape == (4096, 2)
+    oblong = build_grid([(-1.0, 1.0), (-0.5, 0.5)], 1 / 40)
+    assert oblong.n == 80 * 40
+
+
+def test_planar_grid_past_the_node_limit_is_refused_before_its_nodes_exist(monkeypatch):
+    def meshgrid(*args, **kwargs):
+        raise AssertionError("a node array was built")
+
+    monkeypatch.setattr(np, "meshgrid", meshgrid)
+    with pytest.raises(ConfigError, match="4356 nodes, past the dense-assembly limit"):
+        build_grid([(-1.0, 1.0), (-1.0, 1.0)], 1 / 33)  # 66 x 66
 
 
 def test_rejects_origin_inside_a_cell():

@@ -1,5 +1,6 @@
 """Scenario parsing, the run store, and the command line front end."""
 
+import ast
 import hashlib
 import json
 import math
@@ -12,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hardyheat
 from hardyheat.cli import main
 from hardyheat.errors import ConfigError, ParameterDomainError
 from hardyheat.grids import build_grid, halves
 from hardyheat.estimators import blowup_diagnostic, t_ref, weighted_row_mass
 from hardyheat.evolution import heat_kernel, minimal_solution
 from hardyheat.operators import assemble_operator, load_operator
-from hardyheat.runstore import NUMERICS_EPOCH, RunStore
+from hardyheat.runstore import NUMERICS_EPOCH, RunStore, write_json
 from hardyheat.scenario import (
     all_parts,
     build_u0,
@@ -297,6 +299,12 @@ class TestSuiteRules:
             planar = dict(raw, domain=[-1.0, 1.0, -1.0, 1.0], h=[1 / 24])
             validate_for_suite(scenario_from_dict(planar), "sharp")
 
+    def test_planar_sharp_at_the_node_limit_holds_the_slope_window(self):
+        raw = base_raw(d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[1 / 32])
+        grids, _ = validate_for_suite(scenario_from_dict(raw), "sharp")
+        assert grids[-1].n == 4096
+        assert int(np.sum(grids[-1].slope_window()[2])) == 20
+
     @pytest.mark.parametrize("name, suite", [
         ("verify-1d-all", "all"), ("verify-2d-operator", "operator"), ("artifacts-1d", None),
     ])
@@ -562,6 +570,13 @@ def test_operator_suite_peaks_at_one_matrix():
         tracemalloc.stop()
     assert report["passed"]
     assert peak <= 1.25 * 8 * n**2
+
+
+def test_planar_operator_suite_passes_at_the_node_limit():
+    # h = 1/32 on the square: 64 x 64 = 4096 nodes, the limit a 1-d grid has
+    raw = base_raw(d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[1 / 16, 1 / 32])
+    report = run_suite(scenario_from_dict(raw), "operator")
+    assert report["passed"], [c["name"] for c in report["checks"] if not c["pass"]]
 
 
 def test_operator_row_mass_matches_the_kernel_row_mass():
@@ -848,6 +863,25 @@ class TestRunStore:
         assert open(rpath, "rb").read() == first
         assert store.cached_report(scn, "constants") == report
 
+    def test_interrupted_write_json_keeps_previous_bytes_and_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "out" / "obj.json"
+        path.parent.mkdir()
+        write_json(str(path), {"a": 1})
+        first = path.read_bytes()
+
+        def dump_then_die(obj, fh, **kw):
+            fh.write('{"a": ')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", dump_then_die)
+        with pytest.raises(KeyboardInterrupt):
+            write_json(str(path), {"a": 2})
+        monkeypatch.undo()
+        assert path.read_bytes() == first
+        assert os.listdir(path.parent) == ["obj.json"]
+
     def test_scenario_blob_saved_alongside(self, tmp_path):
         store = RunStore(str(tmp_path / "store"))
         scn = scenario_from_dict(base_raw())
@@ -855,6 +889,32 @@ class TestRunStore:
         spath = store.path("scenarios", f"{scn.run_id()}.json")
         with open(spath) as fh:
             assert json.load(fh) == scn.to_dict()
+
+
+def _write_mode_opens(node, owner="<module>"):
+    """The name of the innermost function around each write-mode open() under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+        mode = node.args[1] if len(node.args) > 1 else None
+        mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+        # a mode that is not a literal counts as a write
+        if mode is not None and not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")):
+            yield owner
+    for child in ast.iter_child_nodes(node):
+        yield from _write_mode_opens(child, owner)
+
+
+def test_only_the_atomic_writers_open_files_for_writing():
+    # a plain write-mode open() elsewhere could leave a half-written file behind
+    src = os.path.dirname(hardyheat.__file__)
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            found |= {(name[:-3], owner) for owner in _write_mode_opens(tree)}
+    assert found == {("runstore", "write_json"), ("operators", "write_csv"), ("operators", "_serve")}
 
 
 # ---------------------------------------------------------------------------
@@ -1118,6 +1178,30 @@ class TestCli:
         rc = main(["--out", store_root, "verify", "--suite", "constants", "--scenario", path])
         assert rc == 0
         assert "(cached report" in capsys.readouterr().out
+
+    def test_report_copy_and_operator_header_are_written_as_write_json_writes(
+        self, tmp_path, store_root, capsys
+    ):
+        def canonical(path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            return data, (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode()
+
+        path = write_scenario(tmp_path, "ok.json", base_raw())
+        report_copy = str(tmp_path / "report.json")
+        argv = ["--out", store_root, "verify", "--suite", "constants", "--scenario", path]
+        for _ in range(2):  # computed, then served from the cache
+            assert main([*argv, "--report", report_copy]) == 0
+            data, want = canonical(report_copy)
+            assert data == want
+        stored = os.path.join(store_root, "reports", f"{load_scenario(path).run_id()}.constants.json")
+        assert canonical(stored)[0] == data
+        assert main([
+            "--out", store_root, "assemble", "--d", "1", "--alpha", "0.5",
+            "--domain=-1,1", "--h", "0.1", "--c", "0.25", "--name", "probe",
+        ]) == 0
+        data, want = canonical(os.path.join(store_root, "operators", "probe.json"))
+        assert data == want
 
     def test_verify_failing_suite_exits_1(self, tmp_path, store_root, capsys):
         # Slightly supercritical on coarse grids: the spectral gaps still

@@ -746,6 +746,24 @@ def test_operator_format_version_guard(tmp_path):
         load_operator(base)
 
 
+def test_failed_header_write_keeps_the_previous_header(tmp_path, monkeypatch):
+    grid = build_grid((-1.0, 1.0), 0.25)
+    base = str(tmp_path / "op")
+    _, json_path = save_operator(assemble_operator(grid, P1), base)
+    first = Path(json_path).read_bytes()
+
+    def dump_then_die(obj, fh, **kw):
+        fh.write('{"alpha": ')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(json, "dump", dump_then_die)
+    with pytest.raises(KeyboardInterrupt):
+        save_operator(assemble_operator(grid, P1, c=0.1), base)
+    monkeypatch.undo()
+    assert Path(json_path).read_bytes() == first
+    assert sorted(os.listdir(tmp_path)) == ["op.csv", "op.json"]
+
+
 def _worker_counts(monkeypatch, block_rows=None):
     """Yield 1, then 2 artifact workers, with ``_cpus`` patched to match.
 
