@@ -11,7 +11,7 @@ weight w from the kernel's operator (``op.weight``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh  # noqa: F401  unused; bench/spans.py traces this name
@@ -92,7 +92,7 @@ def kernel_sandwich(kernels: list[KernelMatrix], inner_half_width: float | None 
     if not kernels:
         raise ContractError("at least one kernel is required")
     op = kernels[0].operator
-    inner_half_width, mask = op.grid.inner_box(inner_half_width)
+    mask = op.grid.inner_box(inner_half_width)
     wm = op.weight[mask]
     ww = np.outer(wm, wm)
     per_t = []
@@ -102,14 +102,12 @@ def kernel_sandwich(kernels: list[KernelMatrix], inner_half_width: float | None 
         rmax = float(np.max(R))
         per_t.append(
             {
-                "t": ker.t,
                 "ratio_min": rmin,
                 "ratio_max": rmax,
                 "spread": rmax / rmin if rmin > 0.0 else np.inf,
             }
         )
     return {
-        "inner_half_width": inner_half_width,
         "n_nodes": int(np.sum(mask)),
         "per_t": per_t,
         "spread_max": max(p["spread"] for p in per_t),
@@ -181,8 +179,6 @@ class ExponentFit:
     slope: float
     stderr: float
     n_nodes: int
-    window: tuple[float, float]
-    target: float | None = None
     verdict: bool | None = None
 
 
@@ -196,7 +192,7 @@ def singularity_exponent(u: np.ndarray, grid: Grid, target: float | None = None)
     uv = np.asarray(u, dtype=float)
     if uv.shape != (grid.n,):
         raise ContractError(f"profile must have shape ({grid.n},), got {uv.shape}")
-    lo, hi, mask = grid.slope_window()
+    mask = grid.slope_window()
     n_in = int(np.sum(mask))
     if np.any(uv[mask] <= 0.0):
         raise ContractError("profile must be strictly positive on the fit window")
@@ -208,10 +204,7 @@ def singularity_exponent(u: np.ndarray, grid: Grid, target: float | None = None)
     verdict = None
     if target is not None:
         verdict = bool(abs(slope - target) <= max(0.05, 2.0 * stderr))
-    return ExponentFit(
-        slope=slope, stderr=stderr, n_nodes=n_in,
-        window=(float(lo), float(hi)), target=target, verdict=verdict,
-    )
+    return ExponentFit(slope=slope, stderr=stderr, n_nodes=n_in, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +249,6 @@ def lp_scan(profiles: list[tuple[Grid, np.ndarray]], p: float, beta: float) -> d
         e_fit = float("nan")
         cls = "CONVERGENT"
     return {
-        "p": p,
-        "beta": beta,
-        "h_levels": hs,
-        "sums": sums,
-        "increments": inc.tolist(),
         "exponent_fit": e_fit,
         "expected_exponent": expected,
         "classification": cls,
@@ -282,7 +270,6 @@ def weighted_row_mass(kernel: KernelMatrix) -> dict:
     w = op.weight
     ratios = (kernel.P @ w) * op.grid.cell_volume / w
     return {
-        "t": kernel.t,
         "eps": float(np.max(ratios) - 1.0),
         "ratio_min": float(np.min(ratios)),
         "ratio_max": float(np.max(ratios)),
@@ -313,7 +300,6 @@ def weighted_l1_bound(kernel: KernelMatrix, u0_list: list[np.ndarray]) -> dict:
             raise ContractError("initial state has zero weighted L1 mass")
         ratios.append(num / den)
     return {
-        "t": kernel.t,
         "ratios": ratios,
         "bound": bound,
         "all_within": bool(max(ratios) <= bound * (1.0 + 1e-9)),
@@ -365,7 +351,6 @@ def sobolev_quotient(evaluator: FormEvaluator, p: float, seed: int = 0) -> dict:
         if q > best:
             best, best_label = q, label
     return {
-        "p": p,
         "n_samples": len(samples),
         "n_flagged": len(flagged),
         "flagged": flagged,
@@ -381,9 +366,7 @@ def sobolev_quotient(evaluator: FormEvaluator, p: float, seed: int = 0) -> dict:
 
 @dataclass
 class BlowupReport:
-    c: float
     c_star: float
-    h_levels: list[float]
     lambda_mins: list[float]
     gaps: list[float]
     probe_k: list[float]
@@ -391,8 +374,14 @@ class BlowupReport:
     probe_growth: float
     mechanism_slope: float
     mechanism_expected: float
-    blow_up: bool
-    detail: dict = field(default_factory=dict)
+    lambda_decreasing: bool
+    gaps_growing: bool
+    probe_growing: bool
+
+    @property
+    def blow_up(self) -> bool:
+        """All three signatures at once: the diagnostic's verdict."""
+        return self.lambda_decreasing and self.gaps_growing and self.probe_growing
 
 
 def blowup_diagnostic(
@@ -414,7 +403,9 @@ def blowup_diagnostic(
     1/h with slope equal to the sphere measure (2 in 1d, 2*pi in 2d) -- the
     coupling-independent fingerprint of the mechanism.  The probe is
     ``minimal_solution`` on the finest grid, so a probe value that falls as k
-    grows raises InvariantViolation.
+    grows raises InvariantViolation.  The report owns the verdicts of (i) and
+    (ii), ``lambda_decreasing``, ``gaps_growing`` and ``probe_growing`` (which
+    needs at least 2 truncation levels), and ``blow_up``, their conjunction.
     """
     if len(ops) < 3:
         raise ContractError("blow-up diagnostic needs at least 3 grid levels")
@@ -448,14 +439,8 @@ def blowup_diagnostic(
     # probe along the truncation schedule on the finest grid
     _, probe = minimal_solution(op, u0, [t0], k_schedule)
     probes = probe["probe_values"]
-    # a single level (max V <= 1 on this grid) cannot show growth
-    growing = bool(len(probes) >= 2 and np.all(np.diff(probes) > 0.0))
-    lam_decreasing = bool(np.all(np.diff(lam_mins) < 0.0))
-    gaps_growing = bool(np.all(np.diff(gaps) > 0.0))  # >= 3 levels give >= 2 gaps
     return BlowupReport(
-        c=float(c),
         c_star=c_star,
-        h_levels=hs,
         lambda_mins=lam_mins,
         gaps=gaps,
         probe_k=probe["k_levels"],
@@ -463,6 +448,8 @@ def blowup_diagnostic(
         probe_growth=probe["probe_growth"],
         mechanism_slope=slope,
         mechanism_expected=expected,
-        blow_up=bool(lam_decreasing and gaps_growing and growing),
-        detail={"t0": t0, "probe_node": probe["probe_node"]},
+        lambda_decreasing=bool(np.all(np.diff(lam_mins) < 0.0)),
+        gaps_growing=bool(np.all(np.diff(gaps) > 0.0)),  # >= 3 levels give >= 2 gaps
+        # a single level (max V <= 1 on this grid) cannot show growth
+        probe_growing=bool(len(probes) >= 2 and np.all(np.diff(probes) > 0.0)),
     )

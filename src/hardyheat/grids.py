@@ -8,6 +8,7 @@ finite on the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class Grid:
         lo, hi = np.array(self.bounds).T
         return np.min(np.minimum(pts - lo, hi - pts), axis=1)
 
-    def inner_box(self, half_width: float | None = None) -> tuple[float, np.ndarray]:
-        """(half_width, mask of the nodes with max_i |x_i| <= half_width) for kernel comparisons.
+    def inner_box(self, half_width: float | None = None) -> np.ndarray:
+        """Mask of the nodes with max_i |x_i| <= half_width, for kernel comparisons.
 
         The default half-width is half the inradius.  ConfigError unless the
         cube sits strictly inside the domain and holds at least 2 nodes.
@@ -75,12 +76,12 @@ class Grid:
         mask = np.max(np.abs(pts), axis=1) <= hw * (1.0 + 1e-12)
         if int(np.sum(mask)) < 2:
             raise ConfigError(f"comparison box of half-width {hw:g} holds fewer than 2 nodes")
-        return hw, mask
+        return mask
 
-    def slope_window(self) -> tuple[float, float, np.ndarray]:
-        """(lo, hi, mask of the nodes with lo <= |x| <= hi) for a radial slope fit.
+    def slope_window(self) -> np.ndarray:
+        """Mask of the nodes with lo <= |x| <= hi, for a radial slope fit.
 
-        The window (2h, 0.1 * half-width) keeps clear of both the innermost
+        The window (lo, hi) = (2h, 0.1 * half-width) keeps clear of both the innermost
         cells (where the discretization smears the profile) and the boundary
         decay.  ConfigError unless 0 < lo < hi; ContractError when fewer than
         6 nodes fall inside.
@@ -96,7 +97,7 @@ class Grid:
                 f"radial window ({lo:g}, {hi:g}) holds {n_in} nodes; need >= 6 "
                 "(refine the grid or widen the window)"
             )
-        return lo, hi, mask
+        return mask
 
 
 def halves(hs) -> bool:
@@ -106,14 +107,6 @@ def halves(hs) -> bool:
 
 def _axis_centers(a: float, b: float, h: float, axis: int) -> np.ndarray:
     extent = b - a
-    if extent <= 0:
-        raise ConfigError(f"axis {axis}: empty interval ({a}, {b})")
-    # the early form of build_grid's node limit, checked before dividing (inf)
-    if extent >= (_MAX_DENSE_NODES + 1) * h:
-        raise ConfigError(
-            f"axis {axis}: spacing h={h} puts more than {_MAX_DENSE_NODES} nodes on "
-            f"({a}, {b}), past the dense-assembly limit"
-        )
     n = int(round(extent / h))
     if n < 2 or abs(n * h - extent) > 1e-9 * extent:
         raise ConfigError(
@@ -156,13 +149,16 @@ def build_grid(domain, h: float) -> Grid:
                 f"axis {ax}: the domain must contain the origin strictly, got ({a}, {b})"
             )
 
-    axes = [_axis_centers(a, b, h, ax) for ax, (a, b) in enumerate(pairs)]
-    n = int(np.prod([len(cs) for cs in axes]))
-    if n > _MAX_DENSE_NODES:
+    # count nodes in floats before any axis is built (a tiny h gives inf); an
+    # axis under one cell counts as one, so no single axis passes the limit
+    count = math.prod(max(float(b - a) / float(h), 1.0) for a, b in pairs)
+    if count >= _MAX_DENSE_NODES + 0.5:
         raise ConfigError(
-            f"spacing h={h} gives {n} nodes, past the dense-assembly limit of "
+            f"spacing h={h} gives {count:.6g} nodes, past the dense-assembly limit of "
             f"{_MAX_DENSE_NODES}"
         )
+
+    axes = [_axis_centers(a, b, h, ax) for ax, (a, b) in enumerate(pairs)]
     if dim == 1:
         nodes = axes[0]
     else:

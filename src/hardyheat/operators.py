@@ -400,8 +400,6 @@ def assemble_operator(
         raise ConfigError(f"grid dimension {grid.dim} != params dimension {params.d}")
     if c < 0.0:
         raise ParameterDomainError(f"coupling c must be >= 0, got {c}")
-    if k is not None and not (k > 0.0):
-        raise ContractError(f"truncation level must be positive, got {k}")
     A = intensity_constant(params)
     table = _jump_table(grid, A, params.alpha)
     dom = grid.bounds[0] if grid.dim == 1 else grid.bounds
@@ -411,10 +409,11 @@ def assemble_operator(
     J = _jump_view(table)
     rowsum = np.concatenate([J[s].reshape(-1, grid.n).sum(axis=1) for s in _row_blocks(table)])
     V = c * grid.radii ** (-params.alpha) if c > 0.0 else np.zeros(grid.n)
-    return DiscreteOperator(
-        grid=grid, params=params, c=float(c), k=k, intensity=A, kappa=kap, V=V,
+    op = DiscreteOperator(
+        grid=grid, params=params, c=float(c), k=None, intensity=A, kappa=kap, V=V,
         table=table, symbol=_circulant_symbol(table), diag=rowsum + kap,
     )
+    return op if k is None else op.with_truncation(k)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,9 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #      a dense -tH
 #   8  constants from math.gamma instead of a Lanczos gamma, and beta(c) by
 #      bisection to adjacent doubles instead of bisection plus secant polish
-NUMERICS_EPOCH = 8
+#   9  the blowup suite's signature checks report blowup_diagnostic's verdicts,
+#      so a probe with a single truncation level fails probe_monotone_in_k
+NUMERICS_EPOCH = 9
 
 
 def load_current(path: str) -> dict | None:

@@ -510,21 +510,21 @@ def _run_blowup(scn: Scenario, run: _Run) -> list[dict]:
             rep.lambda_mins,
             "strictly decreasing",
             "strict",
-            all(b < a for a, b in zip(rep.lambda_mins, rep.lambda_mins[1:])),
+            rep.lambda_decreasing,
         ),
         _check(
             "lambda_gaps_growing",
             rep.gaps,
             "growing",
             "strict",
-            all(b > a for a, b in zip(rep.gaps, rep.gaps[1:])),
+            rep.gaps_growing,
         ),
         _check(
             "probe_monotone_in_k",
             rep.probe_values,
             "strictly increasing",
             "strict",
-            all(b > a for a, b in zip(rep.probe_values, rep.probe_values[1:])),
+            rep.probe_growing,
         ),
         _check(
             "mechanism_slope_positive",

@@ -305,6 +305,8 @@ def test_blowup_probe_schedule_increases_for_shallow_potential():
     assert_allclose(rep.probe_k, [vmax])
     # one level cannot show the probe growing
     assert rep.probe_growth == 1.0
+    assert not rep.probe_growing
+    assert rep.lambda_decreasing and rep.gaps_growing
     assert not rep.blow_up
 
 

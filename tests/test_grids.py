@@ -90,6 +90,12 @@ def test_dense_limits():
             build_grid((-1.0, 1.0), h)
     with pytest.raises(ConfigError):
         build_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.02)  # 100 x 100 nodes
+    for h in (1e-300, 5e-324):  # the node count over both axes is inf
+        with pytest.raises(ConfigError, match="dense-assembly limit"):
+            build_grid([(-1.0, 1.0), (-1.0, 1.0)], h)
+    # 20,000 cells on one axis: refused even though the other holds under one
+    with pytest.raises(ConfigError, match="dense-assembly limit"):
+        build_grid([(-100.0, 100.0), (-1e-4, 1e-4)], 0.01)
 
 
 def test_one_node_limit_for_every_grid():

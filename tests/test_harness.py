@@ -303,7 +303,7 @@ class TestSuiteRules:
         raw = base_raw(d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[1 / 32])
         grids, _ = validate_for_suite(scenario_from_dict(raw), "sharp")
         assert grids[-1].n == 4096
-        assert int(np.sum(grids[-1].slope_window()[2])) == 20
+        assert int(np.sum(grids[-1].slope_window())) == 20
 
     @pytest.mark.parametrize("name, suite", [
         ("verify-1d-all", "all"), ("verify-2d-operator", "operator"), ("artifacts-1d", None),
@@ -1214,6 +1214,21 @@ class TestCli:
         assert rc == 1
         assert "[FAIL] verdict_blowup" in out
         assert "[PASS] lambda_min_decreasing" in out
+
+    def test_single_probe_level_fails_the_probe_check(self, tmp_path, store_root, capsys):
+        # max V < 1 on the h = 0.1 grid, so the probe has one truncation level:
+        # the suite's probe check fails for the reason that the verdict does
+        raw = base_raw(c="1.1*cstar", domain=[-0.8, 0.8], h=[0.4, 0.2, 0.1], times=[0.1])
+        path = write_scenario(tmp_path, "shallow.json", raw)
+        rc = main(["--out", store_root, "verify", "--suite", "blowup", "--scenario", path])
+        assert rc == 1
+        assert "[FAIL] verdict_blowup" in capsys.readouterr().out
+        rpath = os.path.join(store_root, "reports", f"{load_scenario(path).run_id()}.blowup.json")
+        with open(rpath) as fh:
+            checks = {c["name"]: c for c in json.load(fh)["checks"]}
+        assert len(checks["probe_monotone_in_k"]["measured"]) == 1
+        assert checks["probe_monotone_in_k"]["pass"] is False
+        assert checks["verdict_blowup"]["pass"] is False
 
     def test_blowup_probe_falling_in_k_is_a_failed_check(
         self, tmp_path, store_root, capsys, monkeypatch

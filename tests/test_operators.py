@@ -784,6 +784,39 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("change", ["renamed_over", "truncated"])
+def test_load_operator_parses_the_bytes_it_hashed(tmp_path, monkeypatch, change):
+    # the CSV changes after it was hashed and before its blocks are parsed;
+    # n = 300 gives 45,150 rows, so two blocks
+    grid = build_grid((-1.0, 1.0), 2.0 / 300)
+    op = assemble_operator(grid, P1, c=0.5 * hardy_constant(P1))
+    other = assemble_operator(grid, P1, c=0.25 * hardy_constant(P1))
+    base, other_base = str(tmp_path / "op"), str(tmp_path / "other")
+    real = ops._row_block_starts
+
+    def then_change(fh, digest):
+        starts = real(fh, digest)
+        assert len(starts) == 3
+        if change == "renamed_over":
+            os.replace(other_base + ".csv", base + ".csv")
+        else:
+            os.truncate(base + ".csv", starts[1] + 1)
+        return starts
+
+    monkeypatch.setattr(ops, "_row_block_starts", then_change)
+    for _ in _worker_counts(monkeypatch):
+        save_operator(op, base)
+        save_operator(other, other_base)
+        if change == "renamed_over":
+            # os.pread reads the descriptor that was hashed, not the new file
+            _, H = load_operator(base)
+            assert np.array_equal(H.view(np.int64), op.H.view(np.int64))
+        else:
+            with pytest.raises(ConfigError, match="operator CSV changed while it was read"):
+                load_operator(base)
+        _assert_no_children()
+
+
 def _synthetic_matrix():
     """A symmetric 8 x 8 matrix holding 1e-05, 1e+16, 5e-324, -0.0 and skipped zeros."""
     H = np.zeros((8, 8))
