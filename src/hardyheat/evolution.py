@@ -10,9 +10,13 @@ module, by one of two exact paths:
   n x n array is formed.  The shift and the 1-norm it needs are exact and
   cost O(n), so the action draws no random numbers (see ``_action``).
 * Full kernels (``heat_kernel``) and the propagators of the Duhamel check use
-  the symmetric eigendecomposition H = Q diag(lam) Q^T (Moler & Van Loan,
-  SIAM Rev. 45, 2003), solved once per operator and cached as
-  ``DiscreteOperator.spectrum``; each further kernel time costs one product.
+  the symmetric eigendecomposition (Moler & Van Loan, SIAM Rev. 45, 2003),
+  block by block: on a box with s mirror axes (a == -b) H commutes with their
+  reflections and splits into 2**s parity blocks of n / 2**s rows (Cantoni &
+  Butler, Linear Algebra Appl. 13, 1976, in 1d), each solved once per
+  operator and cached as ``DiscreteOperator.spectrum``.  ``ParityMap`` folds
+  vectors into the blocks and lifts block kernels back; each further kernel
+  time costs one product per block, and no n x n eigenvector matrix is formed.
 
 Because the Duhamel check builds its propagators from the eigenbases while
 the trajectory comes from the exponential action, the check stays
@@ -31,6 +35,7 @@ from scipy.linalg import expm  # noqa: F401  unused; bench/spans.py traces this 
 
 from .errors import ConfigError, ContractError, InvariantViolation
 from .operators import DiscreteOperator
+from .scenario import default_k_levels
 from .specfun import coupling_regime
 
 __all__ = [
@@ -154,13 +159,14 @@ def _action(op: DiscreteOperator, t: float, u0: np.ndarray) -> np.ndarray:
 def heat_kernel(op: DiscreteOperator, t: float) -> KernelMatrix:
     """Kernel density at time t > 0: P = exp(-t H) / h^d.
 
-    Built as (Q * exp(-t lam)) Q^T / h^d from the operator's cached spectrum,
-    so several times on one operator share a single eigen-solve.
+    Each parity block of the operator's cached spectrum gives
+    P_p = (Q_p * exp(-t lam_p)) Q_p^T, and ``ParityMap.lift`` puts the blocks
+    together into the full P, so several times on one operator share a single
+    solve per block.  With no mirror axis the one block is P.
     """
     if not (0.0 < t < np.inf):
         raise ContractError(f"kernel time must be positive and finite, got {t}")
-    lam, Q = op.spectrum
-    P = (Q * np.exp(-float(t) * lam)) @ Q.T
+    P = op.parity.lift([(Q * np.exp(-float(t) * lam)) @ Q.T for lam, Q in op.spectrum])
     P /= op.grid.cell_volume
     return KernelMatrix(operator=op, t=float(t), P=P)
 
@@ -170,14 +176,11 @@ def default_truncation_schedule(op: DiscreteOperator) -> np.ndarray:
 
     Beyond the cap the truncated operator equals the untruncated one on this
     grid, so the schedule always terminates with the exact grid potential.
+    The levels are ``scenario.default_k_levels``, which parse-time rules read too.
     """
     if op.c <= 0.0:
         raise ConfigError("truncation schedule needs a positive coupling c")
-    levels = [1.0]
-    while not op.saturates(levels[-1]):
-        levels.append(4.0 * levels[-1])
-    levels[-1] = float(np.max(op.V))  # the first saturating level becomes max V itself
-    return np.array(levels)
+    return np.array(default_k_levels(float(np.max(op.V))))
 
 
 def minimal_solution(
@@ -259,29 +262,35 @@ def duhamel_residual(traj: Trajectory, n_quad: int = 65) -> dict:
     """Relative defect of u(t) = e^{-tL0}u0 + int_0^t e^{-(t-s)L0} W u(s) ds.
 
     The integral uses composite Simpson on n_quad (odd) uniform nodes s_j per
-    output time.  Its propagators come from the two cached eigenbases of the
-    trajectory's operator (H) and its ``free`` view (L0), not from the path
-    that produced the trajectory: with H = Q_H diag(lam_H) Q_H^T
-    and L0 = Q_0 diag(lam_0) Q_0^T,
+    output time.  Its propagators come from the cached parity blocks of the
+    trajectory's operator (H) and of its ``free`` view (L0), not from the path
+    that produced the trajectory.  u0 and u(t) are folded into the blocks
+    (``ParityMap.fold``); W is even, so on block p it acts by its values at
+    the representatives.  With H_p = Q_H diag(lam_H) Q_H^T and
+    L0_p = Q_0 diag(lam_0) Q_0^T, per block
 
         u(s_j) = Q_H (e^{-lam_H s_j} * Q_H^T u0)
         acc    = Q_0 [(Q_0^T W u(s_j)) * e^{-lam_0 (t - s_j)}] . simpson weights
         free   = Q_0 (e^{-lam_0 t} * Q_0^T u0)
 
-    so the only error is the Simpson time discretization, which is O(dt^2)
-    here because the integrand's higher derivatives involve the same
-    semigroups.  Returns per-time residuals keyed by time.
+    and the residual norm sums the squares over the blocks, the fold scaling
+    every block alike.  So the only error is the Simpson time discretization,
+    which is O(dt^2) here because the integrand's higher derivatives involve
+    the same semigroups.  Returns per-time residuals keyed by time.
     """
     if n_quad < 33 or n_quad % 2 == 0:
         raise ConfigError(f"n_quad must be odd and >= 33, got {n_quad}")
-    W = traj.operator.W
-    u0 = traj.states[0] if traj.times[0] == 0.0 else None
-    if u0 is None:
+    if traj.times[0] != 0.0:
         raise ContractError("duhamel check needs the trajectory to start at t = 0")
-    lam_h, Q_h = traj.operator.spectrum
-    lam_0, Q_0 = traj.operator.free.spectrum
-    u0_h = Q_h.T @ u0
-    u0_0 = Q_0.T @ u0
+    op = traj.operator
+    parity = op.parity
+    W = parity.restrict(op.W)
+    blocks = [
+        (lam_h, Q_h, Q_h.T @ v0, lam_0, Q_0, Q_0.T @ v0)
+        for (lam_h, Q_h), (lam_0, Q_0), v0 in zip(
+            op.spectrum, op.free.spectrum, parity.fold(traj.states[0])
+        )
+    ]
     coef = np.ones(n_quad)
     coef[1:-1:2] = 4.0
     coef[2:-1:2] = 2.0
@@ -291,10 +300,14 @@ def duhamel_residual(traj: Trajectory, n_quad: int = 65) -> dict:
             continue
         ds = float(t) / (n_quad - 1)
         s = ds * np.arange(n_quad)
-        U = Q_h @ (np.exp(-np.outer(lam_h, s)) * u0_h[:, None])
-        WU_0 = Q_0.T @ (W[:, None] * U)
-        acc = Q_0 @ ((WU_0 * np.exp(-np.outer(lam_0, float(t) - s))) @ (coef * ds / 3.0))
-        free = Q_0 @ (np.exp(-lam_0 * float(t)) * u0_0)
-        resid = u_t - free - acc
-        out[float(t)] = float(np.linalg.norm(resid) / np.linalg.norm(u_t))
+        sq_resid = sq_u = 0.0
+        for (lam_h, Q_h, u0_h, lam_0, Q_0, u0_0), v_t in zip(blocks, parity.fold(u_t)):
+            U = Q_h @ (np.exp(-np.outer(lam_h, s)) * u0_h[:, None])
+            WU_0 = Q_0.T @ (W[:, None] * U)
+            acc = Q_0 @ ((WU_0 * np.exp(-np.outer(lam_0, float(t) - s))) @ (coef * ds / 3.0))
+            free = Q_0 @ (np.exp(-lam_0 * float(t)) * u0_0)
+            resid = v_t - free - acc
+            sq_resid += float(resid.dot(resid))
+            sq_u += float(v_t.dot(v_t))
+        out[float(t)] = math.sqrt(sq_resid) / math.sqrt(sq_u)
     return out

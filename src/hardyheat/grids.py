@@ -3,7 +3,9 @@
 Nodes sit at cell centers, never on the boundary and never at the origin;
 with an even cell count per axis and the origin inside the box the closest
 node is at distance >= h/2 from 0, which keeps the inverse-power potential
-finite on the grid.
+finite on the grid.  On a mirror axis (a == -b) the nodes are exact mirror
+images, x_{n-1-i} == -x_i bit for bit, so that the operator splits into
+parity blocks (``operators.ParityMap``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ class Grid:
         return self.nodes.shape[0]
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Cells per axis; node ix * ny + iy sits in cell (ix, iy) in 2d."""
+        return tuple(int(round((b - a) / self.h)) for a, b in self.bounds)
+
+    @property
+    def mirror_axes(self) -> tuple[int, ...]:
+        """The axes with a == -b, along which the nodes are exact mirror images."""
+        return tuple(ax for ax, (a, b) in enumerate(self.bounds) if a == -b)
+
+    @property
     def cell_volume(self) -> float:
         return self.h**self.dim
 
@@ -41,6 +53,10 @@ class Grid:
         if self.dim == 1:
             return np.abs(self.nodes)
         return np.sqrt(np.sum(self.nodes**2, axis=1))
+
+    def potential(self, c: float, alpha: float) -> np.ndarray:
+        """V = c |x|**(-alpha) at the nodes, exactly 0.0 when c = 0: finite, no node is at 0."""
+        return c * self.radii ** (-alpha) if c > 0.0 else np.zeros(self.n)
 
     @property
     def half_width(self) -> float:
@@ -117,7 +133,10 @@ def _axis_centers(a: float, b: float, h: float, axis: int) -> np.ndarray:
             f"axis {axis}: cell count {n} is odd; an even count is required so "
             f"that no node can land on the origin"
         )
-    return a + (np.arange(n) + 0.5) * h
+    x = a + (np.arange(n) + 0.5) * h
+    # on a mirror axis, x_{n-1-i} == -x_i bit for bit (the sum a + (i + 0.5) h
+    # can miss by an ulp); x - x[::-1] is exactly antisymmetric and 0.5 exact
+    return 0.5 * (x - x[::-1]) if a == -b else x
 
 
 def build_grid(domain, h: float) -> Grid:

@@ -21,8 +21,9 @@ neighbour cells this makes the matrix of a sub-box dominate the restriction
 of the full-box matrix entrywise, which is what the kernel-domination
 property test relies on.  An operator stores the table, its DFT, the diagonal,
 kappa and V: O(n) numbers.  H = L0 - diag(min(V, k)) with V(x) = c |x|**(-alpha)
-acts through ``apply``; a dense H is built on demand only for the
-eigendecomposition, and the operator artifact forms H a block of rows at a
+acts through ``apply``.  The eigendecomposition forms the n/2**s
+representative rows of H on a box with s mirror axes and solves its parity
+blocks (``ParityMap``); the operator artifact forms H a block of rows at a
 time.
 """
 
@@ -45,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh
 from scipy.special import betainc, betaincc, hyp2f1
 
-from .errors import ConfigError, ContractError, ParameterDomainError
+from .errors import ConfigError, ContractError, InvariantViolation, ParameterDomainError
 from .grids import _MAX_DENSE_NODES, Grid
 from .specfun import FractionalParams, beta_of_c, intensity_constant
 from .threads import thread_setting
@@ -53,6 +54,7 @@ from .threads import thread_setting
 __all__ = [
     "DiscreteOperator",
     "FormEvaluator",
+    "ParityMap",
     "assemble_operator",
     "killing_term",
     "exterior_power_tail",
@@ -207,7 +209,7 @@ def _jump_table(grid: Grid, A: float, alpha: float) -> np.ndarray:
         table = r ** (-1.0 - alpha)
         table[1] = _adjacent_weight_1d(alpha)
     else:
-        ix, iy = (np.arange(int(round((b - a) / h))) for a, b in grid.bounds)
+        ix, iy = map(np.arange, grid.shape)
         r2 = np.add.outer(ix * ix, iy * iy).astype(float)
         r2[0, 0] = 1.0
         table = r2 ** (-0.5 * (2.0 + alpha))
@@ -252,6 +254,128 @@ def _row_blocks(table: np.ndarray) -> list[slice]:
 
 
 # ---------------------------------------------------------------------------
+# mirror parity
+# ---------------------------------------------------------------------------
+
+def _butterfly(parts: list, half: bool = False) -> list:
+    """Walsh-Hadamard transform of 2**s arrays: out[p] = sum_q (-1)**popcount(p & q) parts[q].
+
+    One (a + b, a - b) pass per bit; ``half`` scales each pass by 0.5
+    (exactly), which makes it the inverse.  One array is returned as it is.
+    """
+    parts = list(parts)
+    bit = 1
+    while bit < len(parts):
+        for i in range(len(parts)):
+            if not i & bit:
+                a, b = parts[i], parts[i | bit]
+                parts[i], parts[i | bit] = ((a + b) * 0.5, (a - b) * 0.5) if half else (a + b, a - b)
+        bit <<= 1
+    return parts
+
+
+class ParityMap:
+    """Maps node vectors and matrices into and out of the parity blocks of a box.
+
+    A mirror axis (a == -b, ``Grid.mirror_axes``) has exact mirror-image
+    nodes, J depends on |offset| along it, and assembly makes ``diag``,
+    ``kappa`` and V exactly even under its reflection (``even``).  So H
+    commutes with the reflection of each of the s mirror axes and splits into
+    2**s blocks of m = n / 2**s, one per parity class p (bit j of p set: odd
+    along the j-th mirror axis).  The representatives are the nodes in the
+    upper half of every mirror axis; image q of a representative is its
+    reflection along the mirror axes of the bits of q.  ``fold`` maps v to
+    fold(v)[p] = sum_q (-1)**popcount(p & q) v[image q], which is 2**(s/2)
+    times v's coordinates in the orthonormal parity basis, and
+    block p = sum_q (-1)**popcount(p & q) H[rep, image q], which is H in that
+    basis.  With no mirror axis there is one block, H itself, and every map
+    is the identity, with no arithmetic.
+    """
+
+    def __init__(self, grid: Grid):
+        self.shape, self.axes, self.n = grid.shape, grid.mirror_axes, grid.n
+        self.m = self.n >> len(self.axes)
+
+    def _sides(self, q: int) -> tuple:
+        """Per grid axis, the slice holding image q of the representatives, in their order."""
+        out = []
+        for ax, k in enumerate(self.shape):
+            if ax not in self.axes:
+                out.append(slice(None))
+            elif q >> self.axes.index(ax) & 1:
+                out.append(slice(k // 2 - 1, None, -1))
+            else:
+                out.append(slice(k // 2, None))
+        return tuple(out)
+
+    def _image(self, a: np.ndarray, q: int, axis: int = 0) -> np.ndarray:
+        """Entries of ``a`` along ``axis`` (of length n) at image q of the representatives."""
+        lead, rest = a.shape[:axis], a.shape[axis + 1:]
+        sub = a.reshape(lead + self.shape + rest)[(slice(None),) * axis + self._sides(q)]
+        return sub.reshape(lead + (self.m,) + rest)
+
+    def check(self, op: "DiscreteOperator") -> "ParityMap":
+        """InvariantViolation unless the nodes mirror and diag, kappa and V are even, bit for bit."""
+        dim = len(self.shape)
+        pts = op.grid.nodes.reshape(self.shape + (dim,))
+        for ax in self.axes:
+            sign = np.where(np.arange(dim) == ax, -1.0, 1.0)
+            if not np.array_equal(np.flip(pts, ax) * sign, pts):
+                raise InvariantViolation(f"grid nodes are not mirror images along axis {ax}")
+            for name in ("diag", "kappa", "V"):
+                arr = getattr(op, name).reshape(self.shape)
+                if not np.array_equal(np.flip(arr, ax), arr):
+                    raise InvariantViolation(f"{name} is not even under the reflection of axis {ax}")
+        return self
+
+    def even(self, a: np.ndarray) -> np.ndarray:
+        """a averaged with its reflection along each mirror axis: exactly even."""
+        for ax in self.axes:
+            g = a.reshape(self.shape)
+            a = (0.5 * (g + np.flip(g, ax))).ravel()
+        return a
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """An even vector's values at the representatives."""
+        return self._image(v, 0)
+
+    def fold(self, v: np.ndarray) -> list:
+        """v of shape (n,) or (n, k) as one (m,) or (m, k) array per parity class."""
+        return _butterfly([self._image(v, q) for q in range(1 << len(self.axes))])
+
+    def blocks(self, op: "DiscreteOperator") -> list:
+        """The m x m parity blocks of op.H, built from its n/2**s representative rows.
+
+        Each block is symmetric bit for bit: its (i, j) and (j, i) entries are
+        the same terms, summed in the same order.  So each is returned
+        transposed, in Fortran order, as LAPACK overwrites it in place; with
+        no mirror axis that is H.T.
+        """
+        m, n = self.m, self.n
+        reps = self._image(np.arange(n), 0)
+        rows = np.negative(op.J[self._sides(0)], order="C").reshape(m, n)
+        rows[np.arange(m), reps] = (op.diag - op.W)[reps]
+        return [B.T for B in _butterfly([self._image(rows, q, 1) for q in range(1 << len(self.axes))])]
+
+    def lift(self, blocks: list) -> np.ndarray:
+        """The n x n matrix T diag(blocks) T^T, T the orthonormal parity basis.
+
+        Entry (image q of rep i, image r of rep j) is the inverse transform
+        of the blocks at q xor r, entry (i, j).
+        """
+        per = _butterfly(blocks, half=True)
+        if len(per) == 1:
+            return per[0]
+        out = np.empty((self.n, self.n))
+        grid = out.reshape(self.shape + self.shape)
+        sub = tuple(k // 2 if ax in self.axes else k for ax, k in enumerate(self.shape))
+        for q in range(len(per)):
+            for r in range(len(per)):
+                grid[self._sides(q) + self._sides(r)] = per[q ^ r].reshape(sub + sub)
+        return out
+
+
+# ---------------------------------------------------------------------------
 # operator
 # ---------------------------------------------------------------------------
 
@@ -262,10 +386,13 @@ class DiscreteOperator:
     L0 = diag(diag) - J, where the jump weights J depend on the cell offset
     only: ``table`` holds them per offset and ``symbol`` is the DFT of its
     circulant extension, so ``apply`` computes J v by FFT.  ``diag`` is
-    sum_j J_ij + kappa_i.  No n x n array is stored: ``J`` is a strided view of
-    the table, ``H`` builds a new dense array on each read and ``rows`` a
-    block of its rows.  Truncated copies share every array, the ``free`` view
-    every array but V.  ``beta`` and ``weight`` give the ground state of c.
+    sum_j J_ij + kappa_i, and like kappa and V it is exactly even on each
+    mirror axis, so ``parity`` splits H into blocks.  No n x n array is
+    stored: ``J`` is a strided view of the table, ``H`` builds a new dense
+    array on each read and ``rows`` a block of its rows, and ``spectrum``
+    holds one (lam, Q) pair per parity block.  Truncated copies share every
+    array, the ``free`` view every array but V.  ``beta`` and ``weight`` give
+    the ground state of c.
     """
 
     grid: Grid
@@ -356,17 +483,22 @@ class DiscreteOperator:
         """The free operator (c = 0), H = L0, on the same table."""
         return replace(self, c=0.0, k=None, V=np.zeros(self.n))
 
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, Q) with H = Q diag(lam) Q^T, computed on first use.
+    @property
+    def parity(self) -> ParityMap:
+        """The grid's parity map, checked against this operator (O(n))."""
+        return ParityMap(self.grid).check(self)
 
-        Cached per instance; a truncated copy solves its own eigenproblem
-        unless its cutoff changes nothing (see ``with_truncation``).  The
-        solve overwrites its own copy of H.
+    @cached_property
+    def spectrum(self) -> tuple:
+        """One (lam, Q) per parity class p of ``parity``, block p = Q diag(lam) Q^T.
+
+        Computed on first use from the n/2**s representative rows of H, so no
+        n x n eigenvector matrix is formed on a box with s mirror axes; with
+        none, the one pair is that of H.  Cached per instance; a truncated
+        copy solves its own blocks unless its cutoff changes nothing (see
+        ``with_truncation``).  Each solve overwrites its own block.
         """
-        # H is symmetric bit for bit, so H.T is H in Fortran order, which LAPACK
-        # overwrites in place; a C-ordered H would be copied once more first
-        return eigh(self.H.T, driver="evd", overwrite_a=True)
+        return tuple(eigh(B, driver="evd", overwrite_a=True) for B in self.parity.blocks(self))
 
     def saturates(self, k: float | None) -> bool:
         """The one saturation rule: k is None or k >= max V, so min(V, k) is V bit for bit."""
@@ -376,7 +508,8 @@ class DiscreteOperator:
         """Same table, diag, kappa and V, different potential cutoff.
 
         When this operator's cutoff and k both saturate, the copy keeps its
-        own k but shares the spectrum, if this operator has solved it already.
+        own k but shares the spectrum's parity blocks, if this operator has
+        solved them already.
         """
         if k is not None and not (k > 0.0):
             raise ContractError(f"truncation level must be positive, got {k}")
@@ -403,12 +536,18 @@ def assemble_operator(
     A = intensity_constant(params)
     table = _jump_table(grid, A, params.alpha)
     dom = grid.bounds[0] if grid.dim == 1 else grid.bounds
-    kap = np.asarray(killing_term(grid.nodes, dom, params), dtype=float)
-    # row sums of J by blocks of whole rows, each row summed in numpy's fixed
-    # pairwise order (as a row of the dense matrix would be), for reproducibility
+    # on a mirror axis kappa and the row sums are averaged with their
+    # reflections, which makes them even bit for bit (ParityMap): a row and
+    # its mirror row hold the same entries reversed, and a pairwise sum of
+    # them, like the 2-d faces summed in a fixed order, can differ in the
+    # last bits.  The row sums go by blocks of whole rows, each row summed in
+    # numpy's fixed pairwise order (as a row of the dense matrix would be).
+    parity = ParityMap(grid)
+    kap = parity.even(np.asarray(killing_term(grid.nodes, dom, params), dtype=float))
     J = _jump_view(table)
     rowsum = np.concatenate([J[s].reshape(-1, grid.n).sum(axis=1) for s in _row_blocks(table)])
-    V = c * grid.radii ** (-params.alpha) if c > 0.0 else np.zeros(grid.n)
+    rowsum = parity.even(rowsum)
+    V = grid.potential(c, params.alpha)
     op = DiscreteOperator(
         grid=grid, params=params, c=float(c), k=None, intensity=A, kappa=kap, V=V,
         table=table, symbol=_circulant_symbol(table), diag=rowsum + kap,

@@ -50,7 +50,11 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #      bisection to adjacent doubles instead of bisection plus secant polish
 #   9  the blowup suite's signature checks report blowup_diagnostic's verdicts,
 #      so a probe with a single truncation level fails probe_monotone_in_k
-NUMERICS_EPOCH = 9
+#  10  mirror-parity spectra: on an axis with a == -b the nodes are exact
+#      mirror images and diag and kappa exactly even, and kernels and the
+#      Duhamel check are solved in parity blocks of H, so values on such boxes
+#      move by roundoff; boxes without one keep their bytes
+NUMERICS_EPOCH = 10
 
 
 def load_current(path: str) -> dict | None:

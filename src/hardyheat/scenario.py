@@ -304,6 +304,16 @@ def all_parts(scn: Scenario) -> tuple[str, ...]:
     return tuple(p for p in _ALL_PARTS if p != "lp" or len(scn.h_levels) >= 3)
 
 
+def default_k_levels(vmax: float) -> list[float]:
+    """The default truncation schedule on a grid where max V = vmax: 1, 4, 16, ...
+    up to the first level k >= vmax (where min(V, k) = V), which becomes vmax itself."""
+    levels = [1.0]
+    while levels[-1] < vmax:
+        levels.append(4.0 * levels[-1])
+    levels[-1] = vmax
+    return levels
+
+
 def validate_for_suite(scn: Scenario, suite: str) -> tuple[list, dict]:
     """Every rule ``suite`` places on a scenario; 'all' adds those of its parts.
 
@@ -348,6 +358,15 @@ def validate_for_suite(scn: Scenario, suite: str) -> tuple[list, dict]:
                 raise ConfigError(
                     f"suite {name!r} fits a slope on the finest grid (h = {finest.h:g}): {exc}"
                 ) from None
+        if name == "blowup":  # the probe runs the truncation schedule on the finest grid
+            vmax = float(np.max(finest.potential(scn.c, scn.params.alpha)))
+            ks = default_k_levels(vmax) if scn.k_schedule is None else list(scn.k_schedule)
+            if len({min(k, vmax) for k in ks}) < 2:
+                raise ConfigError(
+                    f"suite 'blowup': the truncation schedule {ks} gives fewer than 2 distinct "
+                    f"potentials min(V, k) on the finest grid (h = {finest.h:g}, max V = "
+                    f"{vmax:.6g}), so the probe cannot grow; refine h or list k levels below max V"
+                )
         for grid in {"sharp": [finest], "blowup": [finest], "lp": grids}.get(name, []):
             if grid.h not in u0s:
                 u0s[grid.h] = build_u0(scn.u0_spec, grid)

@@ -13,7 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import integrate
-from scipy.linalg import eigvalsh, expm, lu_factor, lu_solve
+from scipy.linalg import eigh, eigvalsh, expm, lu_factor, lu_solve
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import betainc
 
@@ -233,16 +233,24 @@ def dense_h(J: np.ndarray, kappa: np.ndarray, W: np.ndarray) -> np.ndarray:
     return J
 
 
-def three_array_operator(J: np.ndarray, kappa: np.ndarray, V: np.ndarray, k=None):
+def three_array_operator(
+    J: np.ndarray, kappa: np.ndarray, V: np.ndarray, k=None, shape=None, mirror_axes=()
+):
     """(J, L0, H) as three separate dense arrays, each built from a copy.
 
     L0 = -J with sum_j J_ij + kappa_i on the diagonal and
     H = L0 - diag(min(V, k)); the summation order of the row sums is numpy's
-    pairwise one, as in the package, so the package's single stored L0 and
+    pairwise one, as in the package, and on each mirror axis of a grid of
+    ``shape`` cells a row sum is averaged with that of its mirror row, as
+    assembly makes the diagonal even.  So the package's single stored L0 and
     the jump weights and H it derives must match these bit for bit.
     """
     L0 = -J.copy()
-    np.fill_diagonal(L0, J.sum(axis=1) + kappa)
+    rowsum = J.sum(axis=1)
+    for ax in mirror_axes:
+        grid = rowsum.reshape(shape)
+        rowsum = (0.5 * (grid + np.flip(grid, ax))).ravel()
+    np.fill_diagonal(L0, rowsum + kappa)
     W = V if k is None else np.minimum(V, k)
     return J, L0, L0 - np.diag(W)
 
@@ -328,6 +336,49 @@ def theta_steps(H: np.ndarray, u0: np.ndarray, t: float, n_steps: int, theta: fl
     for _ in range(n_steps):
         u = lu_solve(lhs, rhs @ u)
     return u
+
+
+def heat_kernel_full_spectrum(H: np.ndarray, t: float, cell_volume: float) -> np.ndarray:
+    """exp(-t H) / h^d as (Q e^{-t lam}) Q^T from one eigendecomposition of the whole H.
+
+    ``eigh`` with the divide-and-conquer driver, on H itself: no parity
+    blocks.  On a box without a mirror axis the package's one block is H and
+    its kernel equals this bit for bit.
+    """
+    lam, Q = eigh(H, driver="evd")
+    P = (Q * np.exp(-float(t) * lam)) @ Q.T
+    P /= cell_volume
+    return P
+
+
+def duhamel_residual_full_spectrum(times, states, H, L0, W, n_quad: int) -> dict:
+    """The Duhamel defect of ``evolution.duhamel_residual`` from the eigenbases of the whole H and L0.
+
+    The same Simpson sum, with every propagator an n x n eigenvector matrix
+    product; on a box without a mirror axis the package's value equals this
+    bit for bit.
+    """
+    lam_h, Q_h = eigh(H, driver="evd")
+    lam_0, Q_0 = eigh(L0, driver="evd")
+    u0 = states[0]
+    u0_h = Q_h.T @ u0
+    u0_0 = Q_0.T @ u0
+    coef = np.ones(n_quad)
+    coef[1:-1:2] = 4.0
+    coef[2:-1:2] = 2.0
+    out = {}
+    for t, u_t in zip(times, states):
+        if t == 0.0:
+            continue
+        ds = float(t) / (n_quad - 1)
+        s = ds * np.arange(n_quad)
+        U = Q_h @ (np.exp(-np.outer(lam_h, s)) * u0_h[:, None])
+        WU_0 = Q_0.T @ (W[:, None] * U)
+        acc = Q_0 @ ((WU_0 * np.exp(-np.outer(lam_0, float(t) - s))) @ (coef * ds / 3.0))
+        free = Q_0 @ (np.exp(-lam_0 * float(t)) * u0_0)
+        resid = u_t - free - acc
+        out[float(t)] = float(np.linalg.norm(resid) / np.linalg.norm(u_t))
+    return out
 
 
 def duhamel_residual_dense(times, states, H, L0, W, n_quad: int) -> dict:

@@ -16,6 +16,7 @@ from hardyheat.evolution import (
 )
 from hardyheat.grids import build_grid
 from hardyheat.operators import DiscreteOperator, assemble_operator
+from hardyheat.scenario import build_u0
 from hardyheat.specfun import FractionalParams, hardy_constant
 
 import oracles
@@ -282,16 +283,88 @@ def test_duhamel_matches_dense_step_recursion(oracle_case):
             assert abs(got[t] - ref[t]) <= 1e-13
 
 
+def _spectral_H(op):
+    """H put back together from the parity blocks of ``op.spectrum``."""
+    return op.parity.lift([(Q * lam) @ Q.T for lam, Q in op.spectrum])
+
+
 def test_spectrum_cached_per_operator(hardy_op):
-    lam, Q = hardy_op.spectrum
-    assert hardy_op.spectrum[0] is lam
-    assert_allclose((Q * lam) @ Q.T, hardy_op.H, rtol=0, atol=1e-12 * np.max(np.abs(hardy_op.H)))
+    spec = hardy_op.spectrum
+    assert hardy_op.spectrum is spec
+    assert len(spec) == 2  # [-1, 1]: an even and an odd block of n/2
+    assert_allclose(_spectral_H(hardy_op), hardy_op.H, rtol=0, atol=1e-12 * np.max(np.abs(hardy_op.H)))
     trunc = hardy_op.with_truncation(0.5 * float(np.max(hardy_op.V)))
-    lam_k, Q_k = trunc.spectrum
-    assert lam_k is not lam and Q_k is not Q
+    spec_k = trunc.spectrum
+    assert all(lk is not lam and Qk is not Q for (lam, Q), (lk, Qk) in zip(spec, spec_k))
     # a lower cutoff subtracts less potential, so the spectrum moves up
-    assert lam_k[0] > lam[0]
-    assert_allclose((Q_k * lam_k) @ Q_k.T, trunc.H, rtol=0, atol=1e-12 * np.max(np.abs(trunc.H)))
+    assert min(lam[0] for lam, _ in spec_k) > min(lam[0] for lam, _ in spec)
+    assert_allclose(_spectral_H(trunc), trunc.H, rtol=0, atol=1e-12 * np.max(np.abs(trunc.H)))
+
+
+# ---------------------------------------------------------------------------
+# parity blocks against one eigendecomposition of the whole H
+# ---------------------------------------------------------------------------
+
+# (domain, h, number of mirror axes); "skew" has none
+PARITY_BOXES = {
+    "d1_mirror": ((-1.0, 1.0), 0.05, 1),
+    "d1_skew": ((-1.0, 1.5), 0.05, 0),
+    "d2_square": ([(-1.0, 1.0), (-1.0, 1.0)], 0.1, 2),
+    "d2_flat": ([(-1.0, 1.0), (-0.5, 0.5)], 0.1, 2),
+    "d2_one_axis": ([(-1.0, 1.0), (-0.5, 1.0)], 1.0 / 12.0, 1),
+}
+# The blocks agree with the full spectrum to roundoff: the kernels within
+# 3.7e-15 of max P, the residuals (norms relative to |u(t)|, here 2e-15 to
+# 2e-9) within 4.3e-15, measured on these boxes.  A wrong block would leave
+# the trajectory, which the exponential action computes, far off its Duhamel sum.
+PARITY_KERNEL_TOL = 1e-14  # of max P
+PARITY_DUHAMEL_TOL = 1e-13  # absolute, on the relative residual
+
+
+@pytest.fixture(scope="module", params=list(PARITY_BOXES))
+def parity_case(request):
+    """(name, operator, u0, t_ref); u0 is ``point``, the left of the nodes nearest 0."""
+    domain, h, _ = PARITY_BOXES[request.param]
+    params = P1 if request.param.startswith("d1") else P2
+    grid = build_grid(domain, h)
+    op = assemble_operator(grid, params, c=0.5 * hardy_constant(params))
+    return request.param, op, build_u0("point", grid), t_ref(op)
+
+
+def test_parity_blocks_follow_the_mirror_axes(parity_case):
+    name, op, u0, _ = parity_case
+    s = PARITY_BOXES[name][2]
+    assert [len(lam) for lam, _ in op.spectrum] == [op.n >> s] * (1 << s)
+    # a point u0 is not mirror-symmetric, so every block, odd ones included, carries weight
+    assert all(np.any(v != 0.0) for v in op.parity.fold(u0))
+
+
+@pytest.mark.parametrize("factor", (0.1, 0.5))
+def test_heat_kernel_matches_the_full_spectrum(parity_case, factor):
+    name, op, _, tr = parity_case
+    t = factor * tr
+    P = heat_kernel(op, t).P
+    ref = oracles.heat_kernel_full_spectrum(op.H, t, op.grid.cell_volume)
+    if name.endswith("skew"):
+        assert np.array_equal(P, ref)
+    else:
+        assert np.max(np.abs(P - ref)) <= PARITY_KERNEL_TOL * np.max(ref)
+
+
+def test_duhamel_matches_the_full_spectrum(parity_case):
+    name, op, u0, tr = parity_case
+    traj = evolve(op, u0, [0.0, 0.1 * tr, 0.5 * tr])
+    for n_quad in (65, 129):
+        got = duhamel_residual(traj, n_quad=n_quad)
+        ref = oracles.duhamel_residual_full_spectrum(
+            traj.times, traj.states, op.H, op.free.H, op.W, n_quad
+        )
+        assert set(got) == set(ref)
+        for t in ref:
+            if name.endswith("skew"):
+                assert got[t] == ref[t]
+            else:
+                assert abs(got[t] - ref[t]) <= PARITY_DUHAMEL_TOL
 
 
 # ---------------------------------------------------------------------------

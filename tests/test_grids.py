@@ -22,6 +22,28 @@ def test_interval_grid_basics():
     assert_allclose(np.diff(g.nodes), 0.01)
 
 
+@pytest.mark.parametrize("h", [0.01, 0.005, 0.0025, 0.05, 1.0 / 12.0])
+def test_mirror_axis_nodes_are_exact_mirror_images(h):
+    # a + (i + 0.5) h misses the mirror image by an ulp on each of these but
+    # 1/12; the grid moves such nodes by at most an ulp to make them exact
+    g = build_grid((-1.0, 1.0), h)
+    assert g.mirror_axes == (0,)
+    assert np.array_equal(g.nodes[::-1], -g.nodes)
+    naive = -1.0 + (np.arange(g.n) + 0.5) * h
+    assert np.all(np.abs(g.nodes - naive) <= np.spacing(1.0))
+
+
+
+@pytest.mark.parametrize("h", [0.05, 1.0 / 12.0])
+def test_box_mirror_axes(h):
+    box = build_grid([(-1.0, 1.0), (-0.5, 1.0)], h)
+    assert box.mirror_axes == (0,)
+    xs, ys = (box.nodes[:, k].reshape(box.shape) for k in range(2))
+    assert np.array_equal(xs[::-1], -xs)
+    # an axis without a mirror keeps the sum a + (i + 0.5) h
+    assert np.array_equal(ys[0], -0.5 + (np.arange(box.shape[1]) + 0.5) * h)
+
+
 def test_no_node_at_origin():
     g = build_grid((-1.0, 1.0), 0.25)
     assert g.radii.min() == pytest.approx(0.125)

@@ -367,7 +367,10 @@ def test_one_regime_rule_near_the_critical_coupling(e, regime):
     else:
         assert (beta_of_c(c, params) == params.beta_star) == (regime == "critical")
 
-    scn = scenario_from_dict(base_raw(c=c, h=[0.2, 0.1, 0.05], times=[0.01, 0.1, 1.0]))
+    # max V is 0.89 on the h = 0.05 grid: the k levels keep the blowup probe
+    # two distinct potentials, which its parse-time rule asks for
+    raw = base_raw(c=c, h=[0.2, 0.1, 0.05], times=[0.01, 0.1, 1.0], k=[0.25, 0.5])
+    scn = scenario_from_dict(raw)
     for suite, accepts in (("kernel", not supercritical), ("blowup", supercritical)):
         try:
             validate_for_suite(scn, suite)
@@ -972,7 +975,7 @@ def count_calls(monkeypatch) -> dict:
 
     An ``eigsh`` solve is keyed by the (jump table, W) of the operator it acts
     on and an ``eigh`` by its matrix, so a repeated solve shows as a repeated
-    key.  ``build_grid`` is counted under every name that holds it.
+    key; ``eigh_n`` lists the order of each ``eigh`` matrix.  ``build_grid`` is counted under every name that holds it.
     """
     import hashlib
     import sys
@@ -982,7 +985,7 @@ def count_calls(monkeypatch) -> dict:
     import hardyheat.scenario
     import hardyheat.suites
 
-    calls = {"eigsh": [], "eigh": [], "assemble": 0, "validate": 0, "grids": 0}
+    calls = {"eigsh": [], "eigh": [], "eigh_n": [], "assemble": 0, "validate": 0, "grids": 0}
 
     def digest(a):
         return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
@@ -1006,6 +1009,8 @@ def count_calls(monkeypatch) -> dict:
                 calls[key].append(keys[id(args[0])])
             elif isinstance(calls[key], list):
                 calls[key].append(digest(args[0]))
+                if key == "eigh":
+                    calls["eigh_n"].append(len(args[0]))
             else:
                 calls[key] += 1
             return real(*args, **kwargs)
@@ -1215,20 +1220,35 @@ class TestCli:
         assert "[FAIL] verdict_blowup" in out
         assert "[PASS] lambda_min_decreasing" in out
 
-    def test_single_probe_level_fails_the_probe_check(self, tmp_path, store_root, capsys):
-        # max V < 1 on the h = 0.1 grid, so the probe has one truncation level:
-        # the suite's probe check fails for the reason that the verdict does
+    def test_single_probe_level_fails_the_probe_check(
+        self, tmp_path, store_root, capsys, no_assembly
+    ):
+        # max V = 0.69 < 1 on the h = 0.1 grid, so the default schedule is
+        # [max V]: a probe that cannot grow is refused at parse time
         raw = base_raw(c="1.1*cstar", domain=[-0.8, 0.8], h=[0.4, 0.2, 0.1], times=[0.1])
         path = write_scenario(tmp_path, "shallow.json", raw)
         rc = main(["--out", store_root, "verify", "--suite", "blowup", "--scenario", path])
-        assert rc == 1
-        assert "[FAIL] verdict_blowup" in capsys.readouterr().out
-        rpath = os.path.join(store_root, "reports", f"{load_scenario(path).run_id()}.blowup.json")
-        with open(rpath) as fh:
-            checks = {c["name"]: c for c in json.load(fh)["checks"]}
-        assert len(checks["probe_monotone_in_k"]["measured"]) == 1
-        assert checks["probe_monotone_in_k"]["pass"] is False
-        assert checks["verdict_blowup"]["pass"] is False
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "suite 'blowup': the truncation schedule [0.688707350345" in err
+        assert "gives fewer than 2 distinct potentials min(V, k) on the finest grid (h = 0.1" in err
+        assert "so the probe cannot grow" in err
+        assert os.listdir(os.path.join(store_root, "reports")) == []
+        # k levels at or above max V give it one potential too
+        path = write_scenario(tmp_path, "high.json", dict(raw, k=[1.0, 4.0]))
+        rc = main(["--out", store_root, "verify", "--suite", "blowup", "--scenario", path])
+        assert rc == 2
+        assert "[1.0, 4.0] gives fewer than 2 distinct" in capsys.readouterr().err
+
+    def test_two_probe_levels_parse(self, tmp_path):
+        # the same scenario with one level below max V = 0.69 has two
+        # potentials, min(V, 0.5) and V, so it parses
+        raw = base_raw(c="1.1*cstar", domain=[-0.8, 0.8], h=[0.4, 0.2, 0.1], times=[0.1])
+        grids, _ = validate_for_suite(scenario_from_dict(dict(raw, k=[0.5, 1.0])), "blowup")
+        assert [g.h for g in grids] == [0.4, 0.2, 0.1]
+        # max V = 1.38 at h = 0.025, past the first default level: the schedule is [1, max V]
+        raw = base_raw(c="1.1*cstar", domain=[-0.8, 0.8], h=[0.1, 0.05, 0.025], times=[0.1])
+        validate_for_suite(scenario_from_dict(raw), "blowup")
 
     def test_blowup_probe_falling_in_k_is_a_failed_check(
         self, tmp_path, store_root, capsys, monkeypatch
@@ -1267,9 +1287,11 @@ class TestCli:
         assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) == 0
         # L0 on each of the three levels and H on the finest: four bottoms
         assert len(calls["eigsh"]) == len(set(calls["eigsh"])) == 4
-        # H and L0 on the finest level (kernels and Duhamel); the operator suite
-        # takes its row mass from one exponential action, not a full kernel
-        assert len(calls["eigh"]) == len(set(calls["eigh"])) == 2
+        # H and L0 on the finest level (kernels and Duhamel), each as an even
+        # and an odd block of n/2 = 100 on [-1, 1]; the operator suite takes
+        # its row mass from one exponential action, not a full kernel
+        assert len(calls["eigh"]) == len(set(calls["eigh"])) == 4
+        assert calls["eigh_n"] == [100] * 4
         # every level is kept: lp reuses the three that the operator suite assembled
         assert calls["assemble"] == 3
         assert calls["validate"] == 1 and calls["grids"] == 3
@@ -1278,6 +1300,19 @@ class TestCli:
         assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) == 0
         assert "(cached report" in capsys.readouterr().out
         assert (calls["assemble"], calls["validate"], calls["grids"]) == (3, 1, 3)
+        assert len(calls["eigh"]) == 4
+
+    def test_verify_all_without_a_mirror_axis_solves_two_full_eigenproblems(
+        self, tmp_path, store_root, monkeypatch
+    ):
+        # [-1, 1.5] has no mirror axis: one block each for H and L0, of all n = 200 nodes
+        calls = count_calls(monkeypatch)
+        raw = base_raw(h=[0.05, 0.025, 0.0125], domain=[-1.0, 1.5])
+        path = write_scenario(tmp_path, "skew.json", raw)
+        # on these coarse grids the slope and lp checks fail; only the solves count here
+        assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) in (0, 1)
+        assert len(calls["eigh"]) == len(set(calls["eigh"])) == 2
+        assert calls["eigh_n"] == [200, 200]
 
     def test_verify_blowup_builds_each_level_once(self, tmp_path, store_root, capsys, monkeypatch):
         # the diagnostic reads the run's levels, so no grid or operator is built twice

@@ -1,5 +1,6 @@
 """Assembly of the matrix-free nonlocal operator, its dense form and its quadratic forms."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import hardyheat.operators as ops
-from hardyheat.errors import ConfigError, ContractError, ParameterDomainError
+from hardyheat.errors import ConfigError, ContractError, InvariantViolation, ParameterDomainError
 from hardyheat.estimators import lambda_min
 from hardyheat.evolution import heat_kernel
 from hardyheat.grids import build_grid
@@ -313,7 +314,9 @@ def test_single_matrix_operator_matches_three_array_oracle(name):
     # table is exact in the offset, so they differ by the oracle's node-difference
     # rounding (``_oracle_ulps``), and W is subtracted bit for bit as there
     op, V, k = _single_matrix_case(name)
-    J, L0, H = oracles.three_array_operator(_oracle_jump(op), op.kappa, V, k)
+    J, L0, H = oracles.three_array_operator(
+        _oracle_jump(op), op.kappa, V, k, op.grid.shape, op.grid.mirror_axes
+    )
     ulps = _oracle_ulps(op)
     for got, want in ((op.free.H, L0), (_jump(op), J)):
         assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
@@ -527,7 +530,7 @@ def test_lambda_min_allocates_no_matrix():
 
 def test_saturated_truncation_shares_the_spectrum():
     op = assemble_operator(build_grid((-1.0, 1.0), 0.05), P1, c=0.5 * hardy_constant(P1))
-    lam, Q = op.spectrum
+    bottom = min(lam[0] for lam, _ in op.spectrum)
     top = float(np.max(op.V))
     for k in (top, 2.0 * top):  # min(V, k) = V bit for bit
         sat = op.with_truncation(k)
@@ -538,13 +541,80 @@ def test_saturated_truncation_shares_the_spectrum():
     low = op.with_truncation(0.5 * top)
     assert low.spectrum is not op.spectrum
     assert not np.array_equal(low.H, op.H)
-    assert low.spectrum[0][0] > lam[0]  # less potential removed: a higher bottom
+    assert min(lam[0] for lam, _ in low.spectrum) > bottom  # less potential removed: a higher bottom
     # a copy of a truncated operator at k >= max V changes W, so it shares nothing
     low.spectrum
     back = low.with_truncation(top)
     assert back.spectrum is not low.spectrum
     assert not np.array_equal(back.H, low.H)
     assert np.array_equal(_bits(back.H), _bits(op.H))
+
+
+# ---------------------------------------------------------------------------
+# mirror symmetry by construction (the parity blocks are blocks of op.H)
+# ---------------------------------------------------------------------------
+
+# (domain, h, mirror axes); at these h the 1-d nodes a + (i + 0.5) h miss their
+# mirror images by an ulp, and the pairwise row sums of mirror rows differ
+MIRROR_BOXES = [
+    ((-1.0, 1.0), 0.01, (0,)),
+    ((-1.0, 1.0), 0.005, (0,)),
+    ((-1.0, 1.0), 0.0025, (0,)),
+    ([(-1.0, 1.0), (-1.0, 1.0)], 0.1, (0, 1)),
+    ([(-1.0, 1.0), (-0.5, 0.5)], 0.1, (0, 1)),
+    ([(-1.0, 1.0), (-0.5, 1.0)], 1.0 / 12.0, (0,)),
+]
+
+
+def _mirror_case(domain, h):
+    grid = build_grid(domain, h)
+    params = P1 if grid.dim == 1 else P2
+    return assemble_operator(grid, params, c=0.5 * hardy_constant(params))
+
+
+@pytest.mark.parametrize("domain, h, axes", MIRROR_BOXES)
+def test_mirror_axes_are_exact_by_construction(domain, h, axes):
+    op = _mirror_case(domain, h)
+    grid = op.grid
+    assert grid.mirror_axes == axes
+    pts = grid.nodes.reshape(grid.shape + (grid.dim,))
+    trunc = op.with_truncation(0.5 * float(np.max(op.V)))
+    for o in (op, trunc, op.free):
+        arrays = {"radii": grid.radii, "V": o.V, "W": o.W, "kappa": o.kappa,
+                  "diag": o.diag, "weight": o.weight}
+        if grid.dim == 1 and o.c > 0.0:
+            arrays["weighted_tail"] = o.weighted_tail
+        for ax in axes:
+            mirrored = np.flip(pts, ax)
+            for coord in range(grid.dim):
+                sign = -1.0 if coord == ax else 1.0
+                assert np.array_equal(mirrored[..., coord], sign * pts[..., coord])
+            for name, arr in arrays.items():
+                g = arr.reshape(grid.shape)
+                assert np.array_equal(np.flip(g, ax), g), (name, ax)
+
+
+@pytest.mark.parametrize("domain, h, axes", [MIRROR_BOXES[0], *MIRROR_BOXES[3:]])
+@pytest.mark.parametrize("name", ["diag", "kappa", "V"])
+def test_spectrum_refuses_an_array_that_is_not_even(domain, h, axes, name):
+    op = _mirror_case(domain, h)
+    arr = getattr(op, name).copy().reshape(op.grid.shape)
+    arr[(0,) * op.grid.dim] = np.nextafter(arr[(0,) * op.grid.dim], np.inf)  # one ulp at node 0
+    broken = [(arr.copy(), 0)]
+    if axes == (0, 1):  # the same ulp at node 0's x-mirror too: even in x, not in y
+        arr[-1, 0] = arr[0, 0]
+        broken.append((arr, 1))
+    for bad_arr, ax in broken:
+        bad = dataclasses.replace(op, **{name: bad_arr.ravel()})
+        with pytest.raises(InvariantViolation, match=f"{name} is not even under the reflection of axis {ax}"):
+            bad.spectrum
+        with pytest.raises(InvariantViolation, match=f"{name} is not even"):
+            heat_kernel(bad, 0.1)
+    # a box without a mirror axis has one block and no reflection to check
+    skew = assemble_operator(build_grid((-1.0, 1.5), 0.05), P1, c=0.5 * hardy_constant(P1))
+    diag = skew.diag.copy()
+    diag[0] = np.nextafter(diag[0], np.inf)
+    assert [len(lam) for lam, _ in dataclasses.replace(skew, diag=diag).spectrum] == [skew.n]
 
 
 def test_one_saturation_rule_at_max_v():
