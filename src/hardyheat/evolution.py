@@ -23,6 +23,9 @@ the trajectory comes from the exponential action, the check stays
 independent of the path it checks.  Both paths are exact up to roundoff, so
 nothing steps in time here; the Crank-Nicolson and implicit-Euler steppers
 that cross-check the exponential action live in ``tests/oracles.py``.
+
+The module also owns the truncation schedule: ``default_k_levels`` is its one
+copy, read by ``minimal_solution`` and by the ``blowup`` suite's rule.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from scipy.linalg import expm  # noqa: F401  unused; bench/spans.py traces this 
 
 from .errors import ConfigError, ContractError, InvariantViolation
 from .operators import DiscreteOperator
-from .scenario import default_k_levels
 from .specfun import coupling_regime
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "KernelMatrix",
     "evolve",
     "heat_kernel",
+    "default_k_levels",
     "minimal_solution",
     "duhamel_residual",
 ]
@@ -171,16 +174,15 @@ def heat_kernel(op: DiscreteOperator, t: float) -> KernelMatrix:
     return KernelMatrix(operator=op, t=float(t), P=P)
 
 
-def default_truncation_schedule(op: DiscreteOperator) -> np.ndarray:
-    """Geometric levels 1, 4, 16, ... capped at max V (where min(V,k) = V).
-
-    Beyond the cap the truncated operator equals the untruncated one on this
-    grid, so the schedule always terminates with the exact grid potential.
-    The levels are ``scenario.default_k_levels``, which parse-time rules read too.
-    """
-    if op.c <= 0.0:
-        raise ConfigError("truncation schedule needs a positive coupling c")
-    return np.array(default_k_levels(float(np.max(op.V))))
+def default_k_levels(vmax: float) -> list[float]:
+    """The default truncation schedule on a grid where max V = vmax: 1, 4, 16, ...
+    up to the first level k >= vmax, which becomes vmax itself; there min(V, k) = V,
+    so the schedule always ends with the exact grid potential."""
+    levels = [1.0]
+    while levels[-1] < vmax:
+        levels.append(4.0 * levels[-1])
+    levels[-1] = vmax
+    return levels
 
 
 def minimal_solution(
@@ -209,11 +211,9 @@ def minimal_solution(
         raise ConfigError("minimal solution needs a positive coupling c")
     if op.k is not None:
         raise ContractError("pass the untruncated operator (k=None) as the base")
-    ks = (
-        default_truncation_schedule(op)
-        if k_schedule is None
-        else np.atleast_1d(np.asarray(k_schedule, dtype=float))
-    )
+    if k_schedule is None:
+        k_schedule = default_k_levels(float(np.max(op.V)))
+    ks = np.atleast_1d(np.asarray(k_schedule, dtype=float))
     if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
         raise ContractError("k schedule must be positive and strictly increasing")
     ts = _check_times(times)

@@ -36,7 +36,7 @@ import math
 import os
 import pickle
 import signal
-from contextlib import closing, suppress
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -737,23 +737,17 @@ def write_csv(path: str, header: str, blocks) -> str:
     Each block is formatted at once by ``_format_block``, in the workers of
     ``_blockwise``; this process writes and hashes the blocks in order, so the
     bytes are those of one repr per entry whatever the worker count.  The
-    file is written as ``<path>.<pid>.tmp`` and renamed into place; on an
-    error the temporary file is removed, so ``path`` keeps its previous
-    bytes, or stays absent, and is never left truncated.
+    file is written through ``runstore.atomic_open``, so an error leaves
+    ``path`` with its previous bytes, or absent, never truncated.
     """
+    from .runstore import atomic_open  # the one atomic writer, imported on use as cli does
+
     digest = hashlib.sha256()
-    tmp = f"{path}.{os.getpid()}.tmp"
     encoded = _blockwise(lambda k: _format_block(blocks[k]).encode(), len(blocks))
-    try:
-        with open(tmp, "wb") as fh, closing(encoded):
-            for data in chain([(header + "\n").encode()], encoded):
-                fh.write(data)
-                digest.update(data)
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as fh, closing(encoded):
+        for data in chain([(header + "\n").encode()], encoded):
+            fh.write(data)
+            digest.update(data)
     return digest.hexdigest()
 
 

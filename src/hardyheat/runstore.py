@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 
 from .errors import ConfigError
 from .scenario import Scenario
@@ -70,19 +70,26 @@ def load_current(path: str) -> dict | None:
     return None
 
 
-def write_json(path: str, obj) -> None:
-    """Write ``obj`` as sorted, indented JSON atomically (temp file, then rename);
-    on an error the temp file is removed and ``path`` keeps its previous bytes."""
+@contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Yield ``<path>.<pid>.tmp`` open for writing and rename it onto ``path``; on any
+    error it is removed, so ``path`` keeps its previous bytes (or stays absent)."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str, obj) -> None:
+    """Write ``obj`` as sorted, indented JSON through ``atomic_open``."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 class RunStore:

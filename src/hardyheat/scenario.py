@@ -19,9 +19,8 @@ hand-editable and diff-friendly.  Keys:
 Unknown keys are rejected with a message listing them; missing required keys
 are rejected naming the field, and every real must be a finite number.  Couplings written as fractions of the
 critical value are resolved before any run, by the same rule as the CLI's
---c flag (``parse_coupling``).  ``validate_for_suite`` holds the suites'
-rules on a scenario, so a scenario that breaks one is rejected before
-anything is assembled.
+--c flag (``parse_coupling``).  A scenario file that cannot be read is a
+ConfigError, as is one that does not parse.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
-from .grids import build_grid, halves
-from .specfun import FractionalParams, coupling_regime, hardy_constant
+from .errors import ConfigError
+from .specfun import FractionalParams, hardy_constant
 
 __all__ = [
     "Scenario",
@@ -44,7 +42,6 @@ __all__ = [
     "scenario_from_dict",
     "build_u0",
     "parse_coupling",
-    "SUITES",
 ]
 
 _REQUIRED = ("d", "alpha", "c", "domain", "h", "u0", "times")
@@ -55,8 +52,6 @@ _OPTIONAL = {
     "inner_half_width": None,
     "t0_factor": 0.1,
 }
-SUITES = ("constants", "operator", "kernel", "sharp", "lp", "blowup", "all")
-_ALL_PARTS = ("constants", "operator", "kernel", "sharp", "lp")
 _COUPLING_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(\*\s*cstar\s*)?$")
 _TREF_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*\*\s*tref\s*$")
 
@@ -299,80 +294,6 @@ def _parse_u0(spec: str) -> tuple[str, float | str | None]:
     )
 
 
-def all_parts(scn: Scenario) -> tuple[str, ...]:
-    """The suites that 'all' runs on ``scn``: lp only from 3 grid levels on."""
-    return tuple(p for p in _ALL_PARTS if p != "lp" or len(scn.h_levels) >= 3)
-
-
-def default_k_levels(vmax: float) -> list[float]:
-    """The default truncation schedule on a grid where max V = vmax: 1, 4, 16, ...
-    up to the first level k >= vmax (where min(V, k) = V), which becomes vmax itself."""
-    levels = [1.0]
-    while levels[-1] < vmax:
-        levels.append(4.0 * levels[-1])
-    levels[-1] = vmax
-    return levels
-
-
-def validate_for_suite(scn: Scenario, suite: str) -> tuple[list, dict]:
-    """Every rule ``suite`` places on a scenario; 'all' adds those of its parts.
-
-    Every grid level must build, whatever the suite, and u0 must build on
-    every grid where the suite builds it.  Returns what it built, so that a
-    run builds neither again: the grids, coarse to fine, and u0 keyed by the
-    h of each grid it was built on.
-    """
-    if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    grids = [build_grid(scn.domain_spec(), h) for h in scn.h_levels]
-    finest = grids[-1]
-    supercritical = coupling_regime(scn.c, scn.params) == "supercritical"
-    c_vs = f"c* ({hardy_constant(scn.params):.6g}), got c = {scn.c:.6g}"
-    names = ("all", *all_parts(scn)) if suite == "all" else (suite,)
-    u0s = {}
-    for name in names:
-        if name in ("sharp", "kernel", "lp", "all") and supercritical:
-            raise ConfigError(f"suite {name!r} requires c <= {c_vs}")
-        if name == "blowup" and not supercritical:
-            raise ConfigError(f"suite 'blowup' requires c > {c_vs}")
-        if name in ("sharp", "lp") and scn.c <= 0.0:
-            raise ConfigError(f"suite {name!r} requires a positive coupling")
-        levels = {"operator": 2, "lp": 3, "blowup": 3}.get(name, 1)
-        if len(scn.h_levels) < levels:
-            raise ConfigError(f"suite {name!r} needs at least {levels} grid levels")
-        if name in ("lp", "blowup") and not halves(scn.h_levels):  # their estimators' rule
-            raise ConfigError(
-                f"suite {name!r}: grids must halve h between levels, got {list(scn.h_levels)}"
-            )
-        if name == "kernel":
-            try:
-                finest.inner_box(scn.inner_half_width)
-            except ConfigError as exc:
-                raise ConfigError(
-                    f"suite 'kernel' compares kernels on the finest grid (h = {finest.h:g}): {exc}"
-                ) from None
-        if name in ("sharp", "lp"):  # both fit the profile slope on the finest grid
-            try:
-                finest.slope_window()
-            except (ConfigError, ContractError) as exc:  # window empty or too few nodes
-                raise ConfigError(
-                    f"suite {name!r} fits a slope on the finest grid (h = {finest.h:g}): {exc}"
-                ) from None
-        if name == "blowup":  # the probe runs the truncation schedule on the finest grid
-            vmax = float(np.max(finest.potential(scn.c, scn.params.alpha)))
-            ks = default_k_levels(vmax) if scn.k_schedule is None else list(scn.k_schedule)
-            if len({min(k, vmax) for k in ks}) < 2:
-                raise ConfigError(
-                    f"suite 'blowup': the truncation schedule {ks} gives fewer than 2 distinct "
-                    f"potentials min(V, k) on the finest grid (h = {finest.h:g}, max V = "
-                    f"{vmax:.6g}), so the probe cannot grow; refine h or list k levels below max V"
-                )
-        for grid in {"sharp": [finest], "blowup": [finest], "lp": grids}.get(name, []):
-            if grid.h not in u0s:
-                u0s[grid.h] = build_u0(scn.u0_spec, grid)
-    return grids, u0s
-
-
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -381,14 +302,16 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ConfigError(f"scenario file {path} is unreadable: {exc}")
     return scenario_from_dict(raw)
 
 
 def build_u0(spec: str, grid) -> np.ndarray:
     """Materialize a u0 spec on a grid (unit height or unit cell mass).
 
-    A csv file must hold one finite, nonnegative value per node; anything
-    else is a ConfigError here, before any operator is assembled.
+    A csv file must hold one finite, nonnegative value per node, not all zero;
+    anything else is a ConfigError here, before any operator is assembled.
     """
     kind, arg = _parse_u0(spec)
     r = grid.radii
@@ -416,4 +339,6 @@ def build_u0(spec: str, grid) -> np.ndarray:
         raise ConfigError(f"u0 csv {arg!r} holds non-finite values")
     if np.any(vals < 0.0):
         raise ConfigError(f"u0 csv {arg!r} holds negative values, min = {float(np.min(vals)):.3e}")
+    if not np.any(vals > 0.0):
+        raise ConfigError(f"u0 csv {arg!r} holds no positive value")
     return vals.astype(float)

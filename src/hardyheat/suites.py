@@ -9,13 +9,16 @@ with no timestamps or environment echoes beyond the recorded thread count,
 so reruns are bit-identical.  Suites assert structural invariants (symmetry,
 positivity, monotonicity, shrink-under-refinement); the desk-scale tolerance
 numbers mirror the package's acceptance tests.
+
+Each suite lives here whole: its runner (``_RUNNERS``), its name in
+``SUITES`` and its parse-time rules on a scenario (``validate_for_suite``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import ConfigError, ContractError, InvariantViolation
 from .estimators import (
     _ENVELOPE_DECADES,
     blowup_diagnostic,
@@ -30,13 +33,14 @@ from .estimators import (
     weighted_l1_bound,
     weighted_row_mass,
 )
-from .evolution import duhamel_residual, evolve, heat_kernel, minimal_solution
+from .evolution import default_k_levels, duhamel_residual, evolve, heat_kernel, minimal_solution
+from .grids import build_grid, halves
 from .operators import DiscreteOperator, FormEvaluator, assemble_operator
-from .scenario import Scenario, all_parts, validate_for_suite
+from .scenario import Scenario, build_u0
 from .specfun import beta_of_c, coupling_regime, hardy_constant, multiplier
 from .threads import thread_setting
 
-__all__ = ["run_suite"]
+__all__ = ["run_suite", "validate_for_suite", "all_parts", "SUITES"]
 
 
 def _check(name, measured, expected, tolerance, ok) -> dict:
@@ -554,3 +558,69 @@ _RUNNERS = {
     "lp": _run_lp,
     "blowup": _run_blowup,
 }
+SUITES = (*_RUNNERS, "all")
+_ALL_PARTS = ("constants", "operator", "kernel", "sharp", "lp")
+
+
+def all_parts(scn: Scenario) -> tuple[str, ...]:
+    """The suites that 'all' runs on ``scn``: lp only from 3 grid levels on."""
+    return tuple(p for p in _ALL_PARTS if p != "lp" or len(scn.h_levels) >= 3)
+
+
+def validate_for_suite(scn: Scenario, suite: str) -> tuple[list, dict]:
+    """Every rule ``suite`` places on a scenario; 'all' adds those of its parts.
+
+    Every grid level must build, whatever the suite, and u0 must build on
+    every grid where the suite builds it.  Returns what it built, so that a
+    run builds neither again: the grids, coarse to fine, and u0 keyed by the
+    h of each grid it was built on.
+    """
+    if suite not in SUITES:
+        raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
+    grids = [build_grid(scn.domain_spec(), h) for h in scn.h_levels]
+    finest = grids[-1]
+    supercritical = coupling_regime(scn.c, scn.params) == "supercritical"
+    c_vs = f"c* ({hardy_constant(scn.params):.6g}), got c = {scn.c:.6g}"
+    names = ("all", *all_parts(scn)) if suite == "all" else (suite,)
+    u0s = {}
+    for name in names:
+        if name in ("sharp", "kernel", "lp", "all") and supercritical:
+            raise ConfigError(f"suite {name!r} requires c <= {c_vs}")
+        if name == "blowup" and not supercritical:
+            raise ConfigError(f"suite 'blowup' requires c > {c_vs}")
+        if name in ("sharp", "lp") and scn.c <= 0.0:
+            raise ConfigError(f"suite {name!r} requires a positive coupling")
+        levels = {"operator": 2, "lp": 3, "blowup": 3}.get(name, 1)
+        if len(scn.h_levels) < levels:
+            raise ConfigError(f"suite {name!r} needs at least {levels} grid levels")
+        if name in ("lp", "blowup") and not halves(scn.h_levels):  # their estimators' rule
+            raise ConfigError(
+                f"suite {name!r}: grids must halve h between levels, got {list(scn.h_levels)}"
+            )
+        if name == "kernel":
+            try:
+                finest.inner_box(scn.inner_half_width)
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"suite 'kernel' compares kernels on the finest grid (h = {finest.h:g}): {exc}"
+                ) from None
+        if name in ("sharp", "lp"):  # both fit the profile slope on the finest grid
+            try:
+                finest.slope_window()
+            except (ConfigError, ContractError) as exc:  # window empty or too few nodes
+                raise ConfigError(
+                    f"suite {name!r} fits a slope on the finest grid (h = {finest.h:g}): {exc}"
+                ) from None
+        if name == "blowup":  # the probe runs the truncation schedule on the finest grid
+            vmax = float(np.max(finest.potential(scn.c, scn.params.alpha)))
+            ks = default_k_levels(vmax) if scn.k_schedule is None else list(scn.k_schedule)
+            if len({min(k, vmax) for k in ks}) < 2:
+                raise ConfigError(
+                    f"suite 'blowup': the truncation schedule {ks} gives fewer than 2 distinct "
+                    f"potentials min(V, k) on the finest grid (h = {finest.h:g}, max V = "
+                    f"{vmax:.6g}), so the probe cannot grow; refine h or list k levels below max V"
+                )
+        for grid in {"sharp": [finest], "blowup": [finest], "lp": grids}.get(name, []):
+            if grid.h not in u0s:
+                u0s[grid.h] = build_u0(scn.u0_spec, grid)
+    return grids, u0s

@@ -24,7 +24,7 @@ from hardyheat.estimators import (
     weighted_row_mass,
 )
 from hardyheat.evolution import (
-    default_truncation_schedule,
+    default_k_levels,
     duhamel_residual,
     evolve,
     heat_kernel,
@@ -185,7 +185,7 @@ def test_criterion_02_harmonic_profile_defect_shrinks(ops):
 
 def test_criterion_03_minimal_solution_monotone(reference_run):
     op = reference_run["op"]
-    ks = default_truncation_schedule(op)
+    ks = default_k_levels(float(np.max(op.V)))
     prev, worst = None, 0.0
     for k in ks:
         trk = evolve(op.with_truncation(float(k)), reference_run["u0"], reference_run["times"])

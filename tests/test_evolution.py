@@ -8,7 +8,7 @@ from scipy.linalg import eigh
 from hardyheat.errors import ConfigError, ContractError, InvariantViolation
 from hardyheat.estimators import t_ref
 from hardyheat.evolution import (
-    default_truncation_schedule,
+    default_k_levels,
     duhamel_residual,
     evolve,
     heat_kernel,
@@ -129,20 +129,15 @@ def test_kernel_row_mass_submarkov(free_op):
 
 def test_truncation_schedule(hardy_op):
     # shallow potential (max V < 1): a single saturation level
-    ks = default_truncation_schedule(hardy_op)
+    ks = default_k_levels(float(np.max(hardy_op.V)))
     assert_allclose(ks, [np.max(hardy_op.V)])
     # deeper potential: geometric levels 1, 4, ... capped at max V
     op = assemble_operator(build_grid((-1.0, 1.0), 0.005), P1, c=hardy_constant(P1))
-    ks = default_truncation_schedule(op)
+    ks = np.array(default_k_levels(float(np.max(op.V))))
     assert ks[0] == 1.0
     assert_allclose(ks[-1], np.max(op.V))
     assert np.all(np.diff(ks) > 0)
     assert_allclose(ks[1:-1] / ks[:-2], 4.0)
-
-
-def test_truncation_schedule_needs_coupling(free_op):
-    with pytest.raises(ConfigError):
-        default_truncation_schedule(free_op)
 
 
 def test_minimal_solution_saturates(hardy_op):
@@ -174,7 +169,7 @@ def test_saturation_is_reached_at_max_v_exactly(hardy_op):
     assert rep["converged_by"] in ("tolerance", "none")
     # the default schedule ends on the first saturating level, max V itself
     op = assemble_operator(build_grid((-1.0, 1.0), 0.005), P1, c=hardy_constant(P1))
-    ks = default_truncation_schedule(op)
+    ks = default_k_levels(float(np.max(op.V)))
     assert ks[-1] == np.max(op.V)
     assert [op.saturates(float(k)) for k in ks] == [False] * (len(ks) - 1) + [True]
 

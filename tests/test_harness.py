@@ -21,15 +21,9 @@ from hardyheat.estimators import blowup_diagnostic, t_ref, weighted_row_mass
 from hardyheat.evolution import heat_kernel, minimal_solution
 from hardyheat.operators import assemble_operator, load_operator
 from hardyheat.runstore import NUMERICS_EPOCH, RunStore, write_json
-from hardyheat.scenario import (
-    all_parts,
-    build_u0,
-    load_scenario,
-    scenario_from_dict,
-    validate_for_suite,
-)
+from hardyheat.scenario import build_u0, load_scenario, scenario_from_dict
 from hardyheat.specfun import FractionalParams, beta_of_c, coupling_regime, hardy_constant
-from hardyheat.suites import run_suite
+from hardyheat.suites import all_parts, run_suite, validate_for_suite
 from hardyheat.threads import THREAD_VARS
 
 import oracles
@@ -917,7 +911,7 @@ def test_only_the_atomic_writers_open_files_for_writing():
             with open(os.path.join(src, name)) as fh:
                 tree = ast.parse(fh.read())
             found |= {(name[:-3], owner) for owner in _write_mode_opens(tree)}
-    assert found == {("runstore", "write_json"), ("operators", "write_csv"), ("operators", "_serve")}
+    assert found == {("runstore", "atomic_open"), ("operators", "_serve")}
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +976,6 @@ def count_calls(monkeypatch) -> dict:
 
     import hardyheat.estimators
     import hardyheat.operators
-    import hardyheat.scenario
     import hardyheat.suites
 
     calls = {"eigsh": [], "eigh": [], "eigh_n": [], "assemble": 0, "validate": 0, "grids": 0}
@@ -1021,7 +1014,6 @@ def count_calls(monkeypatch) -> dict:
     counted(hardyheat.operators, "eigh", "eigh")
     counted(hardyheat.suites, "assemble_operator", "assemble")
     counted(hardyheat.suites, "validate_for_suite", "validate")
-    counted(hardyheat.scenario, "validate_for_suite", "validate")
     for mod in [m for n, m in sys.modules.items() if n.startswith("hardyheat.")]:
         if hasattr(mod, "build_grid"):
             counted(mod, "build_grid", "grids")
@@ -1048,6 +1040,13 @@ class TestCli:
         assert "numpy" in mods  # the scenario is parsed
         assert [m for m in mods if m.startswith("scipy")] == []
         assert "hardyheat.suites" not in mods
+
+    def test_evolution_needs_no_scenario_and_scenario_no_suites(self):
+        # the file format sits below the propagator; the suites' rules sit above both
+        assert "hardyheat.scenario" not in _fresh_modules("import hardyheat.evolution")
+        mods = _fresh_modules("import hardyheat.scenario")
+        assert "hardyheat.scenario" in mods
+        assert [m for m in mods if m == "hardyheat.suites" or m.startswith("scipy")] == []
 
     def test_constants_loads_no_scipy(self):
         code = "import sys, hardyheat.cli; assert hardyheat.cli.main(sys.argv[1:]) == 0"
@@ -1445,6 +1444,34 @@ class TestCli:
         rc = main(["--out", store_root, *argv, "--scenario", path])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evolve", "verify-sharp"])
+    def test_all_zero_csv_u0_exits_2_before_assembly(
+        self, tmp_path, store_root, capsys, no_assembly, command
+    ):
+        # a u0 of zeros has no profile to fit and no probe to grow: refused before any compute
+        np.savetxt(tmp_path / "u0.csv", np.zeros(200), delimiter=",")
+        path = write_scenario(tmp_path, "zero.json", base_raw(u0=f"csv:{tmp_path / 'u0.csv'}", h=[0.01]))
+        argv = ["evolve"] if command == "evolve" else ["verify", "--suite", "sharp"]
+        rc = main(["--out", store_root, *argv, "--scenario", path])
+        assert rc == 2
+        assert f"u0 csv '{tmp_path / 'u0.csv'}' holds no positive value" in capsys.readouterr().err
+        assert os.listdir(os.path.join(store_root, "trajectories")) == []
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_scenario_file_exits_2(self, tmp_path, store_root, capsys, command, kind):
+        path = tmp_path / "scn.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe" + json.dumps(base_raw()).encode())
+        flag = "--scenario" if command == "verify" else "--scenarios"
+        rc = main(["--out", store_root, command, "--suite", "constants", flag, str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario file {path} is unreadable: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("suite", ["operator", "kernel"])
     def test_negative_seed_exits_2_before_assembly(
