@@ -43,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 from scipy.special import betainc, betaincc, hyp2f1
 
 from .errors import ConfigError, ContractError, InvariantViolation, ParameterDomainError
@@ -347,15 +347,14 @@ class ParityMap:
         """The m x m parity blocks of op.H, built from its n/2**s representative rows.
 
         Each block is symmetric bit for bit: its (i, j) and (j, i) entries are
-        the same terms, summed in the same order.  So each is returned
-        transposed, in Fortran order, as LAPACK overwrites it in place; with
-        no mirror axis that is H.T.
+        the same terms, summed in the same order.  With no mirror axis the one
+        block is H.
         """
         m, n = self.m, self.n
         reps = self._image(np.arange(n), 0)
         rows = np.negative(op.J[self._sides(0)], order="C").reshape(m, n)
         rows[np.arange(m), reps] = (op.diag - op.W)[reps]
-        return [B.T for B in _butterfly([self._image(rows, q, 1) for q in range(1 << len(self.axes))])]
+        return _butterfly([self._image(rows, q, 1) for q in range(1 << len(self.axes))])
 
     def lift(self, blocks: list) -> np.ndarray:
         """The n x n matrix T diag(blocks) T^T, T the orthonormal parity basis.
@@ -496,9 +495,10 @@ class DiscreteOperator:
         n x n eigenvector matrix is formed on a box with s mirror axes; with
         none, the one pair is that of H.  Cached per instance; a truncated
         copy solves its own blocks unless its cutoff changes nothing (see
-        ``with_truncation``).  Each solve overwrites its own block.
+        ``with_truncation``).  Each block is solved by numpy's LAPACK (the
+        ``?syevd`` driver), so dense solves and products share one BLAS.
         """
-        return tuple(eigh(B, driver="evd", overwrite_a=True) for B in self.parity.blocks(self))
+        return tuple(eigh(B) for B in self.parity.blocks(self))
 
     def saturates(self, k: float | None) -> bool:
         """The one saturation rule: k is None or k >= max V, so min(V, k) is V bit for bit."""

@@ -9,7 +9,9 @@ Layout under the store root:
 where <id> is the first 16 hex digits of the sha256 of the canonical scenario
 JSON.  Re-running an identical (scenario, suite) pair returns the stored
 report unchanged unless forced, or unless the report was computed under a
-different numerics epoch (its ``numerics`` field).  Reports carry no
+different numerics epoch (its ``numerics`` field) or thread setting (its
+``threads`` field): the threaded BLAS inside the dense eigensolves moves
+report values by roundoff with the thread count.  Reports carry no
 timestamps, so a rerun with the same seed and thread count is bit-identical.
 Reports are written to a temporary file and renamed into place, so a killed
 run leaves the previous report or none, never a truncated one; a report that
@@ -24,6 +26,7 @@ from contextlib import contextmanager, suppress
 
 from .errors import ConfigError
 from .scenario import Scenario
+from .threads import thread_setting
 
 __all__ = ["RunStore", "NUMERICS_EPOCH", "load_current"]
 
@@ -54,7 +57,10 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #      mirror images and diag and kappa exactly even, and kernels and the
 #      Duhamel check are solved in parity blocks of H, so values on such boxes
 #      move by roundoff; boxes without one keep their bytes
-NUMERICS_EPOCH = 10
+#  11  parity blocks solved by numpy's LAPACK (?syevd) instead of scipy's, so
+#      dense solves and products run on one BLAS; kernels and the Duhamel
+#      check move by roundoff
+NUMERICS_EPOCH = 11
 
 
 def load_current(path: str) -> dict | None:
@@ -107,7 +113,11 @@ class RunStore:
         return self.path("reports", f"{scn.run_id()}.{suite}.json")
 
     def cached_report(self, scn: Scenario, suite: str) -> dict | None:
-        return load_current(self._report_path(scn, suite))
+        """The stored report, if it is of this epoch and was computed at the current thread setting."""
+        report = load_current(self._report_path(scn, suite))
+        if report is not None and report.get("threads") == thread_setting():
+            return report
+        return None
 
     def save_report(self, scn: Scenario, suite: str, report: dict) -> str:
         write_json(self.path("scenarios", f"{scn.run_id()}.json"), scn.to_dict())

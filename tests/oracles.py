@@ -13,7 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import integrate
-from scipy.linalg import eigh, eigvalsh, expm, lu_factor, lu_solve
+from scipy.linalg import eigvalsh, expm, lu_factor, lu_solve
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import betainc
 
@@ -338,28 +338,28 @@ def theta_steps(H: np.ndarray, u0: np.ndarray, t: float, n_steps: int, theta: fl
     return u
 
 
-def heat_kernel_full_spectrum(H: np.ndarray, t: float, cell_volume: float) -> np.ndarray:
+def heat_kernel_full_spectrum(H: np.ndarray, t: float, cell_volume: float, solver=np.linalg.eigh) -> np.ndarray:
     """exp(-t H) / h^d as (Q e^{-t lam}) Q^T from one eigendecomposition of the whole H.
 
-    ``eigh`` with the divide-and-conquer driver, on H itself: no parity
-    blocks.  On a box without a mirror axis the package's one block is H and
-    its kernel equals this bit for bit.
+    ``solver(H) -> (lam, Q)`` on H itself: no parity blocks.  With the
+    default, the package's solver, the kernel on a box without a mirror axis
+    (one block, H) equals this bit for bit.
     """
-    lam, Q = eigh(H, driver="evd")
+    lam, Q = solver(H)
     P = (Q * np.exp(-float(t) * lam)) @ Q.T
     P /= cell_volume
     return P
 
 
-def duhamel_residual_full_spectrum(times, states, H, L0, W, n_quad: int) -> dict:
+def duhamel_residual_full_spectrum(times, states, H, L0, W, n_quad: int, solver=np.linalg.eigh) -> dict:
     """The Duhamel defect of ``evolution.duhamel_residual`` from the eigenbases of the whole H and L0.
 
     The same Simpson sum, with every propagator an n x n eigenvector matrix
-    product; on a box without a mirror axis the package's value equals this
-    bit for bit.
+    product; with the default ``solver`` the package's value on a box without
+    a mirror axis equals this bit for bit.
     """
-    lam_h, Q_h = eigh(H, driver="evd")
-    lam_0, Q_0 = eigh(L0, driver="evd")
+    lam_h, Q_h = solver(H)
+    lam_0, Q_0 = solver(L0)
     u0 = states[0]
     u0_h = Q_h.T @ u0
     u0_0 = Q_0.T @ u0

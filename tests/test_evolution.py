@@ -363,6 +363,65 @@ def test_duhamel_matches_the_full_spectrum(parity_case):
 
 
 # ---------------------------------------------------------------------------
+# numpy's LAPACK against the scipy solver that the spectra used before (epoch 10)
+# ---------------------------------------------------------------------------
+
+# (domain, h, params): the finest grid of the verify-1d-all bench scenario
+# (n = 800) and the 2-d h = 0.1 square (n = 400)
+SCIPY_BOXES = {
+    "d1_n800": ((-1.0, 1.0), 0.0025, P1),
+    "d2_h0.1": ([(-1.0, 1.0), (-1.0, 1.0)], 0.1, P2),
+}
+# Measured at 1 and 2 BLAS threads: every eigenvalue of every block equal
+# bit for bit (both call ?syevd on the same block); kernels within 6.8e-15 of
+# max P; residuals within 1.0e-15.  The residuals are norms relative to
+# |u(t)| and range from 8e-14 to 2.3e-8, so their difference is bounded in
+# units of |u(t)|: at 8e-14 it is 1% of the residual, at 2.3e-8 1.4e-8.
+SCIPY_EIGVAL_TOL = 4e-16  # of the block's max |lam|, two ulps
+SCIPY_DUHAMEL_TOL = 1e-14  # absolute, on the relative residual
+
+
+def _scipy_evd(A):
+    return eigh(A, driver="evd")
+
+
+@pytest.fixture(scope="module", params=list(SCIPY_BOXES))
+def scipy_case(request):
+    domain, h, params = SCIPY_BOXES[request.param]
+    grid = build_grid(domain, h)
+    op = assemble_operator(grid, params, c=0.5 * hardy_constant(params))
+    return op, build_u0("ball:0.2", grid), t_ref(op)
+
+
+def test_block_eigenvalues_match_scipys_solver(scipy_case):
+    op, _, _ = scipy_case
+    for o in (op, op.free):
+        for B, (lam, _) in zip(o.parity.blocks(o), o.spectrum):
+            ref = _scipy_evd(B)[0]
+            assert np.max(np.abs(lam - ref)) <= SCIPY_EIGVAL_TOL * np.max(np.abs(ref))
+
+
+def test_heat_kernel_matches_scipys_full_spectrum(scipy_case):
+    op, _, tr = scipy_case
+    for t in (0.1 * tr, 0.5 * tr):
+        ref = oracles.heat_kernel_full_spectrum(op.H, t, op.grid.cell_volume, solver=_scipy_evd)
+        assert np.max(np.abs(heat_kernel(op, t).P - ref)) <= PARITY_KERNEL_TOL * np.max(ref)
+
+
+def test_duhamel_matches_scipys_full_spectrum(scipy_case):
+    op, u0, tr = scipy_case
+    traj = evolve(op, u0, [0.0, 0.1 * tr, 0.5 * tr])
+    for n_quad in (65, 129):
+        got = duhamel_residual(traj, n_quad=n_quad)
+        ref = oracles.duhamel_residual_full_spectrum(
+            traj.times, traj.states, op.H, op.free.H, op.W, n_quad, solver=_scipy_evd
+        )
+        assert set(got) == set(ref)
+        for t in ref:
+            assert abs(got[t] - ref[t]) <= SCIPY_DUHAMEL_TOL
+
+
+# ---------------------------------------------------------------------------
 # the matrix-free exponential action against scipy's dense expm_multiply
 # ---------------------------------------------------------------------------
 

@@ -914,6 +914,47 @@ def test_only_the_atomic_writers_open_files_for_writing():
     assert found == {("runstore", "atomic_open"), ("operators", "_serve")}
 
 
+def _scipy_linalg_calls(tree):
+    """Names imported from scipy.linalg in ``tree``, and the calls to any of them or to
+    an attribute of the module itself (``scipy.linalg.f(...)``, ``linalg.f(...)``)."""
+    names, modules = set(), {"scipy.linalg"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg":
+            names |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            modules |= {a.asname or a.name for a in node.names if a.name == "linalg"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "scipy.linalg" and a.asname}
+    calls = [
+        ast.unparse(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) in names
+            or isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) in modules
+        )
+    ]
+    return names, calls
+
+
+def test_dense_solves_and_products_run_on_one_blas():
+    # numpy and scipy each bundle their own OpenBLAS with its own thread pool;
+    # the dense spectral layer uses numpy's, and scipy's runs only inside eigsh
+    import hardyheat.operators
+
+    assert hardyheat.operators.eigh is np.linalg.eigh
+    src = os.path.dirname(hardyheat.__file__)
+    imported, called = set(), []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                names, calls = _scipy_linalg_calls(ast.parse(fh.read()))
+            imported |= {(name[:-3], n) for n in names}
+            called += [(name[:-3], c) for c in calls]
+    assert called == []
+    # the names that bench/spans.py traces stay imported, and uncalled
+    assert {("estimators", "eigvalsh"), ("evolution", "expm")} <= imported
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -1164,6 +1205,32 @@ class TestCli:
         )
         assert out.returncode == 0 and out.stderr == ""
         assert json.loads(out.stdout)["c_star"] == pytest.approx(C_STAR, rel=1e-15)
+
+    def test_a_cached_report_is_served_only_at_its_thread_count(self, tmp_path, store_root):
+        # the threaded BLAS inside the eigensolves moves kernel and Duhamel
+        # values with the thread count, so a report computed at 2 threads is
+        # not the answer to a --threads 1 request
+        import subprocess
+        import sys
+
+        import hardyheat
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hardyheat.__file__)))
+        path = write_scenario(tmp_path, "three.json", three_level_raw())
+
+        def verify(threads):
+            out = subprocess.run(
+                [sys.executable, "-m", "hardyheat.cli", "--threads", threads, "--out", store_root,
+                 "verify", "--suite", "all", "--scenario", path],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            )
+            assert out.returncode == 0, out.stderr
+            return "(cached report" in out.stdout
+
+        assert [verify("2"), verify("2"), verify("1"), verify("1")] == [False, True, False, True]
+        (rpath,) = [p for p in os.listdir(os.path.join(store_root, "reports")) if p.endswith(".all.json")]
+        with open(os.path.join(store_root, "reports", rpath)) as fh:
+            assert json.load(fh)["threads"] == "1"
 
     def test_verify_passing_suite(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "ok.json", base_raw())
