@@ -192,6 +192,12 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
+def _spell(x: float) -> str:
+    """x as ``:g`` spells it where that reads back as x, else its shortest round-trip repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def _cmd_kernel(args) -> int:
     from .estimators import t_ref
     from .evolution import heat_kernel
@@ -207,8 +213,8 @@ def _cmd_kernel(args) -> int:
     op = assemble_operator(grid, scn.params, c=scn.c, k=None)
     t_abs = args.t * t_ref(op)
     ker = heat_kernel(op, t_abs)
-    base = store.path("kernels", f"{scn.run_id()}-t{args.t:g}")
-    sha = write_csv(base + ".csv", "i,j,value", triangle_blocks(ker.P))
+    base = store.path("kernels", f"{scn.run_id()}-t{_spell(args.t)}")
+    sha = write_csv(base + ".csv", "i,j,value", triangle_blocks(ker))
     header = {
         "scenario": scn.to_dict(),
         "t_factor": args.t,

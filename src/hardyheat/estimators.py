@@ -74,10 +74,13 @@ _ENVELOPE_DECADES = 1.5  # the t-span, in decades, that an envelope must cover
 
 
 def _weighted_sups(kernels: list[KernelMatrix]) -> list[float]:
-    """sup over the grid of p_t(x, y) / (w(x) w(y)) for each kernel, w = ``op.weight``."""
+    """sup over the grid of p_t(x, y) / (w(x) w(y)) for each kernel, w = ``op.weight``,
+    by row slabs of P."""
     w = kernels[0].operator.weight
-    ww = np.outer(w, w)
-    return [float(np.max(k.P / ww)) for k in kernels]
+    return [
+        max(float(np.max(np.divide(P, np.multiply.outer(w[rows], w), out=P))) for rows, P in k.slabs())
+        for k in kernels
+    ]
 
 
 def kernel_sandwich(kernels: list[KernelMatrix], inner_half_width: float | None = None) -> dict:
@@ -86,20 +89,23 @@ def kernel_sandwich(kernels: list[KernelMatrix], inner_half_width: float | None 
     The box is ``Grid.inner_box(inner_half_width)``: by default half the
     inradius, strictly inside the domain and holding at least 2 nodes.
 
-    For each kernel the ratio field R = p_t / (w w) is reduced to its min
-    (the lower comparison constant at that t), max, and spread max/min.
+    For each kernel the ratio field R = p_t / (w w) is reduced, a row slab of
+    P at a time, to its min (the lower comparison constant at that t), max,
+    and spread max/min.
     """
     if not kernels:
         raise ContractError("at least one kernel is required")
     op = kernels[0].operator
     mask = op.grid.inner_box(inner_half_width)
-    wm = op.weight[mask]
-    ww = np.outer(wm, wm)
+    w = op.weight
     per_t = []
     for ker in kernels:
-        R = ker.P[np.ix_(mask, mask)] / ww
-        rmin = float(np.min(R))
-        rmax = float(np.max(R))
+        rmin, rmax = np.inf, -np.inf
+        for rows, P in ker.slabs():
+            inner = mask[rows]
+            if np.any(inner):
+                R = P[inner][:, mask] / np.multiply.outer(w[rows][inner], w[mask])
+                rmin, rmax = min(rmin, float(np.min(R))), max(rmax, float(np.max(R)))
         per_t.append(
             {
                 "ratio_min": rmin,
@@ -264,11 +270,12 @@ def weighted_row_mass(kernel: KernelMatrix) -> dict:
 
     Reports eps = max_i ( (exp(-tH) w)_i / w_i - 1 ).  Nonpositive eps means
     w is an exact supersolution on the grid; a small positive eps shrinking
-    under refinement is the discrete signature of the same bound.
+    under refinement is the discrete signature of the same bound.  P w is
+    formed by row slabs of P.
     """
     op = kernel.operator
     w = op.weight
-    ratios = (kernel.P @ w) * op.grid.cell_volume / w
+    ratios = np.concatenate([P @ w for _, P in kernel.slabs()]) * op.grid.cell_volume / w
     return {
         "eps": float(np.max(ratios) - 1.0),
         "ratio_min": float(np.min(ratios)),
@@ -282,7 +289,8 @@ def weighted_l1_bound(kernel: KernelMatrix, u0_list: list[np.ndarray]) -> dict:
     For each u0, ratio = ||exp(-tH) u0||_{L2,h} / ||u0||_{L1(w),h}.  All
     ratios are bounded by max(p_t/(ww)) * ||w||_{L2,h}, which is reported as
     the certificate; the point of the check is that concentrating u0 near the
-    singularity does not break the bound.
+    singularity does not break the bound.  Every P u0 is formed in one walk
+    over the row slabs of P.
     """
     op = kernel.operator
     hd = op.grid.cell_volume
@@ -290,10 +298,11 @@ def weighted_l1_bound(kernel: KernelMatrix, u0_list: list[np.ndarray]) -> dict:
     (ratio_cap,) = _weighted_sups([kernel])
     w_l2 = float(np.sqrt(hd * np.sum(w**2)))
     bound = ratio_cap * w_l2
+    u0s = [np.asarray(u0, dtype=float) for u0 in u0_list]
+    parts = [[P @ uv for uv in u0s] for _, P in kernel.slabs()]
     ratios = []
-    for u0 in u0_list:
-        uv = np.asarray(u0, dtype=float)
-        ut = (kernel.P @ uv) * hd
+    for uv, Pu in zip(u0s, zip(*parts)):
+        ut = np.concatenate(Pu) * hd
         num = float(np.sqrt(hd * np.sum(ut**2)))
         den = float(hd * np.sum(np.abs(uv) * w))
         if den <= 0.0:

@@ -15,8 +15,9 @@ module, by one of two exact paths:
   reflections and splits into 2**s parity blocks of n / 2**s rows (Cantoni &
   Butler, Linear Algebra Appl. 13, 1976, in 1d), each solved once per
   operator and cached as ``DiscreteOperator.spectrum``.  ``ParityMap`` folds
-  vectors into the blocks and lifts block kernels back; each further kernel
-  time costs one product per block, and no n x n eigenvector matrix is formed.
+  vectors into the blocks and lifts rows of block kernels back; each further
+  kernel time costs one product per block, and a kernel stays in its blocks
+  (``KernelMatrix``): no n x n eigenvector matrix or kernel is formed.
 
 Because the Duhamel check builds its propagators from the eigenbases while
 the trajectory comes from the exponential action, the check stays
@@ -32,12 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm  # noqa: F401  unused; bench/spans.py traces this name
 
 from .errors import ConfigError, ContractError, InvariantViolation
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, ParityMap
 from .specfun import coupling_regime
 
 __all__ = [
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 _CONVERGENCE_TOL = 1e-6  # relative sup-norm increment that ends a truncation schedule
+_SLAB_ENTRIES = 1 << 16  # entries of a kernel formed at a time
 
 # theta_m of Al-Mohy & Higham (2011): the largest 1-norm of A for which the
 # degree-m Taylor polynomial of exp(A) meets the double-precision backward
@@ -79,11 +82,62 @@ class Trajectory:
 
 @dataclass
 class KernelMatrix:
-    """Heat kernel p_t(x_i, x_j) = exp(-t H)_ij / h^d (density convention)."""
+    """Heat kernel p_t(x_i, x_j) = exp(-t H)_ij / h^d (density convention).
+
+    Held as the parity blocks K_p = Q_p diag(e^{-t lam_p}) Q_p^T of the
+    operator's spectrum, m x m each with m = n / 2**s, never as the n x n P:
+    ``rows`` forms rows of P in node order and ``slabs`` walks P a slab of
+    rows at a time.  ``P``, all n rows, is for tests and oracles.
+    """
 
     operator: DiscreteOperator
     t: float
-    P: np.ndarray
+    blocks: list
+
+    @property
+    def n(self) -> int:
+        return self.operator.n
+
+    @cached_property
+    def _parity(self) -> ParityMap:
+        return ParityMap(self.operator.grid)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of P as a new (stop - start, n) array."""
+        out = self._parity.rows(self.blocks, start, stop)
+        out /= self.operator.grid.cell_volume
+        return out
+
+    @property
+    def P(self) -> np.ndarray:
+        """All of P as a new n x n array."""
+        return self.rows(0, self.n)
+
+    def slabs(self):
+        """(slice, rows of P) for consecutive slabs of about _SLAB_ENTRIES entries.
+
+        A slab holds a multiple of 4 rows: OpenBLAS's gemv works on 4 rows at
+        a time, so where n is a multiple of 4 the products of the slabs with
+        a vector are the rows of P's product with it, bit for bit.
+        """
+        step = max(4, _SLAB_ENTRIES // self.n // 4 * 4)
+        for start in range(0, self.n, step):
+            stop = min(start + step, self.n)
+            yield slice(start, stop), self.rows(start, stop)
+
+    def asymmetry(self) -> float:
+        """max |K_p - K_p^T| over the blocks, divided by h^d.
+
+        Each entry of P - P^T is a sum of 2**s entries of K_p - K_p^T with
+        weights +-2**-s, divided by h^d, so this bounds max |P - P^T|.  Each
+        block is compared by slabs of its rows.
+        """
+        worst = 0.0
+        for K in self.blocks:
+            step = max(1, _SLAB_ENTRIES // len(K))
+            for a in range(0, len(K), step):
+                worst = max(worst, float(np.max(np.abs(K[a:a + step] - K[:, a:a + step].T))))
+        return worst / self.operator.grid.cell_volume
 
 
 def _check_u0(u0: np.ndarray, n: int) -> np.ndarray:
@@ -160,18 +214,17 @@ def _action(op: DiscreteOperator, t: float, u0: np.ndarray) -> np.ndarray:
 
 
 def heat_kernel(op: DiscreteOperator, t: float) -> KernelMatrix:
-    """Kernel density at time t > 0: P = exp(-t H) / h^d.
+    """Kernel density at time t > 0: P = exp(-t H) / h^d, as parity blocks.
 
     Each parity block of the operator's cached spectrum gives
-    P_p = (Q_p * exp(-t lam_p)) Q_p^T, and ``ParityMap.lift`` puts the blocks
-    together into the full P, so several times on one operator share a single
-    solve per block.  With no mirror axis the one block is P.
+    K_p = (Q_p * exp(-t lam_p)) Q_p^T, so several times on one operator share
+    a single solve per block; ``KernelMatrix.rows`` lifts rows of P from the
+    blocks.  With no mirror axis the one block is h^d P.
     """
     if not (0.0 < t < np.inf):
         raise ContractError(f"kernel time must be positive and finite, got {t}")
-    P = op.parity.lift([(Q * np.exp(-float(t) * lam)) @ Q.T for lam, Q in op.spectrum])
-    P /= op.grid.cell_volume
-    return KernelMatrix(operator=op, t=float(t), P=P)
+    blocks = [(Q * np.exp(-float(t) * lam)) @ Q.T for lam, Q in op.spectrum]
+    return KernelMatrix(operator=op, t=float(t), blocks=blocks)
 
 
 def default_k_levels(vmax: float) -> list[float]:

@@ -356,21 +356,37 @@ class ParityMap:
         rows[np.arange(m), reps] = (op.diag - op.W)[reps]
         return _butterfly([self._image(rows, q, 1) for q in range(1 << len(self.axes))])
 
-    def lift(self, blocks: list) -> np.ndarray:
-        """The n x n matrix T diag(blocks) T^T, T the orthonormal parity basis.
+    @cached_property
+    def _classes(self) -> tuple:
+        """Per node, its image q and the index of its representative."""
+        q_of, rep_of = np.empty(self.n, dtype=int), np.empty(self.n, dtype=int)
+        for q in range(1 << len(self.axes)):
+            at = self._image(np.arange(self.n), q)
+            q_of[at], rep_of[at] = q, np.arange(self.m)
+        return q_of, rep_of
 
-        Entry (image q of rep i, image r of rep j) is the inverse transform
-        of the blocks at q xor r, entry (i, j).
+    def rows(self, blocks: list, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop, in node order, of T diag(blocks) T^T, T the orthonormal
+        parity basis, as a new (stop - start, n) array.
+
+        Entry (image q of rep i, image r of rep j) is the inverse transform of
+        the blocks at q xor r, entry (i, j).  The transform runs on the rows of
+        the slab's representatives only; it acts entry by entry, so each entry
+        is the one the transform of whole blocks gives, bit for bit.
         """
-        per = _butterfly(blocks, half=True)
-        if len(per) == 1:
-            return per[0]
-        out = np.empty((self.n, self.n))
-        grid = out.reshape(self.shape + self.shape)
+        if len(blocks) == 1:
+            return blocks[0][start:stop].copy()
+        q_of, rep_of = self._classes[0][start:stop], self._classes[1][start:stop]
+        per = _butterfly([B[rep_of] for B in blocks], half=True)
+        out = np.empty((stop - start, self.n))
+        grid = out.reshape((stop - start,) + self.shape)
         sub = tuple(k // 2 if ax in self.axes else k for ax, k in enumerate(self.shape))
-        for q in range(len(per)):
-            for r in range(len(per)):
-                grid[self._sides(q) + self._sides(r)] = per[q ^ r].reshape(sub + sub)
+        for q in range(len(blocks)):
+            sel = np.flatnonzero(q_of == q)
+            if len(sel) and sel[-1] - sel[0] == len(sel) - 1:  # a run of rows: views, no copy
+                sel = slice(sel[0], sel[-1] + 1)
+            for r in range(len(blocks)):
+                grid[(sel,) + self._sides(r)] = per[q ^ r][sel].reshape((-1,) + sub)
         return out
 
 
@@ -786,17 +802,18 @@ def _format_block(cols) -> str:
 class triangle_blocks:
     """Upper-triangle (i, j, M[i, j]) blocks by rows, as a sequence for ``write_csv``.
 
-    ``M`` is an n x n array, or a DiscreteOperator, whose rows of H are formed
-    per block by ``DiscreteOperator.rows``, so that no dense H exists.  A
+    ``M`` is an n x n array, or an object with ``n`` and ``rows(start, stop)``
+    whose rows are formed per block: a DiscreteOperator (rows of H) or an
+    ``evolution.KernelMatrix`` (rows of P), so that no dense H or P exists.  A
     block holds about _BLOCK_ROWS entries; ``skip_zeros`` drops zeros off the
     diagonal.
     """
 
     def __init__(self, M, skip_zeros: bool = False):
-        if isinstance(M, DiscreteOperator):
-            self.n, self.rows = M.n, M.rows
-        else:
+        if isinstance(M, np.ndarray):
             self.n, self.rows = len(M), lambda start, stop: M[start:stop]
+        else:
+            self.n, self.rows = M.n, M.rows
         self.skip_zeros = skip_zeros
         self.step = max(1, _BLOCK_ROWS // self.n)
 

@@ -60,7 +60,10 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #  11  parity blocks solved by numpy's LAPACK (?syevd) instead of scipy's, so
 #      dense solves and products run on one BLAS; kernels and the Duhamel
 #      check move by roundoff
-NUMERICS_EPOCH = 11
+#  12  kernels held as parity blocks and reduced by row slabs: kernel_symmetric
+#      is the blocks' asymmetry and chapman_kolmogorov the lifted defect of
+#      the block products, so both move by roundoff
+NUMERICS_EPOCH = 12
 
 
 def load_current(path: str) -> dict | None:

@@ -351,6 +351,100 @@ def heat_kernel_full_spectrum(H: np.ndarray, t: float, cell_volume: float, solve
     return P
 
 
+def parity_lift(blocks: list, shape: tuple, axes: tuple) -> np.ndarray:
+    """The n x n matrix T diag(blocks) T^T, T the orthonormal parity basis of a
+    box of grid ``shape`` with mirror ``axes``, formed whole.
+
+    Entry (image q of rep i, image r of rep j) is the inverse Walsh-Hadamard
+    transform of the blocks at q xor r, entry (i, j), one halving
+    (a + b, a - b) pass per mirror axis.  The representatives are the nodes in
+    the upper half of every mirror axis; image q reflects them along the
+    mirror axes of the bits of q.  This is the kernel lift the package used
+    before it formed kernels a slab of rows at a time.
+    """
+    per = list(blocks)
+    bit = 1
+    while bit < len(per):
+        for i in range(len(per)):
+            if not i & bit:
+                a, b = per[i], per[i | bit]
+                per[i], per[i | bit] = (a + b) * 0.5, (a - b) * 0.5
+        bit <<= 1
+    if len(per) == 1:
+        return per[0]
+
+    def sides(q):
+        return tuple(
+            slice(None) if ax not in axes
+            else slice(k // 2 - 1, None, -1) if q >> axes.index(ax) & 1
+            else slice(k // 2, None)
+            for ax, k in enumerate(shape)
+        )
+
+    n = int(np.prod(shape))
+    out = np.empty((n, n))
+    grid = out.reshape(tuple(shape) + tuple(shape))
+    sub = tuple(k // 2 if ax in axes else k for ax, k in enumerate(shape))
+    for q in range(len(per)):
+        for r in range(len(per)):
+            grid[sides(q) + sides(r)] = per[q ^ r].reshape(sub + sub)
+    return out
+
+
+def kernel_suite_full(ts, Ps, P_sum, w, cell_volume, mask, u0s, d, alpha, c_positive, critical) -> dict:
+    """The ``kernel`` suite's checks on whole n x n kernels: {name: (measured, pass)}.
+
+    ``Ps`` are the kernel densities at the ascending times ``ts``, ``P_sum``
+    the one at ts[0] + ts[1]; ``w`` the ground-state weight, ``mask`` the
+    inner box, ``u0s`` the weighted-L1 data, ``critical`` whether c = c*.
+    Every quantity is formed from the whole matrices, the way the suite
+    formed them before it reduced kernels over row slabs: P - P^T, the
+    product P(t1) P(t2), np.outer(w, w) and P / (w w).
+    """
+    out = {}
+    asym = max(float(np.max(np.abs(P - P.T)) / np.max(P)) for P in Ps)
+    out["kernel_symmetric"] = (asym, asym <= 1e-10)
+    kmin = min(float(np.min(P)) for P in Ps)
+    out["kernel_positive"] = (kmin, kmin > 0.0)
+    lhs = Ps[0] @ Ps[1]
+    lhs *= cell_volume
+    lhs -= P_sum
+    ck = float(np.max(np.abs(lhs)) / np.max(P_sum))
+    out["chapman_kolmogorov"] = (ck, ck <= 1e-8)
+    wm = w[mask]
+    ratios = [P[np.ix_(mask, mask)] / np.outer(wm, wm) for P in Ps]
+    per_t = [(float(np.min(R)), float(np.max(R))) for R in ratios]
+    c_lower = min(lo for lo, _ in per_t)
+    spread = max(hi / lo if lo > 0.0 else np.inf for lo, hi in per_t)
+    out["sandwich_lower_positive"] = (c_lower, c_lower > 0.0)
+    out["sandwich_spread_finite"] = (spread, bool(np.isfinite(spread)))
+    ww = np.outer(w, w)
+    sups = [float(np.max(P / ww)) for P in Ps]
+    if ts[-1] / ts[0] >= 10**1.5:
+        vals = [sup * t ** (d / alpha) for sup, t in zip(sups, ts)]
+        env = vals[int(np.argmax(vals))]
+        out["envelope_finite"] = (env, bool(np.isfinite(env)) and env > 0.0)
+        if critical and len(Ps) >= 3:
+            p_crit = 0.5 * (1.0 + d / (d - alpha))
+            small = np.asarray(ts) <= np.median(ts)
+            slope = float(np.polyfit(np.log(np.asarray(ts)[small]), np.log(np.asarray(sups)[small]), 1)[0])
+            out["critical_exponent_within_cap"] = (-slope, bool(-slope <= p_crit / (p_crit - 1.0) + 0.1))
+    mid = Ps[len(Ps) // 2]
+    if c_positive:
+        eps = float(np.max((mid @ w) * cell_volume / w) - 1.0)
+        out["weighted_row_mass_eps"] = (eps, eps <= 0.05)
+    else:
+        mass = float(np.max(np.sum(mid, axis=1) * cell_volume))
+        out["free_row_mass_submarkov"] = (mass, mass <= 1.0 + 1e-12)
+    bound = float(np.max(mid / ww)) * float(np.sqrt(cell_volume * np.sum(w**2)))
+    l1 = []
+    for u0 in u0s:
+        ut = (mid @ u0) * cell_volume
+        l1.append(float(np.sqrt(cell_volume * np.sum(ut**2))) / float(cell_volume * np.sum(np.abs(u0) * w)))
+    out["weighted_l1_within_certificate"] = (max(l1), bool(max(l1) <= bound * (1.0 + 1e-9)))
+    return out
+
+
 def duhamel_residual_full_spectrum(times, states, H, L0, W, n_quad: int, solver=np.linalg.eigh) -> dict:
     """The Duhamel defect of ``evolution.duhamel_residual`` from the eigenbases of the whole H and L0.
 

@@ -280,7 +280,7 @@ def test_duhamel_matches_dense_step_recursion(oracle_case):
 
 def _spectral_H(op):
     """H put back together from the parity blocks of ``op.spectrum``."""
-    return op.parity.lift([(Q * lam) @ Q.T for lam, Q in op.spectrum])
+    return oracles.parity_lift([(Q * lam) @ Q.T for lam, Q in op.spectrum], op.grid.shape, op.grid.mirror_axes)
 
 
 def test_spectrum_cached_per_operator(hardy_op):

@@ -569,6 +569,76 @@ def test_operator_suite_peaks_at_one_matrix():
     assert peak <= 1.25 * 8 * n**2
 
 
+# The kernel suite against the whole-P suite of tests/oracles.py: 1-d n = 800
+# (one mirror axis, the verify-1d-all grid), 1-d [-1, 1.5] (none), the 2-d
+# square at h = 0.1 (two) and a 2-d box with one mirror axis.
+KERNEL_ORACLE_BOXES = {
+    "d1_n800": dict(d=1, alpha=0.5, domain=[-1.0, 1.0], h=[0.0025]),
+    "d1_skew": dict(d=1, alpha=0.5, domain=[-1.0, 1.5], h=[0.005]),
+    "d2_square": dict(d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[0.1]),
+    "d2_one_axis": dict(d=2, alpha=1.0, domain=[-1.0, 1.0, -0.5, 1.0], h=[1 / 12]),
+}
+# kernel_symmetric (block asymmetry against P - P^T) and chapman_kolmogorov
+# (block products against the whole product) are roundoff on both sides:
+# 1.6e-16 to 3.9e-15 on these cases, apart by at most 2e-15.  Their checks
+# allow 1e-10 and 1e-8.
+KERNEL_ROUNDOFF_TOL = 1e-14
+
+
+@pytest.mark.parametrize("c", ["0.5*cstar", "0", "1*cstar"])
+@pytest.mark.parametrize("box", list(KERNEL_ORACLE_BOXES))
+def test_kernel_suite_matches_the_whole_kernel_oracle(box, c):
+    scn = scenario_from_dict(base_raw(**KERNEL_ORACLE_BOXES[box], c=c, times=[0.01, 0.1, 0.5]))
+    got = {chk["name"]: (chk["measured"], chk["pass"]) for chk in run_suite(scn, "kernel")["checks"]}
+    op = assemble_operator(build_grid(scn.domain_spec(), scn.h_levels[-1]), scn.params, c=scn.c)
+    grid = op.grid
+    ts = [float(t) for t in scn.resolve_times(t_ref(op))]
+    Ps = []
+    for t in ts + [ts[0] + ts[1]]:
+        ker = heat_kernel(op, t)
+        P = oracles.parity_lift(ker.blocks, grid.shape, grid.mirror_axes) / grid.cell_volume
+        # the slabs of KernelMatrix.rows are the rows of the whole lift, bit for bit
+        assert np.array_equal(np.concatenate([R for _, R in ker.slabs()]).view(np.int64), P.view(np.int64))
+        Ps.append(P)
+    R = grid.inradius
+    radii = [0.2 * R, 0.1 * R, 0.05 * R, 4 * grid.h, 2 * grid.h]
+    want = oracles.kernel_suite_full(
+        ts, Ps[:-1], Ps[-1], op.weight, grid.cell_volume, grid.inner_box(scn.inner_half_width),
+        [(grid.radii <= r).astype(float) for r in radii if np.any(grid.radii <= r)],
+        scn.d, scn.alpha, scn.c > 0.0, coupling_regime(scn.c, scn.params) == "critical",
+    )
+    assert list(got) == list(want)
+    for name, (value, ok) in want.items():
+        assert got[name][1] == ok, name
+        if name in ("kernel_symmetric", "chapman_kolmogorov"):
+            assert abs(got[name][0] - value) <= KERNEL_ROUNDOFF_TOL, name
+        else:
+            assert got[name][0] == value, name
+
+
+def test_kernel_suite_peaks_below_five_halves_of_a_matrix(monkeypatch):
+    # 1-d n = 800, its spectrum solved beforehand: the kernels at the two times
+    # and at their sum stay in parity blocks of n/2 (n^2/2 numbers each), the
+    # Chapman-Kolmogorov defect replaces the last in place, and P is formed a
+    # slab of rows at a time.  The whole-P suite peaked at 5.0 x 8 n^2.
+    import tracemalloc
+
+    import hardyheat.suites
+
+    scn = scenario_from_dict(base_raw(h=[0.0025]))
+    op = assemble_operator(build_grid(scn.domain_spec(), 0.0025), scn.params, c=scn.c)
+    assert len(op.spectrum) == 2
+    monkeypatch.setattr(hardyheat.suites, "assemble_operator", lambda *args, **kwargs: op)
+    tracemalloc.start()
+    try:
+        report = run_suite(scn, "kernel")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"]
+    assert peak < 2.5 * 8 * op.n**2
+
+
 def test_planar_operator_suite_passes_at_the_node_limit():
     # h = 1/32 on the square: 64 x 64 = 4096 nodes, the limit a 1-d grid has
     raw = base_raw(d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[1 / 16, 1 / 32])
@@ -943,14 +1013,20 @@ def test_dense_solves_and_products_run_on_one_blas():
 
     assert hardyheat.operators.eigh is np.linalg.eigh
     src = os.path.dirname(hardyheat.__file__)
-    imported, called = set(), []
+    imported, called, reads = set(), [], []
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
-                names, calls = _scipy_linalg_calls(ast.parse(fh.read()))
+                tree = ast.parse(fh.read())
+            names, calls = _scipy_linalg_calls(tree)
             imported |= {(name[:-3], n) for n in names}
             called += [(name[:-3], c) for c in calls]
+            reads += [
+                (name[:-3], node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "P"
+            ]
     assert called == []
+    assert reads == []  # kernels are read by KernelMatrix.rows, slabs or blocks, never whole
     # the names that bench/spans.py traces stay imported, and uncalled
     assert {("estimators", "eigvalsh"), ("evolution", "expm")} <= imported
 
@@ -1665,6 +1741,52 @@ class TestCli:
             assert float(sv) == P[int(si), int(sj)], line
         with open(base + ".csv", "rb") as fh:
             assert fh.read() == oracles.kernel_csv_loop(P)
+
+    def test_kernel_file_names_spell_the_time_losslessly(self, tmp_path, store_root, capsys):
+        # 0.1234567 and 0.1234568 agree to the 6 digits of :g; 0.5 keeps its :g name
+        path = write_scenario(tmp_path, "small.json", small_raw())
+        factors = ("0.1234567", "0.1234568", "0.5")
+        for t in factors:
+            assert main(["--out", store_root, "kernel", "--scenario", path, "--t", t]) == 0
+        base = os.path.join(store_root, "kernels", load_scenario(path).run_id())
+        assert sorted(os.listdir(os.path.dirname(base))) == sorted(
+            f"{os.path.basename(base)}-t{t}.{ext}" for t in factors for ext in ("csv", "json")
+        )
+        for t in factors:
+            with open(f"{base}-t{t}.json") as fh:
+                assert json.load(fh)["t_factor"] == float(t)
+
+    def test_kernel_forms_no_matrix_beyond_its_spectrum(self, tmp_path, store_root, capsys, monkeypatch):
+        # 1-d n = 800 at one thread, so the CSV rows are formed in this process,
+        # in blocks of 4096 entries whose strings stay small against n^2: from
+        # the solved spectrum on, the kernel's two blocks of n/2 and the CSV's
+        # row slabs stay below one n x n array (the whole-P path formed two)
+        import tracemalloc
+
+        import hardyheat.evolution
+        import hardyheat.operators
+
+        real, seen = hardyheat.evolution.heat_kernel, {}
+
+        def after_the_spectrum(op, t):
+            assert len(op.spectrum) == 2
+            tracemalloc.reset_peak()
+            seen["n"], seen["base"] = op.n, tracemalloc.get_traced_memory()[0]
+            return real(op, t)
+
+        for var in THREAD_VARS:  # restored afterwards, although main sets them
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(hardyheat.evolution, "heat_kernel", after_the_spectrum)
+        monkeypatch.setattr(hardyheat.operators, "_BLOCK_ROWS", 1 << 12)
+        path = write_scenario(tmp_path, "k.json", base_raw(h=[0.0025]))
+        tracemalloc.start()
+        try:
+            rc = main(["--threads", "1", "--out", store_root, "kernel", "--scenario", path, "--t", "0.5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and seen["n"] == 800
+        assert peak - seen["base"] < 8 * seen["n"] ** 2
 
     def test_kernel_header_records_the_csv_sha256(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "small.json", small_raw())
