@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh  # noqa: F401  unused; bench/spans.py traces this name
-from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, InvariantViolation
 from .evolution import KernelMatrix, minimal_solution
 from .grids import Grid, halves
 from .operators import DiscreteOperator, FormEvaluator
@@ -40,19 +38,52 @@ __all__ = [
 ]
 
 
+def __getattr__(name):  # bench/spans.py traces scipy.linalg.eigvalsh under this name
+    if name == "eigvalsh":
+        from scipy.linalg import eigvalsh
+        return eigvalsh
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_LANCZOS_BASIS = 30  # Krylov vectors held at once; each restart keeps one
+_LANCZOS_TOL = 1e-10  # residual that ends a solve, relative to the Gershgorin bound on |H|
+_LANCZOS_MATVECS = 20_000  # products with H after which a solve has failed
+
+
 def lambda_min(op: DiscreteOperator) -> float:
-    """Smallest eigenvalue of H by one implicitly restarted Lanczos solve on
-    ``op.apply``, so H itself is never formed.
+    """Smallest eigenvalue of H by a restarted Lanczos solve on ``op.apply``.
 
     Every off-diagonal entry of H is -J < 0, so by Perron-Frobenius the bottom
-    eigenvalue is simple with a positive eigenvector, and the all-ones start
-    vector always overlaps it (truncated and supercritical operators too).  A
-    fixed start also keeps the result independent of ARPACK's own random state,
-    so reports stay byte-reproducible.
+    eigenvector is positive and the fixed all-ones start overlaps it.  Each
+    cycle reorthogonalises at most ``_LANCZOS_BASIS`` vectors in full and
+    restarts from the lowest Ritz vector, until the residual |beta s_m| is
+    within ``_LANCZOS_TOL`` of the Gershgorin bound on |H| (so also near
+    lambda = 0) or the Krylov space is exhausted; InvariantViolation past
+    ``_LANCZOS_MATVECS`` products.
     """
-    H = LinearOperator((op.n, op.n), matvec=op.apply, dtype=float)
-    lam = eigsh(H, k=1, which="SA", v0=np.ones(op.n), tol=0.0, return_eigenvectors=False)
-    return float(lam[0])
+    tol = _LANCZOS_TOL * float(np.max(np.abs(op.diag - op.W) + op.diag - op.kappa))
+    m = min(_LANCZOS_BASIS, op.n)
+    Q = np.empty((m, op.n))
+    v, done = np.full(op.n, op.n**-0.5), 0
+    while done < _LANCZOS_MATVECS:
+        T = np.zeros((m, m))
+        for j in range(m):
+            Q[j] = v
+            w = op.apply(v)
+            T[j, j] = v @ w
+            for _ in range(2):  # classical Gram-Schmidt, twice, against the whole basis
+                w -= (Q[: j + 1] @ w) @ Q[: j + 1]
+            beta = float(np.linalg.norm(w))
+            if j + 1 == m or beta <= tol:
+                break
+            T[j, j + 1] = T[j + 1, j] = beta
+            v = w / beta
+        done += j + 1
+        theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+        if beta * abs(S[j, 0]) <= tol or j + 1 == op.n:
+            return float(theta[0])
+        v = S[:, 0] @ Q[: j + 1]  # unit up to roundoff: S and Q are orthonormal
+    raise InvariantViolation(f"Lanczos solve for the bottom of H unconverged after {done} products")
 
 
 def t_ref(op: DiscreteOperator, lam_free: float | None = None) -> float:

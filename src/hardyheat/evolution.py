@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm  # noqa: F401  unused; bench/spans.py traces this name
 
 from .errors import ConfigError, ContractError, InvariantViolation
 from .operators import DiscreteOperator, ParityMap
@@ -51,6 +50,14 @@ __all__ = [
     "minimal_solution",
     "duhamel_residual",
 ]
+
+
+def __getattr__(name):  # bench/spans.py traces scipy.linalg.expm under this name
+    if name == "expm":
+        from scipy.linalg import expm
+        return expm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _CONVERGENCE_TOL = 1e-6  # relative sup-norm increment that ends a truncation schedule
 _SLAB_ENTRIES = 1 << 16  # entries of a kernel formed at a time

@@ -63,7 +63,9 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #  12  kernels held as parity blocks and reduced by row slabs: kernel_symmetric
 #      is the blocks' asymmetry and chapman_kolmogorov the lifted defect of
 #      the block products, so both move by roundoff
-NUMERICS_EPOCH = 12
+#  13  bottom eigenvalue by a restarted Lanczos in numpy instead of ARPACK's
+#      eigsh: lambda_min, t_ref and every value read at t_ref move by roundoff
+NUMERICS_EPOCH = 13
 
 
 def load_current(path: str) -> dict | None:

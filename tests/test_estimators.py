@@ -47,7 +47,8 @@ def test_lambda_min_matches_full_eigensolve(free_op):
     assert lam > 0.0
 
 
-# (d, alpha, domain, h): 1-d n = 2, 8, 64, 1024; 2-d n = 400, 1600
+# (d, alpha, domain, h): 1-d n = 2, 8, 64, 1024 on [-1, 1]; 2-d n = 400, 1600;
+# 1-d n = 1000 on [-1, 1.5], which has no mirror axis
 _LANCZOS_GRIDS = [
     (1, 0.5, (-1.0, 1.0), 1.0),
     (1, 0.5, (-1.0, 1.0), 0.25),
@@ -56,7 +57,9 @@ _LANCZOS_GRIDS = [
     (1, 0.9, (-1.0, 1.0), 1.0),
     (1, 0.9, (-1.0, 1.0), 1.0 / 32),
     (1, 0.9, (-1.0, 1.0), 1.0 / 512),
-] + [(2, a, ((-1.0, 1.0), (-1.0, 1.0)), h) for a in (0.5, 1.0, 1.5) for h in (0.1, 0.05)]
+] + [(2, a, ((-1.0, 1.0), (-1.0, 1.0)), h) for a in (0.5, 1.0, 1.5) for h in (0.1, 0.05)] + [
+    (1, 0.5, (-1.0, 1.5), 0.0025),
+]
 
 
 @pytest.mark.parametrize("d, alpha, domain, h", _LANCZOS_GRIDS)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import hardyheat
 from hardyheat.cli import main
-from hardyheat.errors import ConfigError, ParameterDomainError
+from hardyheat.errors import ConfigError, InvariantViolation, ParameterDomainError
 from hardyheat.grids import build_grid, halves
 from hardyheat.estimators import blowup_diagnostic, t_ref, weighted_row_mass
 from hardyheat.evolution import heat_kernel, minimal_solution
@@ -1008,7 +1008,7 @@ def _scipy_linalg_calls(tree):
 
 def test_dense_solves_and_products_run_on_one_blas():
     # numpy and scipy each bundle their own OpenBLAS with its own thread pool;
-    # the dense spectral layer uses numpy's, and scipy's runs only inside eigsh
+    # the dense spectral layer uses numpy's, and no scipy BLAS routine is called
     import hardyheat.operators
 
     assert hardyheat.operators.eigh is np.linalg.eigh
@@ -1084,39 +1084,28 @@ def _fresh_modules(code: str, *argv: str) -> list:
 def count_calls(monkeypatch) -> dict:
     """Count the solves, assemblies, validations and grid builds of what runs next.
 
-    An ``eigsh`` solve is keyed by the (jump table, W) of the operator it acts
-    on and an ``eigh`` by its matrix, so a repeated solve shows as a repeated
-    key; ``eigh_n`` lists the order of each ``eigh`` matrix.  ``build_grid`` is counted under every name that holds it.
+    A ``lambda_min`` solve is keyed by the (jump table, W) of the operator it
+    acts on and an ``eigh`` by its matrix, so a repeated solve shows as a
+    repeated key; ``eigh_n`` lists the order of each ``eigh`` matrix.
+    ``lambda_min`` and ``build_grid`` are counted under every name that holds them.
     """
     import hashlib
     import sys
 
-    import hardyheat.estimators
     import hardyheat.operators
     import hardyheat.suites
 
-    calls = {"eigsh": [], "eigh": [], "eigh_n": [], "assemble": 0, "validate": 0, "grids": 0}
+    calls = {"lambda_min": [], "eigh": [], "eigh_n": [], "assemble": 0, "validate": 0, "grids": 0}
 
     def digest(a):
         return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
-
-    # eigsh gets a LinearOperator on op.apply: key it by the (jump table, W) of that op
-    keys = {}
-    real_linop = hardyheat.estimators.LinearOperator
-
-    def linop(shape, matvec, **kwargs):
-        A = real_linop(shape, matvec=matvec, **kwargs)
-        keys[id(A)] = (digest(matvec.__self__.table), digest(matvec.__self__.W))
-        return A
-
-    monkeypatch.setattr(hardyheat.estimators, "LinearOperator", linop)
 
     def counted(mod, name, key):
         real = getattr(mod, name)
 
         def wrapper(*args, **kwargs):
-            if key == "eigsh":
-                calls[key].append(keys[id(args[0])])
+            if key == "lambda_min":
+                calls[key].append((digest(args[0].table), digest(args[0].W)))
             elif isinstance(calls[key], list):
                 calls[key].append(digest(args[0]))
                 if key == "eigh":
@@ -1127,13 +1116,13 @@ def count_calls(monkeypatch) -> dict:
 
         monkeypatch.setattr(mod, name, wrapper)
 
-    counted(hardyheat.estimators, "eigsh", "eigsh")
     counted(hardyheat.operators, "eigh", "eigh")
     counted(hardyheat.suites, "assemble_operator", "assemble")
     counted(hardyheat.suites, "validate_for_suite", "validate")
     for mod in [m for n, m in sys.modules.items() if n.startswith("hardyheat.")]:
-        if hasattr(mod, "build_grid"):
-            counted(mod, "build_grid", "grids")
+        for name, key in (("lambda_min", "lambda_min"), ("build_grid", "grids")):
+            if hasattr(mod, name):
+                counted(mod, name, key)
     return calls
 
 
@@ -1169,6 +1158,44 @@ class TestCli:
         code = "import sys, hardyheat.cli; assert hardyheat.cli.main(sys.argv[1:]) == 0"
         argv = ["constants", "--d", "2", "--alpha", "1.0", "--c", "0.5*cstar"]
         assert [m for m in _fresh_modules(code, *argv) if m.startswith("scipy")] == []
+
+    def test_runs_load_no_scipy_linear_algebra(self, tmp_path, store_root):
+        # the bottom eigenvalue is a numpy Lanczos, so scipy.special is all that a run loads
+        code = "import sys, hardyheat.cli; assert hardyheat.cli.main(sys.argv[1:]) == 0"
+        three = write_scenario(tmp_path, "three.json", three_level_raw())
+        small = write_scenario(tmp_path, "small.json", small_raw())
+        runs = [
+            _fresh_modules("import hardyheat.cli, hardyheat.suites"),
+            _fresh_modules(code, "--out", store_root, "--force", "verify", "--suite", "all",
+                           "--scenario", three),
+            _fresh_modules(code, "--out", store_root, "evolve", "--scenario", small),
+            _fresh_modules(code, "--out", store_root, "kernel", "--scenario", small, "--t", "0.5"),
+        ]
+        for mods in runs:
+            assert "hardyheat.estimators" in mods and "scipy.special" in mods
+            assert [m for m in mods if m.startswith(("scipy.linalg", "scipy.sparse"))] == []
+        # the names that bench/spans.py traces still resolve, on first access
+        import scipy.linalg
+
+        import hardyheat.estimators
+        import hardyheat.evolution
+
+        assert hardyheat.evolution.expm is scipy.linalg.expm
+        assert hardyheat.estimators.eigvalsh is scipy.linalg.eigvalsh
+        assert not hasattr(hardyheat.estimators, "eigsh")
+
+    def test_unconverged_bottom_eigenvalue_exits_1(self, tmp_path, store_root, capsys, monkeypatch):
+        # n = 400 takes two Lanczos cycles: capped at one, the solve cannot converge
+        import hardyheat.estimators as est
+
+        monkeypatch.setattr(est, "_LANCZOS_MATVECS", est._LANCZOS_BASIS)
+        op = assemble_operator(build_grid((-1.0, 1.0), 0.005), FractionalParams(1, 0.5), c=0.5 * C_STAR)
+        with pytest.raises(InvariantViolation, match="unconverged after 30 products"):
+            est.lambda_min(op)
+        path = write_scenario(tmp_path, "n400.json", base_raw(h=[0.01, 0.005]))
+        assert main(["--out", store_root, "verify", "--suite", "operator", "--scenario", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: Lanczos") and "Traceback" not in err
 
     def test_bench_tracer_installs_on_the_current_names(self, tmp_path):
         # bench/spans.py patches names by hand (DiscreteOperator.with_truncation,
@@ -1428,7 +1455,7 @@ class TestCli:
         path = write_scenario(tmp_path, "three.json", three_level_raw())
         assert main(["--out", store_root, "verify", "--suite", "all", "--scenario", path]) == 0
         # L0 on each of the three levels and H on the finest: four bottoms
-        assert len(calls["eigsh"]) == len(set(calls["eigsh"])) == 4
+        assert len(calls["lambda_min"]) == len(set(calls["lambda_min"])) == 4
         # H and L0 on the finest level (kernels and Duhamel), each as an even
         # and an odd block of n/2 = 100 on [-1, 1]; the operator suite takes
         # its row mass from one exponential action, not a full kernel
@@ -1462,13 +1489,13 @@ class TestCli:
         path = write_scenario(tmp_path, "three.json", three_level_raw(c="3*cstar"))
         assert main(["--out", store_root, "verify", "--suite", "blowup", "--scenario", path]) == 0
         # H on each of the three levels and L0 on the finest (t_ref): four bottoms
-        assert len(calls["eigsh"]) == len(set(calls["eigsh"])) == 4
+        assert len(calls["lambda_min"]) == len(set(calls["lambda_min"])) == 4
         assert calls["eigh"] == []
         assert (calls["assemble"], calls["validate"], calls["grids"]) == (3, 1, 3)
         capsys.readouterr()
         assert main(["--out", store_root, "verify", "--suite", "blowup", "--scenario", path]) == 0
         assert "(cached report" in capsys.readouterr().out
-        assert len(calls["eigsh"]) == 4
+        assert len(calls["lambda_min"]) == 4
         assert (calls["assemble"], calls["validate"], calls["grids"]) == (3, 1, 3)
 
     def test_verify_unknown_scenario_key_exits_2(self, tmp_path, store_root, capsys):
