@@ -27,3 +27,7 @@ class InvariantViolation(HardyHeatError, RuntimeError):
 
     This signals a bug (or a genuinely inconsistent state), never bad user input.
     """
+
+
+class MonotonicityViolation(InvariantViolation):
+    """Truncated evolutions fell as the cutoff k grew; a suite reports it as a failed check."""

@@ -5,8 +5,9 @@ check suites assert on: two-sided kernel comparisons against the ground-state
 product, ultracontractive envelopes, local singularity exponents, integrability
 scans across grid refinement, weighted mass bounds, sharp-constant probes for
 the weighted Sobolev quotient, and the joint refinement/truncation blow-up
-diagnostic for supercritical couplings.  Kernel estimators take the ground-state
-weight w from the kernel's operator (``op.weight``).
+diagnostic for supercritical couplings.  Kernel estimators read the values
+one walk over P gives (``evolution.KernelReduction``), with the ground-state
+weight w of the kernel's operator (``op.weight``); none walks P itself.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, InvariantViolation
-from .evolution import KernelMatrix, minimal_solution
+from .evolution import KernelReduction, minimal_solution
 from .grids import Grid, halves
 from .operators import DiscreteOperator, FormEvaluator
 from .specfun import coupling_regime, hardy_constant
@@ -104,55 +105,33 @@ def t_ref(op: DiscreteOperator, lam_free: float | None = None) -> float:
 _ENVELOPE_DECADES = 1.5  # the t-span, in decades, that an envelope must cover
 
 
-def _weighted_sups(kernels: list[KernelMatrix]) -> list[float]:
-    """sup over the grid of p_t(x, y) / (w(x) w(y)) for each kernel, w = ``op.weight``,
-    by row slabs of P."""
-    w = kernels[0].operator.weight
-    return [
-        max(float(np.max(np.divide(P, np.multiply.outer(w[rows], w), out=P))) for rows, P in k.slabs())
-        for k in kernels
-    ]
-
-
-def kernel_sandwich(kernels: list[KernelMatrix], inner_half_width: float | None = None) -> dict:
+def kernel_sandwich(reductions: list[KernelReduction]) -> dict:
     """Two-sided comparison of p_t against w(x) w(y) on an inner box.
 
-    The box is ``Grid.inner_box(inner_half_width)``: by default half the
-    inradius, strictly inside the domain and holding at least 2 nodes.
-
-    For each kernel the ratio field R = p_t / (w w) is reduced, a row slab of
-    P at a time, to its min (the lower comparison constant at that t), max,
-    and spread max/min.
+    Each reduction carries the min and max of the ratio field
+    R = p_t / (w w) on the box its kernel was reduced with
+    (``KernelMatrix.reduce``): the lower comparison constant at that t, the
+    upper one, and their spread max/min.
     """
-    if not kernels:
+    if not reductions:
         raise ContractError("at least one kernel is required")
-    op = kernels[0].operator
-    mask = op.grid.inner_box(inner_half_width)
-    w = op.weight
-    per_t = []
-    for ker in kernels:
-        rmin, rmax = np.inf, -np.inf
-        for rows, P in ker.slabs():
-            inner = mask[rows]
-            if np.any(inner):
-                R = P[inner][:, mask] / np.multiply.outer(w[rows][inner], w[mask])
-                rmin, rmax = min(rmin, float(np.min(R))), max(rmax, float(np.max(R)))
-        per_t.append(
-            {
-                "ratio_min": rmin,
-                "ratio_max": rmax,
-                "spread": rmax / rmin if rmin > 0.0 else np.inf,
-            }
-        )
+    per_t = [
+        {
+            "ratio_min": r.inner_min,
+            "ratio_max": r.inner_max,
+            "spread": r.inner_max / r.inner_min if r.inner_min > 0.0 else np.inf,
+        }
+        for r in reductions
+    ]
     return {
-        "n_nodes": int(np.sum(mask)),
+        "n_nodes": reductions[0].inner_nodes,
         "per_t": per_t,
         "spread_max": max(p["spread"] for p in per_t),
         "c_lower": min(p["ratio_min"] for p in per_t),
     }
 
 
-def ultracontractive_envelope(kernels: list[KernelMatrix]) -> dict:
+def ultracontractive_envelope(reductions: list[KernelReduction]) -> dict:
     """sup over the grid and over t of t^(d/alpha) * p_t(x,y) / (w(x) w(y)).
 
     The exponent d/alpha matches the short-time on-diagonal scale of the free
@@ -160,18 +139,16 @@ def ultracontractive_envelope(kernels: list[KernelMatrix]) -> dict:
     quantitative upper-bound check.  The t-grid must span at least 1.5
     decades so that the envelope actually probes both time regimes.
     """
-    if not kernels:
+    if not reductions:
         raise ContractError("at least one kernel is required")
-    t_all = [k.t for k in kernels]
+    t_all = [r.t for r in reductions]
     if max(t_all) < 10**_ENVELOPE_DECADES * min(t_all):
         raise ContractError(
             f"t-grid must span >= {_ENVELOPE_DECADES} decades, got [{min(t_all):g}, {max(t_all):g}]"
         )
-    p = kernels[0].operator.params
+    p = reductions[0].operator.params
     expn = p.d / p.alpha
-    per_t = []
-    for ker, sup in zip(kernels, _weighted_sups(kernels)):
-        per_t.append({"t": ker.t, "value": sup * ker.t**expn})
+    per_t = [{"t": r.t, "value": r.ratio_max * r.t**expn} for r in reductions]
     vals = [q["value"] for q in per_t]
     i_max = int(np.argmax(vals))
     return {
@@ -182,20 +159,20 @@ def ultracontractive_envelope(kernels: list[KernelMatrix]) -> dict:
     }
 
 
-def critical_envelope_exponent(kernels: list[KernelMatrix]) -> dict:
+def critical_envelope_exponent(reductions: list[KernelReduction]) -> dict:
     """Fit sup_x,y p_t/(ww) ~ t^-gamma and compare with the critical cap.
 
     At the critical coupling the two-sided comparison only supports an
     envelope with exponent p/(p-1) where p = (1 + d/(d-alpha))/2, weaker than
     the subcritical d/alpha rate; the fitted gamma should not exceed the cap.
     """
-    if len(kernels) < 3:
+    if len(reductions) < 3:
         raise ContractError("need at least 3 kernel times to fit an exponent")
-    prm = kernels[0].operator.params
+    prm = reductions[0].operator.params
     p_crit = 0.5 * (1.0 + prm.d / (prm.d - prm.alpha))
     cap = p_crit / (p_crit - 1.0)
-    ts = np.array([k.t for k in kernels])
-    sups = np.array(_weighted_sups(kernels))
+    ts = np.array([r.t for r in reductions])
+    sups = np.array([r.ratio_max for r in reductions])
     small = ts <= np.median(ts)
     slope = float(np.polyfit(np.log(ts[small]), np.log(sups[small]), 1)[0])
     gamma_fit = -slope
@@ -296,17 +273,16 @@ def lp_scan(profiles: list[tuple[Grid, np.ndarray]], p: float, beta: float) -> d
 # weighted mass bounds
 # ---------------------------------------------------------------------------
 
-def weighted_row_mass(kernel: KernelMatrix) -> dict:
+def weighted_row_mass(reduction: KernelReduction) -> dict:
     """Excess of the kernel's action on w over w itself (sub-invariance gap).
 
-    Reports eps = max_i ( (exp(-tH) w)_i / w_i - 1 ).  Nonpositive eps means
-    w is an exact supersolution on the grid; a small positive eps shrinking
-    under refinement is the discrete signature of the same bound.  P w is
-    formed by row slabs of P.
+    Reports eps = max_i ( (exp(-tH) w)_i / w_i - 1 ), from the reduction's
+    P w.  Nonpositive eps means w is an exact supersolution on the grid; a
+    small positive eps shrinking under refinement is the discrete signature
+    of the same bound.
     """
-    op = kernel.operator
-    w = op.weight
-    ratios = np.concatenate([P @ w for _, P in kernel.slabs()]) * op.grid.cell_volume / w
+    op = reduction.operator
+    ratios = reduction.Pw * op.grid.cell_volume / op.weight
     return {
         "eps": float(np.max(ratios) - 1.0),
         "ratio_min": float(np.min(ratios)),
@@ -314,26 +290,23 @@ def weighted_row_mass(kernel: KernelMatrix) -> dict:
     }
 
 
-def weighted_l1_bound(kernel: KernelMatrix, u0_list: list[np.ndarray]) -> dict:
+def weighted_l1_bound(reduction: KernelReduction) -> dict:
     """L2 norm of the evolved state against the weighted L1 size of the data.
 
-    For each u0, ratio = ||exp(-tH) u0||_{L2,h} / ||u0||_{L1(w),h}.  All
-    ratios are bounded by max(p_t/(ww)) * ||w||_{L2,h}, which is reported as
-    the certificate; the point of the check is that concentrating u0 near the
-    singularity does not break the bound.  Every P u0 is formed in one walk
-    over the row slabs of P.
+    For each vector u0 the kernel was reduced with,
+    ratio = ||exp(-tH) u0||_{L2,h} / ||u0||_{L1(w),h}.  All ratios are
+    bounded by max(p_t/(ww)) * ||w||_{L2,h}, which is reported as the
+    certificate; the point of the check is that concentrating u0 near the
+    singularity does not break the bound.
     """
-    op = kernel.operator
+    op = reduction.operator
     hd = op.grid.cell_volume
     w = op.weight
-    (ratio_cap,) = _weighted_sups([kernel])
     w_l2 = float(np.sqrt(hd * np.sum(w**2)))
-    bound = ratio_cap * w_l2
-    u0s = [np.asarray(u0, dtype=float) for u0 in u0_list]
-    parts = [[P @ uv for uv in u0s] for _, P in kernel.slabs()]
+    bound = reduction.ratio_max * w_l2
     ratios = []
-    for uv, Pu in zip(u0s, zip(*parts)):
-        ut = np.concatenate(Pu) * hd
+    for uv, Pu in zip(reduction.vectors, reduction.products):
+        ut = Pu * hd
         num = float(np.sqrt(hd * np.sum(ut**2)))
         den = float(hd * np.sum(np.abs(uv) * w))
         if den <= 0.0:

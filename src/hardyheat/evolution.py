@@ -18,6 +18,8 @@ module, by one of two exact paths:
   vectors into the blocks and lifts rows of block kernels back; each further
   kernel time costs one product per block, and a kernel stays in its blocks
   (``KernelMatrix``): no n x n eigenvector matrix or kernel is formed.
+  ``KernelMatrix.reduce`` is the one walk over P's row slabs, returning all
+  that a kernel check reads; ``duhamel_residual`` gives both Simpson rules.
 
 Because the Duhamel check builds its propagators from the eigenbases while
 the trajectory comes from the exponential action, the check stays
@@ -37,13 +39,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, InvariantViolation
+from .errors import ConfigError, ContractError, MonotonicityViolation
 from .operators import DiscreteOperator, ParityMap
 from .specfun import coupling_regime
 
 __all__ = [
     "Trajectory",
     "KernelMatrix",
+    "KernelReduction",
     "evolve",
     "heat_kernel",
     "default_k_levels",
@@ -88,13 +91,34 @@ class Trajectory:
 
 
 @dataclass
+class KernelReduction:
+    """What the kernel checks read of one P (``KernelMatrix.reduce``): its
+    extremes, row sums, P w, max R for R = P / (w w), w = ``operator.weight``,
+    min and max R on the inner box (its nodes as rows and columns), and P v
+    for each of ``vectors``."""
+
+    operator: DiscreteOperator
+    t: float
+    p_min: float
+    p_max: float
+    row_sums: np.ndarray
+    Pw: np.ndarray
+    ratio_max: float
+    inner_min: float
+    inner_max: float
+    inner_nodes: int
+    vectors: list
+    products: list
+
+
+@dataclass
 class KernelMatrix:
     """Heat kernel p_t(x_i, x_j) = exp(-t H)_ij / h^d (density convention).
 
     Held as the parity blocks K_p = Q_p diag(e^{-t lam_p}) Q_p^T of the
     operator's spectrum, m x m each with m = n / 2**s, never as the n x n P:
-    ``rows`` forms rows of P in node order and ``slabs`` walks P a slab of
-    rows at a time.  ``P``, all n rows, is for tests and oracles.
+    ``rows`` forms rows of P in node order, ``slabs`` walks P a slab of rows
+    at a time, and ``reduce`` is the one such walk behind every kernel check.
     """
 
     operator: DiscreteOperator
@@ -115,11 +139,6 @@ class KernelMatrix:
         out /= self.operator.grid.cell_volume
         return out
 
-    @property
-    def P(self) -> np.ndarray:
-        """All of P as a new n x n array."""
-        return self.rows(0, self.n)
-
     def slabs(self):
         """(slice, rows of P) for consecutive slabs of about _SLAB_ENTRIES entries.
 
@@ -131,6 +150,34 @@ class KernelMatrix:
         for start in range(0, self.n, step):
             stop = min(start + step, self.n)
             yield slice(start, stop), self.rows(start, stop)
+
+    def reduce(self, vectors=(), inner_half_width: float | None = None) -> KernelReduction:
+        """Everything the kernel checks read of P, in one walk over its row slabs.
+
+        The inner box is ``Grid.inner_box(inner_half_width)``.  Per slab the
+        extremes, row sums (``np.sum``) and one gemv per vector, w first, come
+        before R = P / (w w), which is formed last, in place.
+        """
+        op = self.operator
+        w = op.weight
+        mask = op.grid.inner_box(inner_half_width)
+        vs = [w] + [np.asarray(v, dtype=float) for v in vectors]
+        lo, hi, rmax, imin, imax = np.inf, -np.inf, -np.inf, np.inf, -np.inf
+        sums, parts = [], []
+        for rows, P in self.slabs():
+            lo, hi = min(lo, float(np.min(P))), max(hi, float(np.max(P)))
+            sums.append(np.sum(P, axis=1))
+            parts.append([P @ v for v in vs])
+            R = np.divide(P, np.multiply.outer(w[rows], w), out=P)
+            rmax = max(rmax, float(np.max(R)))
+            R = R[mask[rows]][:, mask]
+            imin = min(imin, float(np.min(R, initial=np.inf)))
+            imax = max(imax, float(np.max(R, initial=-np.inf)))
+        Pw, *products = [np.concatenate(Pv) for Pv in zip(*parts)]
+        return KernelReduction(
+            op, self.t, lo, hi, np.concatenate(sums), Pw, rmax, imin, imax, int(np.sum(mask)),
+            vs[1:], products,
+        )
 
     def asymmetry(self) -> float:
         """max |K_p - K_p^T| over the blocks, divided by h^d.
@@ -256,9 +303,10 @@ def minimal_solution(
     ``op`` must carry the untruncated potential (k = None).  Each level k in
     the schedule evolves with H_k = L0 - diag(min(V, k)); states must be
     pointwise nondecreasing in k (violation beyond -1e-12 relative scale
-    raises InvariantViolation, since larger absorption removed can only add
-    mass).  For subcritical or critical coupling, convergence is declared
-    either when the sup-norm relative increment drops below 1e-6 or, always,
+    raises MonotonicityViolation, an InvariantViolation, since larger
+    absorption removed can only add mass).  For subcritical or critical
+    coupling, convergence is declared either when the sup-norm relative
+    increment drops below 1e-6 or, always,
     when the last level saturates (``op.saturates``: k >= max V, where
     truncation is a no-op on this grid).  For supercritical coupling the
     function runs in divergence mode: the same schedule is executed and the
@@ -291,7 +339,7 @@ def minimal_solution(
             scale = max(float(np.max(np.abs(trk.states))), 1e-300)
             worst = float(np.min(diff))
             if worst < -1e-12 * scale:
-                raise InvariantViolation(
+                raise MonotonicityViolation(
                     "truncated evolutions must increase with the cutoff; "
                     f"min increment {worst:.3e} at k={k:g}"
                 )
@@ -318,16 +366,20 @@ def minimal_solution(
     return trk, report
 
 
-def duhamel_residual(traj: Trajectory, n_quad: int = 65) -> dict:
+def duhamel_residual(traj: Trajectory) -> dict:
     """Relative defect of u(t) = e^{-tL0}u0 + int_0^t e^{-(t-s)L0} W u(s) ds.
 
-    The integral uses composite Simpson on n_quad (odd) uniform nodes s_j per
-    output time.  Its propagators come from the cached parity blocks of the
-    trajectory's operator (H) and of its ``free`` view (L0), not from the path
-    that produced the trajectory.  u0 and u(t) are folded into the blocks
-    (``ParityMap.fold``); W is even, so on block p it acts by its values at
-    the representatives.  With H_p = Q_H diag(lam_H) Q_H^T and
-    L0_p = Q_0 diag(lam_0) Q_0^T, per block
+    The integral uses composite Simpson on 129 uniform nodes s_j per output
+    time and on the 65 with even j, the 65-node rule's own doubles since
+    fl(t/128) * 2j = fl(t/64) * j: both rules share nodes and exponentials.
+    Each keeps its own matrix products, since OpenBLAS may round a column of
+    an m x 129 product unlike the same column of an m x 65 one (it does for
+    some m from 96 to 128).  The propagators come from the cached
+    parity blocks of the trajectory's operator (H) and of its ``free`` view
+    (L0), not from the path that produced the trajectory.  u0 and u(t) are
+    folded into the blocks (``ParityMap.fold``); W is even, so on block p it
+    acts by its values at the representatives.  With
+    H_p = Q_H diag(lam_H) Q_H^T and L0_p = Q_0 diag(lam_0) Q_0^T, per block
 
         u(s_j) = Q_H (e^{-lam_H s_j} * Q_H^T u0)
         acc    = Q_0 [(Q_0^T W u(s_j)) * e^{-lam_0 (t - s_j)}] . simpson weights
@@ -336,10 +388,8 @@ def duhamel_residual(traj: Trajectory, n_quad: int = 65) -> dict:
     and the residual norm sums the squares over the blocks, the fold scaling
     every block alike.  So the only error is the Simpson time discretization,
     which is O(dt^2) here because the integrand's higher derivatives involve
-    the same semigroups.  Returns per-time residuals keyed by time.
+    the same semigroups.  Returns {65: {t: residual}, 129: {t: residual}}.
     """
-    if n_quad < 33 or n_quad % 2 == 0:
-        raise ConfigError(f"n_quad must be odd and >= 33, got {n_quad}")
     if traj.times[0] != 0.0:
         raise ContractError("duhamel check needs the trajectory to start at t = 0")
     op = traj.operator
@@ -351,23 +401,26 @@ def duhamel_residual(traj: Trajectory, n_quad: int = 65) -> dict:
             op.spectrum, op.free.spectrum, parity.fold(traj.states[0])
         )
     ]
-    coef = np.ones(n_quad)
-    coef[1:-1:2] = 4.0
-    coef[2:-1:2] = 2.0
-    out = {}
+    coef = {n: np.r_[1.0, np.tile([4.0, 2.0], n // 2 - 1), 4.0, 1.0] for n in (65, 129)}  # Simpson
+    out = {65: {}, 129: {}}
     for t, u_t in zip(traj.times, traj.states):
         if t == 0.0:
             continue
-        ds = float(t) / (n_quad - 1)
-        s = ds * np.arange(n_quad)
-        sq_resid = sq_u = 0.0
+        t = float(t)
+        s = t / 128 * np.arange(129)
+        sq_resid = {65: 0.0, 129: 0.0}
+        sq_u = 0.0
         for (lam_h, Q_h, u0_h, lam_0, Q_0, u0_0), v_t in zip(blocks, parity.fold(u_t)):
-            U = Q_h @ (np.exp(-np.outer(lam_h, s)) * u0_h[:, None])
-            WU_0 = Q_0.T @ (W[:, None] * U)
-            acc = Q_0 @ ((WU_0 * np.exp(-np.outer(lam_0, float(t) - s))) @ (coef * ds / 3.0))
-            free = Q_0 @ (np.exp(-lam_0 * float(t)) * u0_0)
-            resid = v_t - free - acc
-            sq_resid += float(resid.dot(resid))
+            X_h = np.exp(-np.outer(lam_h, s)) * u0_h[:, None]
+            X_0 = np.exp(-np.outer(lam_0, t - s))
+            free = Q_0 @ (np.exp(-lam_0 * t) * u0_0)
+            for n_quad, cols in ((65, slice(None, None, 2)), (129, slice(None))):
+                U = Q_h @ np.ascontiguousarray(X_h[:, cols])
+                WU_0 = Q_0.T @ (W[:, None] * U)
+                acc = Q_0 @ ((WU_0 * X_0[:, cols]) @ (coef[n_quad] * (t / (n_quad - 1)) / 3.0))
+                resid = v_t - free - acc
+                sq_resid[n_quad] += float(resid.dot(resid))
             sq_u += float(v_t.dot(v_t))
-        out[float(t)] = math.sqrt(sq_resid) / math.sqrt(sq_u)
+        for n_quad, sq in sq_resid.items():
+            out[n_quad][t] = math.sqrt(sq) / math.sqrt(sq_u)
     return out

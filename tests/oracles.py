@@ -391,6 +391,11 @@ def parity_lift(blocks: list, shape: tuple, axes: tuple) -> np.ndarray:
     return out
 
 
+def kernel_matrix(ker) -> np.ndarray:
+    """All of a kernel's P as a new n x n array, from its rows."""
+    return ker.rows(0, ker.n)
+
+
 def kernel_suite_full(ts, Ps, P_sum, w, cell_volume, mask, u0s, d, alpha, c_positive, critical) -> dict:
     """The ``kernel`` suite's checks on whole n x n kernels: {name: (measured, pass)}.
 
@@ -442,6 +447,44 @@ def kernel_suite_full(ts, Ps, P_sum, w, cell_volume, mask, u0s, d, alpha, c_posi
         ut = (mid @ u0) * cell_volume
         l1.append(float(np.sqrt(cell_volume * np.sum(ut**2))) / float(cell_volume * np.sum(np.abs(u0) * w)))
     out["weighted_l1_within_certificate"] = (max(l1), bool(max(l1) <= bound * (1.0 + 1e-9)))
+    return out
+
+
+def duhamel_residual_two_pass(traj, n_quad: int) -> dict:
+    """``evolution.duhamel_residual`` as it was before it ran both Simpson rules in one sweep.
+
+    One call per rule, on ``n_quad`` (odd) uniform nodes of its own, from the
+    cached parity spectra of the trajectory's operator and of its ``free``
+    view; per-time residuals keyed by time.
+    """
+    op = traj.operator
+    parity = op.parity
+    W = parity.restrict(op.W)
+    blocks = [
+        (lam_h, Q_h, Q_h.T @ v0, lam_0, Q_0, Q_0.T @ v0)
+        for (lam_h, Q_h), (lam_0, Q_0), v0 in zip(
+            op.spectrum, op.free.spectrum, parity.fold(traj.states[0])
+        )
+    ]
+    coef = np.ones(n_quad)
+    coef[1:-1:2] = 4.0
+    coef[2:-1:2] = 2.0
+    out = {}
+    for t, u_t in zip(traj.times, traj.states):
+        if t == 0.0:
+            continue
+        ds = float(t) / (n_quad - 1)
+        s = ds * np.arange(n_quad)
+        sq_resid = sq_u = 0.0
+        for (lam_h, Q_h, u0_h, lam_0, Q_0, u0_0), v_t in zip(blocks, parity.fold(u_t)):
+            U = Q_h @ (np.exp(-np.outer(lam_h, s)) * u0_h[:, None])
+            WU_0 = Q_0.T @ (W[:, None] * U)
+            acc = Q_0 @ ((WU_0 * np.exp(-np.outer(lam_0, float(t) - s))) @ (coef * ds / 3.0))
+            free = Q_0 @ (np.exp(-lam_0 * float(t)) * u0_0)
+            resid = v_t - free - acc
+            sq_resid += float(resid.dot(resid))
+            sq_u += float(v_t.dot(v_t))
+        out[float(t)] = math.sqrt(sq_resid) / math.sqrt(sq_u)
     return out
 
 

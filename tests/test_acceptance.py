@@ -205,8 +205,8 @@ def test_criterion_03_minimal_solution_monotone(reference_run):
 
 
 def test_criterion_04_duhamel_residual(reference_run):
-    r65 = duhamel_residual(reference_run["traj"], n_quad=65)
-    r129 = duhamel_residual(reference_run["traj"], n_quad=129)
+    res = duhamel_residual(reference_run["traj"])
+    r65, r129 = res[65], res[129]
     worst65 = max(r65.values())
     t_last = float(reference_run["traj"].times[-1])
     ratio = r129[t_last] / r65[t_last]
@@ -235,7 +235,7 @@ def test_criterion_05_kernel_sandwich(kernel_bundle):
         for n in (400, 800):
             b = kernel_bundle[cf][n]
             kers = [b["kernels"][f] for f in t_subset]
-            sands[n] = kernel_sandwich(kers, 0.5)
+            sands[n] = kernel_sandwich([k.reduce(inner_half_width=0.5) for k in kers])
         spreads = [p["spread"] for p in sands[800]["per_t"]]
         stab = [
             a["spread"] / b["spread"]
@@ -266,7 +266,7 @@ def test_criterion_06_ultracontractive_envelope(kernel_bundle):
         envs = {}
         for n in (400, 800):
             b = kernel_bundle[cf][n]
-            envs[n] = ultracontractive_envelope(list(b["kernels"].values()))
+            envs[n] = ultracontractive_envelope([k.reduce() for k in b["kernels"].values()])
         e400, e800 = envs[400]["envelope"], envs[800]["envelope"]
         finite = np.isfinite(e800) and e800 > 0.0
         rel = abs(e800 - e400) / e800
@@ -389,7 +389,7 @@ def test_criterion_11_weighted_row_mass(kernel_bundle):
     ok, details = True, []
     for cf in (0.5, 1.0):
         epss = [
-            weighted_row_mass(kernel_bundle[cf][n]["kernels"][0.1])["eps"]
+            weighted_row_mass(kernel_bundle[cf][n]["kernels"][0.1].reduce())["eps"]
             for n in (200, 400, 800)
         ]
         excess = [max(e, 0.0) for e in epss]
@@ -411,7 +411,7 @@ def test_criterion_12_weighted_l1_extension(kernel_bundle):
         grid = b["op"].grid
         radii = [0.2, 0.1, 0.05, 4 * grid.h, 2 * grid.h]
         u0s = [(grid.radii <= r).astype(float) for r in radii]
-        wl1 = weighted_l1_bound(b["kernels"][0.5], u0s)
+        wl1 = weighted_l1_bound(b["kernels"][0.5].reduce(u0s))
         ok = ok and wl1["all_within"]
         details.append(
             f"c={cf}c*: max quotient {max(wl1['ratios']):.3f} vs bound {wl1['bound']:.3f}"

@@ -106,7 +106,7 @@ def test_t_ref_frozen_reference():
 def test_kernel_sandwich_free_reduction(free_op):
     # with w = 1 the machinery reports plain kernel bounds on the inner box
     kernels = [heat_kernel(free_op, t) for t in (0.5, 1.0)]
-    rep = kernel_sandwich(kernels, 0.5)
+    rep = kernel_sandwich([k.reduce(inner_half_width=0.5) for k in kernels])
     assert rep["c_lower"] > 0.0
     assert np.isfinite(rep["spread_max"])
     assert rep["n_nodes"] == 50
@@ -118,28 +118,28 @@ def test_kernel_sandwich_free_reduction(free_op):
 def test_kernel_sandwich_rejects_box_touching_boundary(free_op):
     kernels = [heat_kernel(free_op, 0.5)]
     with pytest.raises(ConfigError):
-        kernel_sandwich(kernels, 1.0)
+        kernel_sandwich([k.reduce(inner_half_width=1.0) for k in kernels])
     with pytest.raises(ConfigError):
-        kernel_sandwich(kernels, 1.5)
+        kernel_sandwich([k.reduce(inner_half_width=1.5) for k in kernels])
 
 
 def test_kernel_sandwich_spread_shrinks_with_t(half_op):
     # late kernels factorize toward the ground state, tightening the spread
     ks = [heat_kernel(half_op, t) for t in (0.1, 1.0)]
-    rep = kernel_sandwich(ks, 0.5)
+    rep = kernel_sandwich([k.reduce(inner_half_width=0.5) for k in ks])
     spreads = [q["spread"] for q in rep["per_t"]]
     assert spreads[1] < spreads[0]
 
 
 def test_envelope_requires_wide_t_grid(free_op):
-    ks = [heat_kernel(free_op, t) for t in (0.5, 1.0)]
+    ks = [heat_kernel(free_op, t).reduce() for t in (0.5, 1.0)]
     with pytest.raises(ContractError):
         ultracontractive_envelope(ks)
 
 
 def test_envelope_finite_and_locates_max(half_op):
     ts = [0.05, 0.1, 0.5, 1.0, 2.0]
-    ks = [heat_kernel(half_op, t) for t in ts]
+    ks = [heat_kernel(half_op, t).reduce() for t in ts]
     rep = ultracontractive_envelope(ks)
     assert rep["exponent"] == pytest.approx(2.0)  # d/alpha
     assert np.isfinite(rep["envelope"]) and rep["envelope"] > 0.0
@@ -151,7 +151,7 @@ def test_envelope_finite_and_locates_max(half_op):
 def test_critical_exponent_cap():
     op = assemble_operator(build_grid((-1.0, 1.0), 0.01), P1, c=CSTAR)
     ts = [0.05, 0.1, 0.5, 1.0, 2.0]
-    ks = [heat_kernel(op, t) for t in ts]
+    ks = [heat_kernel(op, t).reduce() for t in ts]
     rep = critical_envelope_exponent(ks)
     # p = (1 + d/(d-alpha))/2 = 1.5 for d=1, alpha=0.5, so the cap is 3
     assert rep["p"] == pytest.approx(1.5)
@@ -230,7 +230,7 @@ def test_lp_scan_validation():
 
 def test_weighted_row_mass_supersolution(half_op):
     ker = heat_kernel(half_op, 0.1)
-    rep = weighted_row_mass(ker)
+    rep = weighted_row_mass(ker.reduce())
     # the harmonic profile strictly dominates its own evolution on the grid
     assert rep["eps"] <= 1e-10
     assert rep["ratio_min"] <= rep["ratio_max"] <= 1.0 + 1e-10
@@ -238,7 +238,7 @@ def test_weighted_row_mass_supersolution(half_op):
 
 def test_weighted_row_mass_free_case(free_op):
     ker = heat_kernel(free_op, 0.2)
-    rep = weighted_row_mass(ker)
+    rep = weighted_row_mass(ker.reduce())
     assert rep["eps"] <= 1e-12
 
 
@@ -246,7 +246,7 @@ def test_weighted_l1_bound(half_op):
     ker = heat_kernel(half_op, 0.1)
     grid = half_op.grid
     u0s = [(grid.radii <= r).astype(float) for r in (0.2, 0.05, 2.5 * grid.h)]
-    rep = weighted_l1_bound(ker, u0s)
+    rep = weighted_l1_bound(ker.reduce(u0s))
     assert rep["all_within"]
     assert len(rep["ratios"]) == 3
     assert max(rep["ratios"]) <= rep["bound"]

@@ -109,20 +109,18 @@ def test_positivity_preserved(free_op):
 
 
 def test_heat_kernel_properties(free_op):
-    k1 = heat_kernel(free_op, 0.2)
-    assert np.max(np.abs(k1.P - k1.P.T)) <= 1e-10 * np.max(k1.P)
-    assert np.min(k1.P) > 0.0
-    k2 = heat_kernel(free_op, 0.3)
-    k3 = heat_kernel(free_op, 0.5)
-    comp = k1.P @ k2.P * free_op.grid.cell_volume
-    assert np.max(np.abs(comp - k3.P)) <= 1e-8 * np.max(k3.P)
+    Pa, Pb, Pc = (oracles.kernel_matrix(heat_kernel(free_op, t)) for t in (0.2, 0.3, 0.5))
+    assert np.max(np.abs(Pa - Pa.T)) <= 1e-10 * np.max(Pa)
+    assert np.min(Pa) > 0.0
+    comp = Pa @ Pb * free_op.grid.cell_volume
+    assert np.max(np.abs(comp - Pc)) <= 1e-8 * np.max(Pc)
     for t in (0.0, np.inf, np.nan):
         with pytest.raises(ContractError, match="must be positive and finite"):
             heat_kernel(free_op, t)
 
 
 def test_kernel_row_mass_submarkov(free_op):
-    P = heat_kernel(free_op, 0.2).P
+    P = oracles.kernel_matrix(heat_kernel(free_op, 0.2))
     mass = P.sum(axis=1) * free_op.grid.cell_volume
     assert np.max(mass) <= 1.0 + 1e-12
 
@@ -202,24 +200,20 @@ def test_duhamel_residual_small_and_shrinks(hardy_op):
     grid = hardy_op.grid
     u0 = (grid.radii <= 0.2).astype(float)
     traj = evolve(hardy_op, u0, [0.0, 0.1, 0.5])
-    res65 = duhamel_residual(traj, n_quad=65)
+    res = duhamel_residual(traj)
+    res65 = res[65]
     assert set(res65) == {0.1, 0.5}
     assert max(res65.values()) <= 1e-5
-    res129 = duhamel_residual(traj, n_quad=129)
+    res129 = res[129]
     assert res129[0.5] <= 0.3 * res65[0.5]
 
 
 def test_duhamel_contracts(hardy_op):
     grid = hardy_op.grid
     u0 = (grid.radii <= 0.2).astype(float)
-    traj = evolve(hardy_op, u0, [0.0, 0.1])
-    with pytest.raises(ConfigError):
-        duhamel_residual(traj, n_quad=64)
-    with pytest.raises(ConfigError):
-        duhamel_residual(traj, n_quad=31)
     late = evolve(hardy_op, u0, [0.1, 0.5])
     with pytest.raises(ContractError):
-        duhamel_residual(late, n_quad=65)
+        duhamel_residual(late)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +249,7 @@ def test_evolve_matches_dense_propagator(oracle_case):
 def test_heat_kernel_matches_dense_propagator(oracle_case, factor):
     op, _, _, tr = oracle_case
     t = factor * tr
-    P = heat_kernel(op, t).P
+    P = oracles.kernel_matrix(heat_kernel(op, t))
     ref = oracles.dense_propagator(op.H, t) / op.grid.cell_volume
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(P - ref)) <= 1e-12 * scale
@@ -268,8 +262,9 @@ def test_duhamel_matches_dense_step_recursion(oracle_case):
     op, free, u0, tr = oracle_case
     times = [0.0] + [f * tr for f in ORACLE_FACTORS]
     traj = evolve(op, u0, times)
+    res = duhamel_residual(traj)
     for n_quad in (65, 129):
-        got = duhamel_residual(traj, n_quad=n_quad)
+        got = res[n_quad]
         ref = oracles.duhamel_residual_dense(
             traj.times, traj.states, op.H, free.H, op.W, n_quad
         )
@@ -338,7 +333,7 @@ def test_parity_blocks_follow_the_mirror_axes(parity_case):
 def test_heat_kernel_matches_the_full_spectrum(parity_case, factor):
     name, op, _, tr = parity_case
     t = factor * tr
-    P = heat_kernel(op, t).P
+    P = oracles.kernel_matrix(heat_kernel(op, t))
     ref = oracles.heat_kernel_full_spectrum(op.H, t, op.grid.cell_volume)
     if name.endswith("skew"):
         assert np.array_equal(P, ref)
@@ -349,8 +344,9 @@ def test_heat_kernel_matches_the_full_spectrum(parity_case, factor):
 def test_duhamel_matches_the_full_spectrum(parity_case):
     name, op, u0, tr = parity_case
     traj = evolve(op, u0, [0.0, 0.1 * tr, 0.5 * tr])
+    res = duhamel_residual(traj)
     for n_quad in (65, 129):
-        got = duhamel_residual(traj, n_quad=n_quad)
+        got = res[n_quad]
         ref = oracles.duhamel_residual_full_spectrum(
             traj.times, traj.states, op.H, op.free.H, op.W, n_quad
         )
@@ -360,6 +356,18 @@ def test_duhamel_matches_the_full_spectrum(parity_case):
                 assert got[t] == ref[t]
             else:
                 assert abs(got[t] - ref[t]) <= PARITY_DUHAMEL_TOL
+
+
+def test_one_duhamel_sweep_keeps_the_bits_of_two_passes(parity_case):
+    # the 65-node rule takes every other one of the 129 nodes and their
+    # exponentials, the same doubles since fl(t/128) * 2j = fl(t/64) * j, and
+    # keeps its own products: both residuals equal one Simpson pass each, bit for bit
+    _, op, u0, tr = parity_case
+    traj = evolve(op, u0, [0.0, 0.1 * tr, 0.5 * tr])
+    got = duhamel_residual(traj)
+    assert list(got) == [65, 129]
+    for n_quad in (65, 129):
+        assert got[n_quad] == oracles.duhamel_residual_two_pass(traj, n_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +413,15 @@ def test_heat_kernel_matches_scipys_full_spectrum(scipy_case):
     op, _, tr = scipy_case
     for t in (0.1 * tr, 0.5 * tr):
         ref = oracles.heat_kernel_full_spectrum(op.H, t, op.grid.cell_volume, solver=_scipy_evd)
-        assert np.max(np.abs(heat_kernel(op, t).P - ref)) <= PARITY_KERNEL_TOL * np.max(ref)
+        assert np.max(np.abs(oracles.kernel_matrix(heat_kernel(op, t)) - ref)) <= PARITY_KERNEL_TOL * np.max(ref)
 
 
 def test_duhamel_matches_scipys_full_spectrum(scipy_case):
     op, u0, tr = scipy_case
     traj = evolve(op, u0, [0.0, 0.1 * tr, 0.5 * tr])
+    res = duhamel_residual(traj)
     for n_quad in (65, 129):
-        got = duhamel_residual(traj, n_quad=n_quad)
+        got = res[n_quad]
         ref = oracles.duhamel_residual_full_spectrum(
             traj.times, traj.states, op.H, op.free.H, op.W, n_quad, solver=_scipy_evd
         )

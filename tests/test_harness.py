@@ -639,6 +639,47 @@ def test_kernel_suite_peaks_below_five_halves_of_a_matrix(monkeypatch):
     assert peak < 2.5 * 8 * op.n**2
 
 
+# (c, times) on 1-d n = 800: 0.5c* with two times and with three, c* and c = 0
+# with three
+@pytest.mark.parametrize("c, times", [
+    ("0.5*cstar", [0.1, 0.5]),
+    ("0.5*cstar", [0.01, 0.1, 0.5]),
+    ("1*cstar", [0.01, 0.1, 0.5]),
+    ("0", [0.01, 0.1, 0.5]),
+])
+def test_kernel_suite_walks_each_kernel_once(monkeypatch, c, times):
+    # one KernelMatrix.reduce per kernel, and two over the t1 + t2 kernel (the
+    # Chapman-Kolmogorov scale and its defect); every walk starts at row 0
+    from hardyheat.evolution import KernelMatrix
+
+    real, walks = KernelMatrix.rows, []
+
+    def rows(self, start, stop):
+        walks.append(start == 0)
+        return real(self, start, stop)
+
+    monkeypatch.setattr(KernelMatrix, "rows", rows)
+    run_suite(scenario_from_dict(base_raw(h=[0.0025], c=c, times=times)), "kernel")
+    assert 0 < sum(walks) <= len(times) + 2
+
+
+def test_lp_evolves_each_level_at_its_last_time_only(monkeypatch):
+    # lp reads only the profile at the last scenario time, and every output
+    # time of evolve starts from u0: one exponential action per level
+    import hardyheat.evolution
+
+    real, actions = hardyheat.evolution._action, []
+
+    def action(op, t, u0):
+        actions.append((op.n, t))
+        return real(op, t, u0)
+
+    monkeypatch.setattr(hardyheat.evolution, "_action", action)
+    scn = scenario_from_dict(three_level_raw())
+    assert run_suite(scn, "lp")["passed"]
+    assert [n for n, _ in actions] == [50, 100, 200]
+
+
 def test_planar_operator_suite_passes_at_the_node_limit():
     # h = 1/32 on the square: 64 x 64 = 4096 nodes, the limit a 1-d grid has
     raw = base_raw(d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[1 / 16, 1 / 32])
@@ -657,7 +698,7 @@ def test_operator_row_mass_matches_the_kernel_row_mass():
     for h, eps in zip(scn.h_levels, check["measured"]):
         op = assemble_operator(build_grid(scn.domain_spec(), h), scn.params, c=scn.c)
         ker = heat_kernel(op, 0.1 * t_ref(op))
-        assert abs(eps - weighted_row_mass(ker)["eps"]) <= 1e-12
+        assert abs(eps - weighted_row_mass(ker.reduce())["eps"]) <= 1e-12
 
 
 @pytest.fixture()
@@ -1031,6 +1072,24 @@ def test_dense_solves_and_products_run_on_one_blas():
     assert {("estimators", "eigvalsh"), ("evolution", "expm")} <= imported
 
 
+def test_only_the_propagator_layer_walks_kernel_slabs():
+    # KernelMatrix.reduce is the one walk over P's row slabs: suites and
+    # estimators read what it returns and never walk P themselves
+    src = os.path.dirname(hardyheat.__file__)
+    callers = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            if any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "slabs"
+                for node in ast.walk(tree)
+            ):
+                callers.add(name)
+    assert callers == {"evolution.py"}
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -1196,6 +1255,21 @@ class TestCli:
         assert main(["--out", store_root, "verify", "--suite", "operator", "--scenario", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("invariant violation: Lanczos") and "Traceback" not in err
+
+    def test_unconverged_solve_in_blowup_is_no_failed_probe(self, tmp_path, store_root, capsys, monkeypatch):
+        # only a falling truncation probe is a failed probe_monotone_in_k; a
+        # Lanczos solve that does not converge (for t_ref or for the
+        # diagnostic's lambda_min) leaves the suite as it does from operator
+        import hardyheat.estimators as est
+
+        monkeypatch.setattr(est, "_LANCZOS_MATVECS", est._LANCZOS_BASIS)
+        path = write_scenario(tmp_path, "deep.json", base_raw(c="3*cstar", h=[0.01, 0.005, 0.0025]))
+        assert main(["--out", store_root, "verify", "--suite", "blowup", "--scenario", path]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("invariant violation: Lanczos") and "Traceback" not in err
+        assert "[FAIL] probe_monotone_in_k" not in out
+        rpath = os.path.join(store_root, "reports", f"{load_scenario(path).run_id()}.blowup.json")
+        assert not os.path.exists(rpath)
 
     def test_bench_tracer_installs_on_the_current_names(self, tmp_path):
         # bench/spans.py patches names by hand (DiscreteOperator.with_truncation,
@@ -1761,7 +1835,7 @@ class TestCli:
         base = os.path.join(store_root, "kernels", f"{scn.run_id()}-t0.5")
         grid = build_grid(scn.domain_spec(), scn.h_levels[-1])
         op = assemble_operator(grid, scn.params, c=scn.c, k=None)
-        P = heat_kernel(op, 0.5 * t_ref(op)).P
+        P = oracles.kernel_matrix(heat_kernel(op, 0.5 * t_ref(op)))
         lines = open(base + ".csv").read().splitlines()
         for line in lines[1:]:
             si, sj, sv = line.split(",")

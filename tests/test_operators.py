@@ -688,8 +688,8 @@ def test_smaller_domain_kernel_is_dominated():
     ob = assemble_operator(gb, P1, c=0.0)
     idx = [int(np.argmin(np.abs(gb.nodes - x))) for x in gs.nodes]
     for t in (0.05, 0.2):
-        Ps = heat_kernel(os_, t).P
-        Pb = heat_kernel(ob, t).P[np.ix_(idx, idx)]
+        Ps = oracles.kernel_matrix(heat_kernel(os_, t))
+        Pb = oracles.kernel_matrix(heat_kernel(ob, t))[np.ix_(idx, idx)]
         assert np.max(Ps - Pb) <= 1e-12
 
 
@@ -961,7 +961,7 @@ def test_operator_csv_small_blocks(tmp_path, monkeypatch):
 def test_kernel_and_state_csv_match_loop_oracles(tmp_path, monkeypatch):
     grid = build_grid((-1.0, 1.0), 2.0 / 300)
     op = assemble_operator(grid, P1, c=0.5 * hardy_constant(P1))
-    P = heat_kernel(op, 0.05).P
+    P = oracles.kernel_matrix(heat_kernel(op, 0.05))
     P[0, -1] = -0.0  # zeros are kept in kernel CSVs
     for _ in _worker_counts(monkeypatch):
         path = tmp_path / "kernel.csv"
@@ -1024,7 +1024,7 @@ def _csv_case(name):
     """(matrix, skip_zeros, loop oracle bytes, whether its value columns take the table path)."""
     if name == "kernel":  # nearly every value distinct: formatted directly
         op = assemble_operator(build_grid((-1.0, 1.0), 2.0 / 300), P1, c=0.5 * hardy_constant(P1))
-        P = heat_kernel(op, 0.05).P
+        P = oracles.kernel_matrix(heat_kernel(op, 0.05))
         return P, False, oracles.kernel_csv_loop(P), False
     if name == "repeated":  # few distinct values, kernel layout so that zeros are kept
         vals = np.array([-0.0, 0.0, 5e-324, 1e+16, 1e-05, 0.1, 1.0 / 3.0])
