@@ -65,7 +65,10 @@ _SUBDIRS = ("scenarios", "reports", "operators", "trajectories", "kernels")
 #      the block products, so both move by roundoff
 #  13  bottom eigenvalue by a restarted Lanczos in numpy instead of ARPACK's
 #      eigsh: lambda_min, t_ref and every value read at t_ref move by roundoff
-NUMERICS_EPOCH = 13
+#  14  2-d kappa and the 1-d exterior tail as numpy series, not scipy.special,
+#      and Golub-Welsch nodes for the 2-d neighbour weights: 2-d values and
+#      the 1-d weighted checks move by roundoff
+NUMERICS_EPOCH = 14
 
 
 def load_current(path: str) -> dict | None:

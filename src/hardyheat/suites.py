@@ -17,6 +17,7 @@ Each suite lives here whole: its runner (``_RUNNERS``), its name in
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import default_rng  # loaded with the module, not inside a timed command
 
 from .errors import ConfigError, ContractError, MonotonicityViolation
 from .estimators import (
@@ -186,7 +187,7 @@ def _probe_band(grid) -> np.ndarray:
 
 def _interior_vectors(grid, seed: int, count: int) -> list[np.ndarray]:
     """Smooth seeded bumps supported on the probe band."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     band = _probe_band(grid)
     out = []
     r = grid.radii

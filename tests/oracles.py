@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate
 from scipy.linalg import eigvalsh, expm, lu_factor, lu_solve
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import betainc
+from scipy.special import betainc, betaincc, hyp2f1
 
 mp.mp.dps = 40
 
@@ -142,6 +142,24 @@ def killing_2d_strip_quad(pt, rect, alpha: float) -> float:
     half = full / alpha
     out = half * ((x0 - a1) ** (-alpha) + (b1 - x0) ** (-alpha))
     return mp_intensity(2, alpha) * (out + strip(y0 - a2) + strip(b2 - y0))
+
+
+def cos_power_integral_betainc(t: np.ndarray, alpha: float) -> np.ndarray:
+    """integral of cos(theta)**alpha over (0, arctan t) by scipy's regularized
+    incomplete beta functions, the assembly path of epochs 3-13."""
+    a, b = 0.5, 0.5 * (1.0 + alpha)
+    half = 0.5 * math.sqrt(math.pi) * math.gamma(b) / math.gamma(1.0 + 0.5 * alpha)
+    t2 = t * t
+    near = betainc(a, b, t2 / (1.0 + t2))
+    far = betaincc(b, a, 1.0 / (1.0 + t2))
+    return half * np.where(t <= 1.0, near, far)
+
+
+def right_power_tail_hyp2f1(x: np.ndarray, b: float, alpha: float, beta: float) -> np.ndarray:
+    """integral over y > b of y**-beta (y - x)**(-1-alpha) as Euler's integral,
+    (b-x)**-s 2F1(beta, s; s+1; -x/(b-x)) / s with scipy's hyp2f1 (epochs 3-13)."""
+    s = alpha + beta
+    return (b - x) ** (-s) * hyp2f1(beta, s, s + 1.0, -x / (b - x)) / s
 
 
 def mp_killing_2d(pt, rect, alpha: float) -> float:

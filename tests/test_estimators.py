@@ -40,6 +40,18 @@ def half_op():
     return assemble_operator(build_grid((-1.0, 1.0), 0.01), P1, c=0.5 * CSTAR)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 101, 1000])
+def test_median_reproduces_numpys_bits(n):
+    import hardyheat.estimators as est
+
+    rng = np.random.default_rng(n)
+    for a in (rng.standard_normal(n), rng.integers(0, 3, n).astype(float), np.exp(rng.uniform(-30, 30, n))):
+        assert est._median(a) == np.median(a)
+        assert est._median(list(a)) == np.median(a)
+        a[rng.integers(n)] = np.nan
+        assert np.isnan(est._median(a)) and np.isnan(np.median(a))
+
+
 def test_lambda_min_matches_full_eigensolve(free_op):
     lam = lambda_min(free_op)
     full = np.linalg.eigvalsh(free_op.H)

@@ -1072,6 +1072,36 @@ def test_dense_solves_and_products_run_on_one_blas():
     assert {("estimators", "eigvalsh"), ("evolution", "expm")} <= imported
 
 
+def _module_level_imports(tree) -> list:
+    """Modules that ``tree`` imports outside every function body (class bodies count)."""
+    out, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            out += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # the bench-hook shims (estimators.eigvalsh, evolution.expm) import scipy
+    # inside a module __getattr__, on first access only
+    src = os.path.dirname(hardyheat.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            found += [(name, m) for m in _module_level_imports(tree) if m.split(".")[0] == "scipy"]
+    assert found == []
+    shim = ast.parse("def __getattr__(name):\n    from scipy.linalg import expm\nimport scipy.special")
+    assert _module_level_imports(shim) == ["scipy.special"]
+
+
 def test_only_the_propagator_layer_walks_kernel_slabs():
     # KernelMatrix.reduce is the one walk over P's row slabs: suites and
     # estimators read what it returns and never walk P themselves
@@ -1117,11 +1147,12 @@ def small_raw():
     return base_raw(h=[0.1], times=[0.1, 0.5])
 
 
-def _fresh_modules(code: str, *argv: str) -> list:
+def _fresh_modules(code: str, *argv: str, after: str = "") -> list:
     """Run ``code`` in a fresh interpreter on this source tree; the modules it loaded.
 
     The last line of its output lists every loaded module whose name starts
-    with scipy or numpy, or is a hardyheat module other than the root.
+    with scipy or numpy, or is a hardyheat module other than the root.  With
+    ``after``, a statement run first, it lists only those that ``code`` added.
     """
     import subprocess
     import sys
@@ -1129,9 +1160,12 @@ def _fresh_modules(code: str, *argv: str) -> list:
     import hardyheat
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(hardyheat.__file__)))
+    if after:
+        code = f"import sys; {after}; _before = set(sys.modules); {code}"
     code += (
         "; import json, sys; print(json.dumps(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy', 'numpy', 'hardyheat.')))))"
+        "if m.startswith(('scipy', 'numpy', 'hardyheat.'))"
+        + (" and m not in _before" if after else "") + ")))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
@@ -1219,7 +1253,8 @@ class TestCli:
         assert [m for m in _fresh_modules(code, *argv) if m.startswith("scipy")] == []
 
     def test_runs_load_no_scipy_linear_algebra(self, tmp_path, store_root):
-        # the bottom eigenvalue is a numpy Lanczos, so scipy.special is all that a run loads
+        # the bottom eigenvalue is a numpy Lanczos and the special functions are
+        # numpy series, so a run loads no scipy module at all
         code = "import sys, hardyheat.cli; assert hardyheat.cli.main(sys.argv[1:]) == 0"
         three = write_scenario(tmp_path, "three.json", three_level_raw())
         small = write_scenario(tmp_path, "small.json", small_raw())
@@ -1231,8 +1266,8 @@ class TestCli:
             _fresh_modules(code, "--out", store_root, "kernel", "--scenario", small, "--t", "0.5"),
         ]
         for mods in runs:
-            assert "hardyheat.estimators" in mods and "scipy.special" in mods
-            assert [m for m in mods if m.startswith(("scipy.linalg", "scipy.sparse"))] == []
+            assert "hardyheat.estimators" in mods
+            assert [m for m in mods if m.startswith("scipy")] == []
         # the names that bench/spans.py traces still resolve, on first access
         import scipy.linalg
 
@@ -1242,6 +1277,29 @@ class TestCli:
         assert hardyheat.evolution.expm is scipy.linalg.expm
         assert hardyheat.estimators.eigvalsh is scipy.linalg.eigvalsh
         assert not hasattr(hardyheat.estimators, "eigsh")
+
+    def test_commands_load_no_module_past_the_cold_import(self, tmp_path, store_root):
+        # numpy loads fft, random, ma and polynomial on first use; the package
+        # loads what it uses with its modules, so a command's time holds no import
+        code = "assert hardyheat.cli.main(sys.argv[1:]) == 0"
+        cold = "import hardyheat.cli, hardyheat.suites"
+        three = write_scenario(tmp_path, "three.json", three_level_raw())
+        small = write_scenario(tmp_path, "small.json", small_raw())
+        plane = write_scenario(tmp_path, "plane.json", base_raw(
+            d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[0.25, 0.125]))
+        runs = {
+            "all": ["verify", "--suite", "all", "--scenario", three],
+            "2-d operator": ["verify", "--suite", "operator", "--scenario", plane],
+            "assemble": ["assemble", "--d", "1", "--alpha", "0.5", "--domain=-1,1", "--h", "0.1"],
+            "evolve": ["evolve", "--scenario", small],
+            "kernel": ["kernel", "--scenario", small, "--t", "0.5"],
+        }
+        loaded = {
+            name: _fresh_modules(code, "--out", store_root, "--force", *argv, after=cold)
+            for name, argv in runs.items()
+        }
+        assert {name: [m for m in mods if not m.startswith("hardyheat.")]
+                for name, mods in loaded.items()} == {name: [] for name in runs}
 
     def test_unconverged_bottom_eigenvalue_exits_1(self, tmp_path, store_root, capsys, monkeypatch):
         # n = 400 takes two Lanczos cycles: capped at one, the solve cannot converge

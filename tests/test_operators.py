@@ -115,11 +115,57 @@ def test_exterior_tail_against_quadrature():
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 @pytest.mark.parametrize("beta", [1e-6, 0.5, 1.0 - 1e-6])
 def test_exterior_tail_matches_mpmath(alpha, beta):
-    a, b = -0.7, 1.3
-    xs = np.array([a + 1e-6, a + 1e-3, -0.2, 0.45, b - 1e-3, b - 1e-6])
-    got = exterior_power_tail(xs, (a, b), FractionalParams(1, alpha), beta)
-    want = [oracles.mp_exterior_tail(x, a, b, alpha, beta) for x in xs]
+    # on (-0.4, 1.6) the left tail from x near 1.6 is the range c > 2b (c = 1.6 > 0.8)
+    for a, b in ((-0.7, 1.3), (-0.4, 1.6)):
+        xs = np.array([a + 1e-6, a + 1e-3, -0.2, 0.45, b - 1e-3, b - 1e-6])
+        got = exterior_power_tail(xs, (a, b), FractionalParams(1, alpha), beta)
+        want = [oracles.mp_exterior_tail(x, a, b, alpha, beta) for x in xs]
+        assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1e-6, 0.5, 1.0 - 1e-6])
+def test_exterior_tail_far_from_a_near_end_matches_mpmath(beta):
+    # c/b reaches 1e3 on the left half-line, where hyp2f1 loses 1e-11 at beta -> 1
+    a, b = -1e-3, 1.0
+    xs = np.array([a + 1e-6, 0.01, 0.5, b - 1e-6])
+    got = exterior_power_tail(xs, (a, b), FractionalParams(1, 0.5), beta)
+    want = [oracles.mp_exterior_tail(x, a, b, 0.5, beta) for x in xs]
     assert_allclose(got, want, rtol=1e-12)
+
+
+def _around(points, rng, n):
+    """Each point, its neighbours 1e-12 apart and n random points within 1e-3 of it."""
+    points = np.asarray(points, dtype=float)
+    near = points[:, None] * (1.0 + np.concatenate([[-1e-12, 0.0, 1e-12], rng.uniform(-1e-3, 1e-3, n)]))
+    return near.ravel()
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
+def test_cos_power_integral_matches_incomplete_beta(alpha):
+    # the epoch-13 path: scipy's betainc below t = 1 and betaincc above it
+    rng = np.random.default_rng(1)
+    t = np.concatenate([10.0 ** rng.uniform(-8, 8, 20_000), _around([1.0], rng, 200)])
+    assert np.sum(t <= 1.0) > 1000 and np.sum(t > 1.0) > 1000
+    assert_allclose(ops._cos_power_integral(t, alpha), oracles.cos_power_integral_betainc(t, alpha),
+                    rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("beta", [1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
+def test_right_power_tail_matches_hyp2f1(alpha, beta):
+    # the epoch-13 path: one hyp2f1 value per point.  The ranges split at
+    # x = -2b, 0 and 2b/3; x runs over (-5b, b), where hyp2f1 holds 1e-14
+    rng = np.random.default_rng(2)
+    for b in (1.0, 0.4):
+        x = b * np.concatenate([
+            rng.uniform(-5.0, 1.0, 4000), 1.0 - 10.0 ** rng.uniform(-9, 0, 1000),
+            _around([-2.0, 2.0 / 3.0], rng, 200), [-1e-12, 0.0, 1e-12],
+        ])
+        x = x[x < b]
+        for lo, hi in ((-5 * b, -2 * b), (-2 * b, 0.0), (0.0, 2 * b / 3), (2 * b / 3, b)):
+            assert np.sum((lo < x) & (x <= hi)) > 500
+        assert_allclose(ops._right_power_tail(x, b, alpha, beta),
+                        oracles.right_power_tail_hyp2f1(x, b, alpha, beta), rtol=1e-13, atol=0)
 
 
 def test_exterior_tail_rejects_bad_exponent():
