@@ -50,7 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--c", default="0", help='coupling, number or "F*cstar"')
     p.add_argument("--k", type=float, default=None, help="potential truncation level")
-    p.add_argument("--name", default=None, help="artifact base name (default: scenario hash)")
+    p.add_argument("--name", default=None,
+                   help="artifact base name (default: op-d<d>-a<alpha>-b<a_b[_a2_b2]>-h<h>-c<c>, "
+                        "then -k<k> with --k; each number spelled losslessly)")
 
     p = sub.add_parser("evolve", help="run a scenario evolution, write per-time CSV states")
     p.add_argument("--scenario", required=True)
@@ -130,7 +132,10 @@ def _cmd_assemble(args) -> int:
     c = parse_coupling(args.c, params)
     op = assemble_operator(grid, params, c=c, k=args.k)
     store = RunStore(_store_root(args))
-    name = args.name or f"op-d{args.d}-a{args.alpha:g}-h{args.h:g}-c{c:.6g}"
+    name = args.name or "-".join(
+        [f"op-d{args.d}", f"a{_spell(args.alpha)}", "b" + "_".join(map(_spell, vals)),
+         f"h{_spell(args.h)}", f"c{_spell(c)}"] + ([] if args.k is None else [f"k{_spell(args.k)}"])
+    )
     csv_path, json_path = save_operator(op, store.path("operators", name))
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")

@@ -170,7 +170,7 @@ class KernelMatrix:
             parts.append([P @ v for v in vs])
             R = np.divide(P, np.multiply.outer(w[rows], w), out=P)
             rmax = max(rmax, float(np.max(R)))
-            R = R[mask[rows]][:, mask]
+            R = R[np.ix_(mask[rows], mask)]
             imin = min(imin, float(np.min(R, initial=np.inf)))
             imax = max(imax, float(np.max(R, initial=-np.inf)))
         Pw, *products = [np.concatenate(Pv) for Pv in zip(*parts)]
@@ -184,13 +184,17 @@ class KernelMatrix:
 
         Each entry of P - P^T is a sum of 2**s entries of K_p - K_p^T with
         weights +-2**-s, divided by h^d, so this bounds max |P - P^T|.  Each
-        block is compared by slabs of its rows.
+        block is compared by slabs of its rows, each subtracted into one
+        temporary per block that takes its absolute value in place.
         """
         worst = 0.0
         for K in self.blocks:
             step = max(1, _SLAB_ENTRIES // len(K))
+            buf = np.empty((min(step, len(K)), len(K)))
             for a in range(0, len(K), step):
-                worst = max(worst, float(np.max(np.abs(K[a:a + step] - K[:, a:a + step].T))))
+                rows = K[a:a + step]
+                diff = np.subtract(rows, K[:, a:a + step].T, out=buf[:len(rows)])
+                worst = max(worst, float(np.max(np.abs(diff, out=diff))))
         return worst / self.operator.grid.cell_volume
 
 

@@ -168,14 +168,19 @@ def _jump_extremes(op) -> tuple[float, float]:
 
     Each block of rows of J and the matching block of its columns are read
     from the table (``op.J``) on their own, so an offset error in reading it
-    shows as asymmetry.
+    shows as asymmetry.  Both are strided views: J^T[s] is the column block
+    J[:, s] (J[:, :, s] in 2d) with its axes swapped.  Their difference goes
+    into one temporary that every block reuses.
     """
-    J, n, d = op.J, op.n, op.grid.dim
+    J, d = op.J, op.grid.dim
+    JT = J.transpose(np.roll(np.arange(2 * d), d))
+    blocks = op.row_blocks()
+    buf = np.empty(J[blocks[0]].shape)
     asym, jmin = 0.0, np.inf
-    for s in op.row_blocks():
-        rows = J[s].reshape(-1, n)
-        cols = J[(slice(None),) * d + (s,)].reshape(n, -1)
-        asym = max(asym, float(np.max(np.abs(rows - cols.T))))
+    for s in blocks:
+        rows = J[s]
+        diff = np.subtract(rows, JT[s], out=buf[:len(rows)])
+        asym = max(asym, float(np.max(np.abs(diff, out=diff))))
         jmin = min(jmin, float(np.min(rows)))
     return asym, jmin
 

@@ -569,6 +569,97 @@ def test_operator_suite_peaks_at_one_matrix():
     assert peak <= 1.25 * 8 * n**2
 
 
+# The jump pass of the operator suite: 1-d [-1, 1] (10 row blocks, the last
+# shorter), 1-d [-1, 1.5] (no mirror axis), the 2-d square (3 blocks, the last
+# shorter) and the mirror-free 2-d box [-1, 1.5] x [-0.5, 1] (50 blocks of one
+# grid line).
+JUMP_BOXES = {
+    "d1_square": dict(d=1, alpha=0.5, domain=[-1.0, 1.0], h=[0.01, 0.0025]),
+    "d1_skew": dict(d=1, alpha=0.5, domain=[-1.0, 1.5], h=[0.01, 0.005]),
+    "d2_square": dict(d=2, alpha=1.0, domain=[-1.0, 1.0, -1.0, 1.0], h=[0.2, 0.1]),
+    "d2_skew": dict(d=2, alpha=1.0, domain=[-1.0, 1.5, -0.5, 1.0], h=[0.125, 0.05]),
+}
+
+
+def _jump_box(box):
+    """The box's scenario at c = 0 and the operator on its finest level."""
+    scn = scenario_from_dict(base_raw(**JUMP_BOXES[box], c="0"))
+    return scn, assemble_operator(build_grid(scn.domain_spec(), scn.h_levels[-1]), scn.params)
+
+
+def _shifted_jump_view(table):
+    """``operators._jump_view`` read one cell off along the first axis:
+    J[i, j] = table[|j - i + 1|] there (0 past the table's end)."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    k = table.shape[0]
+    padded = np.pad(table, [(0, 1)] + [(0, 0)] * (table.ndim - 1))
+    idx = [abs(np.arange(2 - k, k + 1))] + [abs(np.arange(1 - m, m)) for m in table.shape[1:]]
+    return sliding_window_view(padded[np.ix_(*idx)], table.shape)[(slice(None, None, -1),) * table.ndim]
+
+
+def _negative_jump_view(table):
+    """``operators._jump_view`` of the table with the nearest-neighbour weight negated."""
+    from hardyheat.operators import _jump_view
+
+    out = table.copy()
+    out.flat[1] = -out.flat[1]
+    return _jump_view(out)
+
+
+@pytest.mark.parametrize("box", list(JUMP_BOXES))
+def test_jump_extremes_match_the_dense_oracle(box):
+    from hardyheat.suites import _jump_extremes
+
+    _, op = _jump_box(box)
+    assert len(op.row_blocks()) > 1
+    J = -op.rows(0, op.n)
+    np.fill_diagonal(J, 0.0)
+    want = (float(np.max(np.abs(J - J.T))), float(np.min(J)))
+    assert want == (0.0, 0.0)
+    assert _jump_extremes(op) == want
+
+
+@pytest.mark.parametrize("mutation", ["shifted", "negative"])
+@pytest.mark.parametrize("box", list(JUMP_BOXES))
+def test_operator_suite_fails_a_mutated_jump_view(box, mutation, monkeypatch):
+    from hardyheat.operators import DiscreteOperator
+
+    view = _shifted_jump_view if mutation == "shifted" else _negative_jump_view
+    monkeypatch.setattr(DiscreteOperator, "J", property(lambda self: view(self.table)))
+    scn, _ = _jump_box(box)
+    checks = [c for c in run_suite(scn, "operator")["checks"] if c["name"].startswith("jump_")]
+    assert [c["name"] for c in checks] == [
+        f"{name}_h{h:g}" for h in scn.h_levels for name in ("jump_symmetric", "jump_nonnegative")
+    ]
+    for c in checks:
+        if c["name"].startswith("jump_symmetric"):
+            assert c["pass"] == (mutation != "shifted") == (c["measured"] == 0.0)
+        else:
+            assert c["pass"] == (mutation != "negative") == (c["measured"] >= 0.0)
+
+
+def test_jump_extremes_copy_no_block_of_j():
+    # 2-d h = 1/32 (n = 4,096, one grid line of 64 x 4,096 entries per block):
+    # the pass holds one block-sized temporary; copies of the row and the
+    # column block, their difference and its absolute value would hold four
+    import tracemalloc
+
+    from hardyheat.suites import _jump_extremes
+
+    op = assemble_operator(build_grid([(-1.0, 1.0), (-1.0, 1.0)], 1 / 32), FractionalParams(2, 1.0))
+    block = op.J[op.row_blocks()[0]].nbytes
+    assert block == 8 * 64 * 4096
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert _jump_extremes(op) == (0.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block
+
+
 # The kernel suite against the whole-P suite of tests/oracles.py: 1-d n = 800
 # (one mirror axis, the verify-1d-all grid), 1-d [-1, 1.5] (none), the 2-d
 # square at h = 0.1 (two) and a 2-d box with one mirror axis.
@@ -1870,6 +1961,35 @@ class TestCli:
         assert header["n"] == 20
         assert header["c"] == 0.25
         assert H.shape == (20, 20)
+
+    def test_assemble_default_names_spell_every_input(self, store_root, capsys):
+        # k, the domain, or an h past the 6 digits of :g alone changes the
+        # operator, so each gets its own artifact; a rerun keeps its name
+        base = ["--out", store_root, "assemble", "--d", "1", "--alpha", "0.5", "--c", "0.25"]
+        runs = {
+            "plain": ["--domain=-1,1", "--h", "0.1"],
+            "k": ["--domain=-1,1", "--h", "0.1", "--k", "4"],
+            "domain": ["--domain=-1,1.2", "--h", "0.1"],
+            "h": ["--domain=-1,1", "--h", "0.10000000001"],
+        }
+        names = {}
+        for key, extra in list(runs.items()) + [("again", runs["plain"])]:
+            assert main(base + extra) == 0
+            csv_line = capsys.readouterr().out.splitlines()[0]
+            names[key] = os.path.basename(csv_line.removeprefix("wrote ").removesuffix(".csv"))
+        assert names == {
+            "plain": "op-d1-a0.5-b-1_1-h0.1-c0.25",
+            "k": "op-d1-a0.5-b-1_1-h0.1-c0.25-k4",
+            "domain": "op-d1-a0.5-b-1_1.2-h0.1-c0.25",
+            "h": "op-d1-a0.5-b-1_1-h0.10000000001-c0.25",
+            "again": "op-d1-a0.5-b-1_1-h0.1-c0.25",
+        }
+        assert sorted(os.listdir(os.path.join(store_root, "operators"))) == sorted(
+            f"{name}.{ext}" for name in set(names.values()) for ext in ("csv", "json")
+        )
+        for key, want in (("k", 4.0), ("plain", None)):
+            header, _ = load_operator(os.path.join(store_root, "operators", names[key]))
+            assert header["k"] == want
 
     def test_kernel_writes_triplet_csv(self, tmp_path, store_root, capsys):
         path = write_scenario(tmp_path, "small.json", small_raw())
